@@ -26,7 +26,7 @@ from fractions import Fraction
 from .algebra import AlgebraSpec, Mode, convert_index
 from .engine import Engine, State
 from .scalar import Poly, parse_poly, render_poly
-from .singular import DEFAULT_TABLE, EPSILON, SingularTable
+from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 # expression: formal sum of mode compositions applied to the vacuum
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -157,30 +157,6 @@ Rule = (ManifestMemberRule | PrefixInvarianceRule | SingularRewriteRule
         | WeightBoundedBracketRule | ReorderRule | LinearCombinationRule)
 
 
-def null_vector_expression(a: int, b: int, table: SingularTable) -> Expression:
-    """The table vector N^ab as a formal mode expression."""
-    t = table
-    T = lambda n: Mode("T", n)
-    w = lambda c, n: Mode(f"W{c}", n)
-    terms = [(Poly.const(1), (w(a, -3), w(b, -3)))]
-    if a == b:
-        terms += [
-            (Poly.const(-t.c1), (T(-2), T(-2), T(-2))),
-            (Poly.const(-t.c2), (T(-3), T(-3))),
-            (Poly.const(-t.c3), (T(-4), T(-2))),
-            (Poly.const(t.c4), (T(-6),)),
-        ]
-    for c in (1, 2, 3):
-        eps = EPSILON.get((a, b, c))
-        if eps:
-            iota = Poly.sym("I") * eps
-            terms += [
-                (iota * (-t.c5), (w(c, -4), T(-2))),
-                (iota * t.c6, (w(c, -6),)),
-            ]
-    return expression(*terms)
-
-
 @dataclass(frozen=True)
 class MembershipClaim:
     id: int
@@ -245,7 +221,7 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
     if isinstance(rule, SingularRewriteRule):
         residual = claim.vector
         for coeff, (a, b) in rule.nulls:
-            null = expr_scale(null_vector_expression(a, b, cert.table), -coeff)
+            null = expr_scale(null_vector_terms(a, b, cert.table), -coeff)
             residual = expr_add(residual, null)
         residual = expr_add(residual, expr_scale(rule.remainder, -1))
         for _, seq in rule.remainder:
@@ -433,20 +409,18 @@ def certify_triplet_p2(table: SingularTable | None = None,
         next_id += 1
         return claim.id
 
-    I = Poly.sym("I")
+    def rewrite(vector: Expression, a: int, b: int) -> SingularRewriteRule:
+        """vector = N^ab + what remains of vector once N^ab is subtracted."""
+        remainder = expr_add(vector, expr_scale(null_vector_terms(a, b, table), -1))
+        return SingularRewriteRule(((Poly.const(1), (a, b)),), remainder)
 
     # mixed quadratics W^a W^b O for a != b
     mixed_ids = {}
     for a, b in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
-        c = next(cc for cc in (1, 2, 3) if cc not in (a, b))
-        eps = EPSILON[(a, b, c)]
-        remainder = expression(
-            (I * eps * table.c5, (_w(c, -4), _t(-2))),
-            (I * (-eps) * table.c6, (_w(c, -6),)),
-        )
+        quadratic = expression((1, (_w(a), _w(b))))
         mixed_ids[(a, b)] = add(
-            expression((1, (_w(a), _w(b)))),
-            SingularRewriteRule(((Poly.const(1), (a, b)),), remainder),
+            quadratic,
+            rewrite(quadratic, a, b),
             depends=("c5", "c6"),
             label=f"W{a}(-3) W{b}(-3) |0> in C2",
             target=True,
@@ -504,16 +478,10 @@ def certify_triplet_p2(table: SingularTable | None = None,
 
     # W1^2 - c1 L_{-2}^3
     l2cube = (_t(-2), _t(-2), _t(-2))
+    shifted = expression((1, (_w(1), _w(1))), (-table.c1, l2cube))
     shifted_id = add(
-        expression((1, (_w(1), _w(1))), (-table.c1, l2cube)),
-        SingularRewriteRule(
-            ((Poly.const(1), (1, 1)),),
-            expression(
-                (table.c2, (_t(-3), _t(-3))),
-                (table.c3, (_t(-4), _t(-2))),
-                (-table.c4, (_t(-6),)),
-            ),
-        ),
+        shifted,
+        rewrite(shifted, 1, 1),
         depends=("c1", "c2", "c3", "c4"),
         label="(W1(-3)^2 - c1 L(-2)^3) |0> in C2",
     )
@@ -582,6 +550,7 @@ def certify_triplet_p2(table: SingularTable | None = None,
 
 _MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((-?\d+)\)")
 _TERM_RE = re.compile(r"\(([^)]*)\)\s*((?:\s*[A-Za-z_][A-Za-z0-9_]*\(-?\d+\))*)\s*\|0>")
+_SEP_RE = re.compile(r"\s*\+\s*")
 
 
 def render_expression(a: Expression) -> str:
@@ -601,7 +570,11 @@ def parse_expression(text: str) -> Expression:
         return ()
     out = []
     pos = 0
-    for m in _TERM_RE.finditer(text):
+    while True:
+        # each term starts where the previous " + " ended; nothing is skipped
+        m = _TERM_RE.match(text, pos)
+        if m is None:
+            raise CertificateError(f"cannot parse expression {text!r} at {pos}")
         out.append(
             (
                 parse_poly(m.group(1)),
@@ -609,9 +582,12 @@ def parse_expression(text: str) -> Expression:
             )
         )
         pos = m.end()
-    if not out:
-        raise CertificateError(f"cannot parse expression {text!r}")
-    return expression(*out)
+        if pos == len(text):
+            return expression(*out)
+        sep = _SEP_RE.match(text, pos)
+        if sep is None:
+            raise CertificateError(f"cannot parse expression {text!r} at {pos}")
+        pos = sep.end()
 
 
 def _mode_to_str(m: Mode) -> str:

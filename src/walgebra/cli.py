@@ -17,6 +17,7 @@ from .c2 import certificate_to_json, certify_triplet_p2, verify_certificate
 from .derivation import alpha_nonzero_report
 from .qseries import (
     QSeries,
+    QSeriesError,
     chi_tilde,
     diff_at_level,
     triplet_character,
@@ -147,7 +148,10 @@ def cmd_char_diff(args) -> int:
         raise InputError(f"bad level {args.level!r}") from exc
     a = _character_series(args.left, p, args.cutoff)
     b = _character_series(args.right, p, args.cutoff)
-    value = diff_at_level(a, b, level)
+    try:
+        value = diff_at_level(a, b, level)
+    except QSeriesError as exc:
+        raise InputError(f"bad level {args.level!r}: {exc}") from exc
     if args.format == "json":
         doc = {
             "p": p,

@@ -102,7 +102,7 @@ class DerivationReport:
     alpha_zero_consistent: bool
     difference: Poly
     assumptions: list[str] = field(default_factory=list)
-    audit: dict[str, str] = field(default_factory=dict)
+    audit: dict[str, State] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -145,14 +145,14 @@ class Derivation:
         self.spec = make_derivation_spec(p)
         self.engine = Engine(self.spec)
         self.mono = Monomials(self.delta)
-        self.audit: dict[str, str] = {}
+        self.audit: dict[str, State] = {}
 
     # -- helpers ---------------------------------------------------------------
 
     def _project(self, state: State, tag: str) -> State:
         kept, dropped = project_with_audit(state, self.delta - 1)
         if dropped:
-            self.audit[tag] = dropped.render()
+            self.audit[tag] = dropped
         return kept
 
     def _coeff_c_multiple(self, poly: Poly) -> Fraction:
@@ -325,33 +325,6 @@ class Derivation:
             assumptions=list(ASSUMPTIONS),
             audit=dict(self.audit),
         )
-
-
-def beta_gamma_ww(p: int) -> tuple[Poly, Poly, Fraction]:
-    return Derivation(p).beta_gamma_ww()
-
-
-def solve_B_quasiprimary(p: int) -> Poly:
-    der = Derivation(p)
-    _, _, beta_prime = der.beta_gamma_ww()
-    return der.solve_B_quasiprimary(beta_prime)[0]
-
-
-def gamma_sum(p: int, B: Poly) -> Poly:
-    return Derivation(p).gamma_sum(B)
-
-
-def descend_and_solve_xi(p: int, B: Poly | None = None):
-    der = Derivation(p)
-    beta_ww, gamma_ww, _ = der.beta_gamma_ww()
-    b = B if B is not None else Poly.sym("B")
-    beta = beta_ww + b
-    gamma = gamma_ww + der.gamma_sum(b)
-    return der.descend_and_solve_xi(beta, gamma)
-
-
-def solve_B_primary(p: int, xi: tuple[Poly, Poly, Poly]) -> Poly:
-    return Derivation(p).solve_B_primary(xi)
 
 
 def alpha_nonzero_report(p: int) -> DerivationReport:

@@ -8,7 +8,6 @@ and every mode satisfies n <= -weight.  The leftmost mode acts last.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -120,13 +119,9 @@ class State:
         return f"State<{self.render()}>"
 
 
-def project_min_length(state: State, min_length: int) -> State:
-    """Keep exactly the words made of at least `min_length` modes."""
-    return State({w: c for w, c in state._t.items() if len(w) >= min_length})
-
-
 def project_with_audit(state: State, min_length: int) -> tuple[State, State]:
-    """Projection plus the discarded remainder, for length-discipline audits."""
+    """Split a state into the words made of at least `min_length` modes and
+    the discarded remainder, kept for length-discipline audits."""
     kept = {w: c for w, c in state._t.items() if len(w) >= min_length}
     dropped = {w: c for w, c in state._t.items() if len(w) < min_length}
     return State(kept), State(dropped)
@@ -136,13 +131,11 @@ class Engine:
     """Rewriting engine bound to one algebra spec.
 
     Pure operations over immutable values; the internal memo tables are an
-    invisible cache and are guarded by a lock so one instance can be shared
-    across threads.
+    invisible cache.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self._lock = threading.Lock()
         self._word_memo: dict[tuple[str, int, Word], dict] = {}
         self._field_memo: dict[tuple[FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
@@ -199,8 +192,7 @@ class Engine:
                 if ops.central:
                     _acc(result, rest, ops.central)
                 result = {w: c for w, c in result.items() if c}
-        with self._lock:
-            self._word_memo[key] = result
+        self._word_memo[key] = result
         return result
 
     # --- composite fields ------------------------------------------------------
@@ -223,8 +215,7 @@ class Engine:
         if hit is not None:
             return hit
         result = self._field_on_word_uncached(expr, n, word)
-        with self._lock:
-            self._field_memo[key] = result
+        self._field_memo[key] = result
         return result
 
     def _field_on_word_uncached(self, expr: FieldExpr, n: int, word: Word) -> dict:
@@ -283,8 +274,7 @@ class Engine:
                 tuple(self.qp_nop_plain(j, i, n).parts)
                 + tuple(self.qp_nop_corrections(j, i, n).parts)
             )
-            with self._lock:
-                self._qpnop_memo[key] = hit
+            self._qpnop_memo[key] = hit
         return hit
 
     def qp_nop_plain(self, j: str, i: str, n: int = 0) -> LinComb:
@@ -341,44 +331,6 @@ class Engine:
                 continue
             parts.append((value * coeff, Derivative(FieldRef(k), h + n)))
         return LinComb(tuple(parts))
-
-
-# Convenience wrappers around a per-spec engine cache.
-
-_engines: dict[int, Engine] = {}
-_engines_lock = threading.Lock()
-
-
-def engine_for(spec: AlgebraSpec | Engine) -> Engine:
-    if isinstance(spec, Engine):
-        return spec
-    key = id(spec)
-    eng = _engines.get(key)
-    if eng is None or eng.spec is not spec:
-        with _engines_lock:
-            eng = _engines.get(key)
-            if eng is None or eng.spec is not spec:
-                eng = Engine(spec)
-                _engines[key] = eng
-    return eng
-
-
-def apply_mode(mode: Mode, state: State, spec: AlgebraSpec | Engine) -> State:
-    return engine_for(spec).apply_mode(mode, state)
-
-
-def normal_order(word: Iterable[Mode], spec: AlgebraSpec | Engine) -> State:
-    return engine_for(spec).normal_order(word)
-
-
-def field_mode_apply(
-    expr: FieldExpr, n: int, state: State, spec: AlgebraSpec | Engine
-) -> State:
-    return engine_for(spec).field_mode_apply(expr, n, state)
-
-
-def qp_nop(j: str, i: str, n: int, spec: AlgebraSpec | Engine) -> LinComb:
-    return engine_for(spec).qp_nop(j, i, n)
 
 
 def _acc(table: dict, word: Word, coeff: Poly) -> None:

@@ -1,15 +1,14 @@
 """Exact truncated q-series and the characters used for singular-vector counting.
 
-A series is sum_n a_n q^(offset + n/D) with rational a_n and offset, integer
-lattice denominator D, valid through exponent shift `cutoff` (inclusive,
-measured in units of 1/D above the offset... see QSeries).  All arithmetic
-is exact and cutoff bookkeeping is conservative.
+A series is sum_n a_n q^(offset + n) with rational a_n and offset, valid
+for integer steps n <= `cutoff` above the offset.  All arithmetic is exact
+and cutoff bookkeeping is conservative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor
 
 from .algebra import central_charge_p1
 
@@ -19,16 +18,12 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """Truncated formal series sum a_n q^(offset + n/D), coefficients valid
-    for n <= cutoff (n counts lattice steps above the offset)."""
+    """Truncated formal series sum a_n q^(offset + n), coefficients valid
+    for n <= cutoff (n counts integer steps above the offset)."""
 
-    __slots__ = ("D", "offset", "coeffs", "cutoff")
+    __slots__ = ("offset", "coeffs", "cutoff")
 
-    def __init__(self, D: int, offset: Fraction, coeffs: dict[int, Fraction],
-                 cutoff: int):
-        if D < 1:
-            raise QSeriesError("lattice denominator must be positive")
-        self.D = D
+    def __init__(self, offset: Fraction, coeffs: dict[int, Fraction], cutoff: int):
         self.offset = Fraction(offset)
         self.coeffs = {n: Fraction(c) for n, c in coeffs.items()
                        if c and 0 <= n <= cutoff}
@@ -37,25 +32,14 @@ class QSeries:
     # --- constructors ----------------------------------------------------------
 
     @classmethod
-    def one(cls, cutoff: int, D: int = 1, offset: Fraction = Fraction(0)):
-        return cls(D, offset, {0: Fraction(1)}, cutoff)
+    def one(cls, cutoff: int, offset: Fraction = Fraction(0)):
+        return cls(offset, {0: Fraction(1)}, cutoff)
 
     # --- lattice alignment ------------------------------------------------------
 
-    def rescaled(self, D: int) -> "QSeries":
-        if D % self.D:
-            raise QSeriesError(f"cannot rescale lattice {self.D} to {D}")
-        f = D // self.D
-        return QSeries(
-            D, self.offset, {n * f: c for n, c in self.coeffs.items()},
-            self.cutoff * f,
-        )
-
     @staticmethod
     def _aligned(a: "QSeries", b: "QSeries"):
-        D = a.D * b.D // gcd(a.D, b.D)
-        a, b = a.rescaled(D), b.rescaled(D)
-        shift = (b.offset - a.offset) * D
+        shift = b.offset - a.offset
         if shift.denominator != 1:
             raise QSeriesError(
                 f"offsets {a.offset} and {b.offset} differ off-lattice"
@@ -65,10 +49,10 @@ class QSeries:
         if s >= 0:
             b_coeffs = {n + s: c for n, c in b.coeffs.items()}
             b_cut = b.cutoff + s
-            return a, QSeries(D, a.offset, b_coeffs, b_cut)
+            return a, QSeries(a.offset, b_coeffs, b_cut)
         a_coeffs = {n - s: c for n, c in a.coeffs.items()}
         a_cut = a.cutoff - s
-        return QSeries(D, b.offset, a_coeffs, a_cut), b
+        return QSeries(b.offset, a_coeffs, a_cut), b
 
     # --- arithmetic --------------------------------------------------------------
 
@@ -78,15 +62,15 @@ class QSeries:
         out = dict(a.coeffs)
         for n, c in b.coeffs.items():
             out[n] = out.get(n, Fraction(0)) + c
-        return QSeries(a.D, a.offset, out, cutoff)
+        return QSeries(a.offset, out, cutoff)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QSeries":
         f = Fraction(factor)
-        return QSeries(self.D, self.offset,
-                       {n: c * f for n, c in self.coeffs.items()}, self.cutoff)
+        return QSeries(self.offset, {n: c * f for n, c in self.coeffs.items()},
+                       self.cutoff)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         a, b = QSeries._aligned(self, other)
@@ -101,7 +85,7 @@ class QSeries:
                 n = n1 + n2
                 if n <= cutoff:
                     out[n] = out.get(n, Fraction(0)) + c1 * c2
-        return QSeries(a.D, a.offset + b.offset, out, cutoff)
+        return QSeries(a.offset + b.offset, out, cutoff)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant lattice term must be nonzero."""
@@ -117,27 +101,21 @@ class QSeries:
                     acc += c * inv.get(n - k, Fraction(0))
             if acc:
                 inv[n] = -acc / a0
-        return QSeries(self.D, -self.offset, inv, self.cutoff)
+        return QSeries(-self.offset, inv, self.cutoff)
 
     def shift(self, exponent: Fraction) -> "QSeries":
         """Multiply by q^exponent (exact offset shift)."""
-        return QSeries(self.D, self.offset + Fraction(exponent),
-                       self.coeffs, self.cutoff)
-
-    def truncate(self, cutoff: int) -> "QSeries":
-        return QSeries(self.D, self.offset,
-                       {n: c for n, c in self.coeffs.items() if n <= cutoff},
-                       min(self.cutoff, cutoff))
+        return QSeries(self.offset + Fraction(exponent), self.coeffs, self.cutoff)
 
     # --- queries ------------------------------------------------------------------
 
     def leading_exponent(self) -> Fraction:
         if not self.coeffs:
             raise QSeriesError("series is zero through its cutoff")
-        return self.offset + Fraction(min(self.coeffs), self.D)
+        return self.offset + min(self.coeffs)
 
     def coeff_at_exponent(self, exponent: Fraction) -> Fraction:
-        n = (Fraction(exponent) - self.offset) * self.D
+        n = Fraction(exponent) - self.offset
         if n.denominator != 1:
             raise QSeriesError(f"exponent {exponent} is off-lattice")
         n = int(n)
@@ -162,8 +140,7 @@ class QSeries:
     def agrees_with(self, other: "QSeries", through: Fraction) -> bool:
         """Coefficient agreement at every lattice exponent <= `through`."""
         a, b = QSeries._aligned(self, other)
-        n_max = (Fraction(through) - a.offset) * a.D
-        n_max = int(n_max) if n_max.denominator == 1 else int(n_max)
+        n_max = floor(Fraction(through) - a.offset)
         if n_max > min(a.cutoff, b.cutoff):
             raise QSeriesError("agreement range exceeds validity")
         for n in range(0, n_max + 1):
@@ -174,7 +151,7 @@ class QSeries:
     def render_lines(self) -> list[str]:
         out = []
         for n in sorted(self.coeffs):
-            e = self.offset + Fraction(n, self.D)
+            e = self.offset + n
             out.append(f"{e}: {self.coeffs[n]}")
         return out
 
@@ -202,14 +179,7 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
             if e + n <= cutoff:
                 new[e + n] = new.get(e + n, Fraction(0)) - c
         coeffs = {e: c for e, c in new.items() if c}
-    return QSeries(1, Fraction(0), coeffs, cutoff)
-
-
-def geometric_inverse(l: int, cutoff: int) -> QSeries:
-    """1 / (1 - q^l) = sum_j q^(j l)."""
-    return QSeries(1, Fraction(0),
-                   {j * l: Fraction(1) for j in range(0, cutoff // l + 1)},
-                   cutoff)
+    return QSeries(Fraction(0), coeffs, cutoff)
 
 
 # --- characters ----------------------------------------------------------------------
@@ -253,7 +223,7 @@ def triplet_theta_bracket(p: int, cutoff: int, extra_terms: int = 0) -> QSeries:
             if width > extra_terms:
                 break
         n += 1
-    return QSeries(1, Fraction(0), {e: c for e, c in coeffs.items() if c}, cutoff)
+    return QSeries(Fraction(0), {e: c for e, c in coeffs.items() if c}, cutoff)
 
 
 def triplet_character(p: int, cutoff: int, extra_theta_terms: int = 0) -> QSeries:
@@ -273,7 +243,7 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
     first = phi_trunc(2, cutoff).inverse()
-    numer = QSeries(1, Fraction(0), {0: Fraction(1), 3: Fraction(-1)}, cutoff)
+    numer = QSeries(Fraction(0), {0: Fraction(1), 3: Fraction(-1)}, cutoff)
     phi_w_inv = phi_trunc(2 * p - 1, cutoff).inverse()
     second = (numer * phi(cutoff).inverse() * phi_w_inv * phi_w_inv)
     second = second.scale(3).shift(Fraction(2 * p - 1))

@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-Rat = Fraction
 
 IMAG = "I"
 
@@ -272,10 +271,6 @@ def _coerce(value) -> Poly:
     if isinstance(value, (int, Fraction)):
         return Poly.const(value)
     raise TypeError(f"cannot coerce {type(value)!r} to Poly")
-
-
-ZERO = Poly.zero()
-ONE = Poly.const(1)
 
 
 # --- rendering / parsing -----------------------------------------------------

@@ -56,32 +56,37 @@ def _w(a: int, n: int) -> Mode:
     return Mode(f"W{a}", n)
 
 
-def null_vector_state(a: int, b: int, engine: Engine,
-                      table: SingularTable = DEFAULT_TABLE) -> State:
-    """Canonical State of the table vector N^ab."""
+def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
+                      ) -> tuple[tuple[Poly, tuple[Mode, ...]], ...]:
+    """The table vector N^ab as (coefficient, mode sequence) terms; the one
+    place the table coefficients become vectors."""
     t = table
     T = lambda n: Mode("T", n)
-    state = engine.normal_order([_w(a, -3), _w(b, -3)])
+    terms = [(Poly.const(1), (_w(a, -3), _w(b, -3)))]
     if a == b:
-        vir = State(
-            {
-                (T(-2), T(-2), T(-2)): Poly.const(-t.c1),
-                (T(-3), T(-3)): Poly.const(-t.c2),
-                (T(-4), T(-2)): Poly.const(-t.c3),
-                (T(-6),): Poly.const(t.c4),
-            }
-        )
-        state = state + vir
+        terms += [
+            (Poly.const(-t.c1), (T(-2), T(-2), T(-2))),
+            (Poly.const(-t.c2), (T(-3), T(-3))),
+            (Poly.const(-t.c3), (T(-4), T(-2))),
+            (Poly.const(t.c4), (T(-6),)),
+        ]
     for c in (1, 2, 3):
         eps = EPSILON.get((a, b, c))
         if eps:
             iota = Poly.sym("I") * eps
-            state = state + State(
-                {
-                    (_w(c, -4), T(-2)): iota * (-t.c5),
-                    (_w(c, -6),): iota * t.c6,
-                }
-            )
+            terms += [
+                (iota * (-t.c5), (_w(c, -4), T(-2))),
+                (iota * t.c6, (_w(c, -6),)),
+            ]
+    return tuple(terms)
+
+
+def null_vector_state(a: int, b: int, engine: Engine,
+                      table: SingularTable = DEFAULT_TABLE) -> State:
+    """Canonical State of the table vector N^ab."""
+    state = State()
+    for coeff, seq in null_vector_terms(a, b, table):
+        state = state + engine.normal_order(seq).scale(coeff)
     return state
 
 

@@ -13,7 +13,6 @@ from walgebra.algebra import (
     p_poly,
 )
 from walgebra.c2 import certificate_from_json, certificate_to_json, certify_triplet_p2, verify_certificate
-from walgebra.derivation import Derivation, alpha_nonzero_report
 from walgebra.engine import Engine, State, word_weight
 from walgebra.qseries import (
     QSeries,
@@ -117,7 +116,7 @@ def test_criterion_3_phi_identities():
     for k in range(2, 8):
         rhs = phi(60)
         for l in range(1, k):
-            rhs = rhs * QSeries(1, Fraction(0),
+            rhs = rhs * QSeries(Fraction(0),
                                 {0: Fraction(1), l: Fraction(-1)}, 60).inverse()
         assert phi_trunc(k, 60) == rhs
     _report(3, "phi truncation identity to cutoff 60 for k in 2..7; "
@@ -130,13 +129,13 @@ def test_criterion_4_character_expansions():
         coeffs = {}
         for e, c in [(0, 1), (1, -1), (2 * p - 1, 3), (2 * p + 2, -3)]:
             coeffs[e] = coeffs.get(e, Fraction(0)) + c
-        partial = QSeries(1, Fraction(0), coeffs, cutoff)
+        partial = QSeries(Fraction(0), coeffs, cutoff)
         assert triplet_theta_bracket(p, cutoff).agrees_with(
             partial, Fraction(6 * p - 3)
         )
         coeffs2 = dict(coeffs)
         coeffs2[4 * p - 2] = coeffs2.get(4 * p - 2, Fraction(0)) + 6
-        partial2 = QSeries(1, Fraction(0), coeffs2, cutoff)
+        partial2 = QSeries(Fraction(0), coeffs2, cutoff)
         c = central_charge_p1(p)
         tilde_bracket = phi(cutoff) * chi_tilde(p, cutoff).shift(c / 24)
         assert tilde_bracket.agrees_with(partial2, Fraction(4 * p - 2))
@@ -161,11 +160,11 @@ def test_criterion_5_singular_vector_counting():
                "p=2 overlap diff = 9 = 19 - 10")
 
 
-def test_criterion_6_derivation_closed_forms():
+def test_criterion_6_derivation_closed_forms(derivation):
     B, C = Poly.sym("B"), Poly.sym("C")
     for p in (2, 3, 4, 5):
         d = 2 * p - 1
-        rep = alpha_nonzero_report(p)
+        rep = derivation(p).report()
         assert rep.beta_ww_prime == Fraction(-(2 * d - 1) * (d - 1), 2 * (4 * d - 3))
         assert rep.B_quasiprimary == C * Fraction(-(6 * d * d - 8 * d + 3),
                                                   6 * (4 * d - 3))
@@ -215,9 +214,9 @@ def test_criterion_8_c2_certificate():
                "every single-step corruption rejected")
 
 
-def test_criterion_9_quasiprimary_not_primary():
+def test_criterion_9_quasiprimary_not_primary(derivation):
     for p in (2, 3, 4, 5):
-        der = Derivation(p)
+        der = derivation(p)
         _, _, beta_prime = der.beta_gamma_ww()
         _, without_B = der.solve_B_quasiprimary(beta_prime)
         coeff, rest = without_B.coeff_of_symbol("C")

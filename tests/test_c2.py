@@ -11,9 +11,13 @@ from walgebra.c2 import (
     certificate_from_json,
     certificate_to_json,
     certify_triplet_p2,
+    expr_add,
+    expr_scale,
     expression,
     manifest_member,
+    parse_expression,
     prefixed_manifest,
+    render_expression,
     verify_certificate,
 )
 from walgebra.singular import SingularTable, load_triplet_p2_spec
@@ -118,6 +122,18 @@ def test_round_trip(cert, spec):
     ok, _ = verify_certificate(again, spec)
     assert ok
     assert certificate_to_json(again) == text
+
+
+def test_parse_expression_is_strict(cert):
+    for step in cert.steps:
+        parsed = parse_expression(render_expression(step.vector))
+        assert not expr_add(parsed, expr_scale(step.vector, -1))
+    for text in ("(1) W1(-3) W2(-3) |0> + GARBAGE (7) T(-9) junk",
+                 "(1) W1(-3) W2(-3) |0> junk",
+                 "(1) W1(-3) W2(-3) |0> +",
+                 "junk (1) W1(-3) W2(-3) |0>"):
+        with pytest.raises(CertificateError):
+            parse_expression(text)
 
 
 def test_corrupt_any_step_fails(cert, spec):

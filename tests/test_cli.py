@@ -54,6 +54,13 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("char-diff", "--p", "2", "--left", "verma", "--right",
                    "triplet", "--level", "x").returncode == 2
+    # an off-lattice level, and a level beyond the cutoff
+    for level, cutoff in (("17/2", "40"), ("41", "40")):
+        proc = run_cli("char-diff", "--p", "3", "--left", "verma", "--right",
+                       "triplet", "--level", level, "--cutoff", cutoff)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def test_missing_spec_file_exit_2():

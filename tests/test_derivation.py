@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from walgebra.algebra import Mode
-from walgebra.derivation import Derivation, alpha_nonzero_report, gamma_sum
+from walgebra.derivation import alpha_nonzero_report
 from walgebra.engine import State
 from walgebra.scalar import Poly
 
@@ -27,9 +27,9 @@ def closed_forms(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
-def test_closed_forms(p):
+def test_closed_forms(p, derivation):
     want = closed_forms(p)
-    rep = alpha_nonzero_report(p)
+    rep = derivation(p).report()
     assert rep.beta_ww_prime == want["beta_prime"]
     assert rep.beta_ww == C * want["beta_prime"]
     assert rep.B_quasiprimary == want["B_quasi"]
@@ -53,24 +53,25 @@ def test_p2_instantiations():
     assert rep.difference == C * Fraction(13, 12)
 
 
-def test_difference_is_nonzero_multiple_of_C():
+def test_difference_is_nonzero_multiple_of_C(derivation):
     for p in (2, 3, 4):
-        rep = alpha_nonzero_report(p)
+        rep = derivation(p).report()
         coeff, rest = rep.difference.coeff_of_symbol("C")
         assert rest.is_zero()
         assert coeff.const_value() != 0
 
 
-def test_gamma_sum_examples():
-    assert gamma_sum(2, B) == B * Fraction(-5, 8)
-    assert gamma_sum(2, Poly.zero()).is_zero()
-    assert gamma_sum(2, C * Fraction(-11, 18)) == C * Fraction(55, 144)
+def test_gamma_sum_examples(derivation):
+    der = derivation(2)
+    assert der.gamma_sum(B) == B * Fraction(-5, 8)
+    assert der.gamma_sum(Poly.zero()).is_zero()
+    assert der.gamma_sum(C * Fraction(-11, 18)) == C * Fraction(55, 144)
 
 
-def test_quasiprimary_but_not_primary():
+def test_quasiprimary_but_not_primary(derivation):
     # the L2 image of the ansatz without the aggregate B term is nonzero
     for p in (2, 3, 4, 5):
-        der = Derivation(p)
+        der = derivation(p)
         _, _, beta_prime = der.beta_gamma_ww()
         _, without_B = der.solve_B_quasiprimary(beta_prime)
         coeff, rest = without_B.coeff_of_symbol("C")
@@ -79,10 +80,10 @@ def test_quasiprimary_but_not_primary():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_lowering_consistency(p):
+def test_lowering_consistency(p, derivation):
     """L_{-1} of the ansatz agrees with the mode-by-mode sl2 lowering rule."""
     d = 2 * p - 1
-    der = Derivation(p)
+    der = derivation(p)
     eng = der.engine
     beta_ww, gamma_ww, _ = der.beta_gamma_ww()
     beta = beta_ww + B
@@ -103,17 +104,15 @@ def test_lowering_consistency(p):
     assert direct == indirect
 
 
-def test_length_discipline_audit():
-    der = Derivation(3)
+def test_length_discipline_audit(derivation):
+    der = derivation(3)
     rep = der.report()
     # every audited discarded remainder contains only words shorter than d-1
-    from walgebra.c2 import parse_expression  # reuse the expression parser
-
     assert rep.audit  # projections did discard sub-threshold material
-    for tag, rendered in rep.audit.items():
-        state = parse_expression(rendered)
-        for _, seq in state:
-            assert len(seq) < der.delta - 1, (tag, seq)
+    for tag, dropped in rep.audit.items():
+        assert dropped, tag
+        for word in dropped.words():
+            assert len(word) < der.delta - 1, (tag, word)
 
 
 def test_invalid_p():

@@ -17,7 +17,6 @@ from walgebra.algebra import (
 from walgebra.engine import (
     Engine,
     State,
-    project_min_length,
     project_with_audit,
     word_weight,
 )
@@ -89,7 +88,7 @@ def test_tower_bottom_mode(p):
     eng = Engine(make_derivation_spec(p))
     tower = nprod_tower(d - 1)
     s = eng.field_mode_apply(tower, -(2 * d - 2), State.vacuum())
-    s = project_min_length(s, d - 1)
+    s = project_with_audit(s, d - 1)[0]
     assert s == State({tuple([T(-2)] * (d - 1)): Poly.const(1)})
 
 
@@ -102,11 +101,10 @@ def test_project_examples():
             (T(-4), T(-4), T(-2)): delta_sym,
         }
     )
-    kept = project_min_length(s, 4)
-    assert kept == State({(T(-4), T(-2), T(-2), T(-2)): beta})
-    assert project_min_length(s, 0) == s
-    assert project_min_length(State.vacuum(), 1).is_zero()
     kept, dropped = project_with_audit(s, 4)
+    assert kept == State({(T(-4), T(-2), T(-2), T(-2)): beta})
+    assert project_with_audit(s, 0)[0] == s
+    assert project_with_audit(State.vacuum(), 1)[0].is_zero()
     assert dropped == State({(T(-4), T(-4), T(-2)): delta_sym})
 
 
@@ -248,9 +246,9 @@ def test_qp_nop_correction_mode_at_lowered_level(p):
     d = 2 * p - 1
     eng = Engine(make_derivation_spec(p))
     corr = eng.qp_nop_corrections("W", "W", 0)
-    state = project_min_length(
+    state = project_with_audit(
         eng.field_mode_apply(corr, -2 * d - 1, State.vacuum()), d - 1
-    )
+    )[0]
     C = Poly.sym("C")
     factor = C * Fraction(-3 * (2 * d - 1), 2 * (4 * d - 3))
     m1 = tuple([T(-5)] + [T(-2)] * (d - 2))

@@ -31,7 +31,7 @@ def series_from_terms(terms, cutoff):
     coeffs = {}
     for e, c in terms:
         coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(c)
-    return QSeries(1, Fraction(0), coeffs, cutoff)
+    return QSeries(Fraction(0), coeffs, cutoff)
 
 
 def test_inverse_phi_counts_partitions():
@@ -177,9 +177,26 @@ def test_cutoff_bookkeeping_is_conservative():
 
 
 def test_lattice_alignment():
-    a = QSeries(2, Fraction(0), {0: Fraction(1)}, 8)
-    b = QSeries(3, Fraction(1, 6), {0: Fraction(1)}, 9)
+    # series live on integer steps above their offset; offsets that differ by
+    # an integer align, anything else is off-lattice
+    a = QSeries(Fraction(1, 6), {0: Fraction(1)}, 8)
+    b = QSeries(Fraction(-5, 6), {0: Fraction(1)}, 9)
     s = a + b
-    assert s.D == 6
-    assert s.coeff_at_exponent(Fraction(0)) == 1
+    assert s.offset == Fraction(-5, 6)
+    assert s.coeff_at_exponent(Fraction(-5, 6)) == 1
     assert s.coeff_at_exponent(Fraction(1, 6)) == 1
+    with pytest.raises(QSeriesError):
+        s.coeff_at_exponent(Fraction(1, 2))
+    with pytest.raises(QSeriesError):
+        a + QSeries(Fraction(0), {0: Fraction(1)}, 8)
+
+
+def test_agreement_range_rounds_down():
+    # exponents of a run from 0; a `through` below the offset compares nothing
+    a = series_from_terms([(0, 1), (1, 1)], 5)
+    b = series_from_terms([(0, 2), (1, 1)], 5)
+    assert a.agrees_with(b, Fraction(-1, 2))
+    assert not a.agrees_with(b, Fraction(0))
+    assert a.shift(Fraction(1, 3)).agrees_with(b.shift(Fraction(1, 3)), Fraction(1, 6))
+    with pytest.raises(QSeriesError):
+        a.agrees_with(b, Fraction(6))
