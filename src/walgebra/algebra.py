@@ -392,7 +392,9 @@ def load_spec(document: str | dict) -> AlgebraSpec:
         c_lower = {}
         for entry in document.get("c_lower", []):
             c_lower[(entry["i"], entry["j"], entry["k"])] = parse_poly(entry["value"])
-    except (KeyError, TypeError) as exc:
+    except SpecError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"malformed spec document: {exc!r}") from exc
     spec = AlgebraSpec(c, gens, d, constants, composites, c_lower)
     # composite weights must match their definitions

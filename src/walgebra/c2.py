@@ -62,13 +62,6 @@ def expr_prefix(prefix: tuple[Mode, ...], a: Expression) -> Expression:
     return tuple((c, tuple(prefix) + s) for c, s in a)
 
 
-def expr_state(a: Expression, engine: Engine) -> State:
-    total = State()
-    for coeff, seq in a:
-        total = total + engine.normal_order(seq).scale(coeff)
-    return total
-
-
 def math_index(mode: Mode, spec: AlgebraSpec) -> int:
     return convert_index(mode.n, spec.weight_of(mode.field), "phys_to_math")
 
@@ -164,7 +157,6 @@ class MembershipClaim:
     rule: Rule
     uses: tuple[int, ...] = ()
     depends_on: tuple[str, ...] = ()
-    space: int = 2
     label: str = ""
 
 
@@ -229,7 +221,7 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
                 return False, f"remainder term {seq} is not prefixed-manifest"
         if residual:
             # formal cancellation failed; fall back to exact state arithmetic
-            total = expr_state(residual, engine)
+            total = engine.evaluate(residual)
             if total:
                 return False, f"rewrite residual: {total.render()}"
         return True, ""
@@ -252,7 +244,7 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         if expr_add(claim.vector, expr_scale(want, -1)):
             return False, "vector is not the stated commutator expression"
         # replay the channel expansion exactly
-        lhs = expr_state(claim.vector, engine)
+        lhs = engine.evaluate(claim.vector)
         rhs = State()
         from .algebra import bracket as _bracket
 
@@ -298,7 +290,7 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
                 return False, f"remainder term {seq} is not prefixed-manifest"
         residual = expr_add(residual, expr_scale(rule.remainder, -1))
         if residual:
-            total = expr_state(residual, engine)
+            total = engine.evaluate(residual)
             if total:
                 return False, f"combination residual: {total.render()}"
         return True, ""
@@ -402,7 +394,7 @@ def certify_triplet_p2(table: SingularTable | None = None,
     def add(vector, rule, uses=(), depends=(), label="", target=False):
         nonlocal next_id
         claim = MembershipClaim(next_id, vector, rule, tuple(uses),
-                                tuple(depends), 2, label)
+                                tuple(depends), label)
         steps.append(claim)
         if target:
             targets.append(next_id)
@@ -635,17 +627,24 @@ def _rule_to_dict(rule: Rule) -> dict:
     raise CertificateError(f"unknown rule {rule!r}")
 
 
+def _typed(value, kind: type):
+    if type(value) is not kind:
+        raise CertificateError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _rule_from_dict(name: str, params: dict) -> Rule:
     if name == "ManifestMember":
-        return ManifestMemberRule(int(params["n"]))
+        return ManifestMemberRule(_typed(params["n"], int))
     if name == "PrefixInvariance":
         return PrefixInvarianceRule(
-            tuple(_mode_from_str(s) for s in params["prefix"]), int(params["base"])
+            tuple(_mode_from_str(s) for s in params["prefix"]),
+            _typed(params["base"], int),
         )
     if name == "SingularRewrite":
         return SingularRewriteRule(
             tuple(
-                (parse_poly(e["coeff"]), (int(e["a"]), int(e["b"])))
+                (parse_poly(e["coeff"]), (_typed(e["a"], int), _typed(e["b"], int)))
                 for e in params["nulls"]
             ),
             parse_expression(params["remainder"]),
@@ -660,11 +659,12 @@ def _rule_from_dict(name: str, params: dict) -> Rule:
         return ReorderRule(
             tuple(_mode_from_str(s) for s in params["prefix"]),
             tuple(_mode_from_str(s) for s in params["block"]),
-            int(params["base"]),
+            _typed(params["base"], int),
         )
     if name == "LinearCombination":
         return LinearCombinationRule(
-            tuple((parse_poly(e["coeff"]), int(e["id"])) for e in params["parts"]),
+            tuple((parse_poly(e["coeff"]), _typed(e["id"], int))
+                  for e in params["parts"]),
             parse_expression(params["remainder"]),
         )
     raise CertificateError(f"unknown rule name {name!r}")
@@ -697,24 +697,39 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_dict(doc: dict) -> Certificate:
-    table = SingularTable(
-        **{k: Fraction(v) for k, v in doc["null_coefficients"].items()}
-    )
-    steps = []
-    for s in doc["steps"]:
-        steps.append(
-            MembershipClaim(
-                id=int(s["id"]),
-                vector=parse_expression(s["claim"]["vector"]),
-                rule=_rule_from_dict(s["rule"], s["params"]),
-                uses=tuple(int(u) for u in s["uses"]),
-                depends_on=tuple(s.get("depends_on", ())),
-                space=2,
-                label=s.get("label", ""),
-            )
+    """Load a certificate document; a missing or ill-typed field, or a claim
+    about any space but C2, raises CertificateError."""
+    try:
+        table = SingularTable(
+            **{k: Fraction(v) for k, v in doc["null_coefficients"].items()}
         )
-    return Certificate(table, steps, [int(t) for t in doc["targets"]])
+        steps = []
+        for s in doc["steps"]:
+            space = s["claim"]["space"]
+            if space != "C2":
+                raise CertificateError(f"claim space {space!r} is not C2")
+            steps.append(
+                MembershipClaim(
+                    id=_typed(s["id"], int),
+                    vector=parse_expression(s["claim"]["vector"]),
+                    rule=_rule_from_dict(s["rule"], s["params"]),
+                    uses=tuple(_typed(u, int) for u in s["uses"]),
+                    depends_on=tuple(_typed(d, str) for d in
+                                     _typed(s.get("depends_on", []), list)),
+                    label=_typed(s.get("label", ""), str),
+                )
+            )
+        targets = [_typed(t, int) for t in doc["targets"]]
+    except CertificateError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise CertificateError(f"malformed certificate: {exc!r}") from exc
+    return Certificate(table, steps, targets)
 
 
 def certificate_from_json(text: str) -> Certificate:
-    return certificate_from_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CertificateError(f"not valid JSON: {exc}") from exc
+    return certificate_from_dict(doc)

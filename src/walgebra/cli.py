@@ -65,8 +65,8 @@ def _series_text(series: QSeries) -> str:
 def _series_json(series: QSeries) -> str:
     return json.dumps(
         [
-            {"exponent": line.split(": ")[0], "coefficient": line.split(": ")[1]}
-            for line in series.render_lines()
+            {"exponent": str(series.offset + n), "coefficient": str(c)}
+            for n, c in sorted(series.coeffs.items())
         ],
         indent=2,
     )
@@ -79,6 +79,8 @@ def _positive_p(args) -> int:
 
 
 def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
+    if cutoff < 0:
+        raise InputError("--cutoff must be an integer >= 0")
     if kind == "verma":
         d = 2 * p - 1
         return verma_character([2, d, d, d], central_charge_p1(p), cutoff)
@@ -122,17 +124,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_character(args) -> int:
     p = _positive_p(args)
-    series = _character_series("triplet", p, args.cutoff)
-    _emit(
-        _series_json(series) if args.format == "json" else _series_text(series),
-        args.out,
-    )
-    return 0
-
-
-def cmd_verma_character(args) -> int:
-    p = _positive_p(args)
-    series = _character_series("verma", p, args.cutoff)
+    series = _character_series(args.kind, p, args.cutoff)
     _emit(
         _series_json(series) if args.format == "json" else _series_text(series),
         args.out,
@@ -260,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ch = sub.add_parser("character", help="triplet algebra character")
     common(p_ch, cutoff=True, pflag=True)
-    p_ch.set_defaults(func=cmd_character)
+    p_ch.set_defaults(func=cmd_character, kind="triplet")
 
     p_vc = sub.add_parser("verma-character", help="vacuum Verma module character")
     common(p_vc, cutoff=True, pflag=True)
-    p_vc.set_defaults(func=cmd_verma_character)
+    p_vc.set_defaults(func=cmd_character, kind="verma")
 
     p_cd = sub.add_parser("char-diff",
                           help="coefficient difference of two characters at a level")

@@ -149,10 +149,17 @@ class Derivation:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _project(self, state: State, tag: str) -> State:
+    def _project(self, state: State, tag: str,
+                 expected: set | None = None) -> State:
+        """Keep the words of length >= Delta-1, recording the dropped rest;
+        with `expected` given, any other kept word is a DerivationError."""
         kept, dropped = project_with_audit(state, self.delta - 1)
         if dropped:
             self.audit[tag] = dropped
+        if expected is not None:
+            stray = [w for w in kept.words() if w not in expected]
+            if stray:
+                raise DerivationError(f"unexpected words in {tag}: {stray}")
         return kept
 
     def _coeff_c_multiple(self, poly: Poly) -> Fraction:
@@ -171,13 +178,11 @@ class Derivation:
         eng = self.engine
         ww = eng.qp_nop("W", "W", 0)
         state = eng.field_mode_apply(ww, -2 * d, State.vacuum())
-        proj = self._project(state, "qpnop_ww_bottom")
-        beta_ww = proj.coeff(self.mono.l4_l2)
-        gamma_ww = proj.coeff(self.mono.l33_l2)
-        expected = {self.mono.ww, self.mono.l4_l2, self.mono.l33_l2}
-        stray = [w for w in proj.words() if w not in expected]
-        if stray:
-            raise DerivationError(f"unexpected words in projection: {stray}")
+        mono = self.mono
+        proj = self._project(state, "qpnop_ww_bottom",
+                             {mono.ww, mono.l4_l2, mono.l33_l2})
+        beta_ww = proj.coeff(mono.l4_l2)
+        gamma_ww = proj.coeff(mono.l33_l2)
         beta_prime = self._coeff_c_multiple(beta_ww)
         return beta_ww, gamma_ww, beta_prime
 
@@ -196,10 +201,7 @@ class Derivation:
             {self.mono.ww: Poly.const(1), self.mono.l4_l2: C * beta_prime + B}
         )
         image = eng.apply_mode(_T(2), ansatz)
-        proj = self._project(image, "L2_ansatz")
-        stray = [w for w in proj.words() if w != self.mono.l2_pow]
-        if stray:
-            raise DerivationError(f"unexpected words in L2 image: {stray}")
+        proj = self._project(image, "L2_ansatz", {self.mono.l2_pow})
         equation = proj.coeff(self.mono.l2_pow)
         without_B = equation.substitute({"B": 0})
         solution = solve_linear([equation], ["B"])["B"]
@@ -213,11 +215,8 @@ class Derivation:
         b_sym, g_sym = Poly.sym("B"), Poly.sym("_G")
         state = State({self.mono.l4_l2: b_sym, self.mono.l33_l2: g_sym})
         image = eng.apply_mode(_T(1), state)
-        proj = self._project(image, "L1_aggregate")
+        proj = self._project(image, "L1_aggregate", {self.mono.l3_l2})
         equation = proj.coeff(self.mono.l3_l2)
-        stray = [w for w in proj.words() if w != self.mono.l3_l2]
-        if stray:
-            raise DerivationError(f"unexpected words in L1 image: {stray}")
         g = solve_linear([equation], ["_G"])["_G"]
         return g.substitute({"B": B})
 
@@ -286,10 +285,7 @@ class Derivation:
         if mono.l333_l2 is not None:
             rep = rep + State({mono.l333_l2: xi[2]})
         image = eng.apply_mode(_T(2), rep)
-        proj = self._project(image, "L2_lowered")
-        stray = [w for w in proj.words() if w != mono.l3_l2]
-        if stray:
-            raise DerivationError(f"unexpected words in lowered L2 image: {stray}")
+        proj = self._project(image, "L2_lowered", {mono.l3_l2})
         equation = proj.coeff(mono.l3_l2)
         return solve_linear([equation], ["B"])["B"]
 

@@ -34,6 +34,15 @@ def word_weight(word: Word) -> int:
     return sum(-m.n for m in word)
 
 
+def _acc(table: dict, word: Word, coeff: Poly) -> None:
+    acc = table.get(word)
+    coeff = coeff if acc is None else acc + coeff
+    if coeff:
+        table[word] = coeff
+    elif word in table:
+        del table[word]
+
+
 class State:
     """Finite Poly-linear combination of canonical PBW words."""
 
@@ -77,12 +86,7 @@ class State:
     def __add__(self, other: "State") -> "State":
         t = dict(self._t)
         for word, coeff in other._t.items():
-            acc = t.get(word)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                t[word] = coeff
-            elif word in t:
-                del t[word]
+            _acc(t, word, coeff)
         out = State.__new__(State)
         out._t = t
         return out
@@ -96,7 +100,6 @@ class State:
             return State()
         out = State.__new__(State)
         out._t = {w: c * f for w, c in self._t.items()}
-        out._t = {w: c for w, c in out._t.items() if c}
         return out
 
     def substitute(self, assignment) -> "State":
@@ -130,25 +133,29 @@ def project_with_audit(state: State, min_length: int) -> tuple[State, State]:
 class Engine:
     """Rewriting engine bound to one algebra spec.
 
-    Pure operations over immutable values; the internal memo tables are an
+    Pure operations over immutable values; the internal memo table is an
     invisible cache.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        self._word_memo: dict[tuple[str, int, Word], dict] = {}
-        self._field_memo: dict[tuple[FieldExpr, int, Word], dict] = {}
+        # (generator symbol or field expression, n, word) -> {word: coeff}
+        self._memo: dict[tuple[str | FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
 
     # --- mode application ----------------------------------------------------
 
     def apply_mode(self, mode: Mode, state: State) -> State:
         """Canonical form of mode * state."""
-        out: dict[Word, Poly] = {}
-        for word, coeff in state._t.items():
-            for w, c in self._mode_on_word(mode, word).items():
-                _acc(out, w, coeff * c)
-        return State(out)
+        return self._apply(mode.field, mode.n, state)
+
+    def field_mode_apply(self, expr: FieldExpr, n: int, state: State) -> State:
+        """Apply the physics-index-n mode of a field expression to a state.
+
+        The bilinear sums truncate exactly: on a lower-truncated module only
+        finitely many summands act nontrivially.
+        """
+        return self._apply(expr, n, state)
 
     def normal_order(self, word: Iterable[Mode]) -> State:
         """Apply a mode sequence right-to-left to the vacuum."""
@@ -159,107 +166,92 @@ class Engine:
                 break
         return state
 
-    def _mode_on_word(self, mode: Mode, word: Word) -> dict:
-        spec = self.spec
-        if not spec.is_generator(mode.field):
-            expr = spec.composite_expr(mode.field)
-            return self._field_on_word(expr, mode.n, word)
-        key = (mode.field, mode.n, word)
-        hit = self._word_memo.get(key)
-        if hit is not None:
-            return hit
-        h = spec.weight_of(mode.field)
-        if not word:
-            result = {} if mode.n > -h else {(mode,): Poly.const(1)}
-        else:
-            lead = word[0]
-            lead_key = (lead.n, spec.rank(lead.field))
-            mode_key = (mode.n, spec.rank(mode.field))
-            if mode.n <= -h and mode_key <= lead_key:
-                result = {(mode,) + word: Poly.const(1)}
-            else:
-                rest = word[1:]
-                result = {}
-                # mode * lead = lead * mode + [mode, lead]
-                inner = self._mode_on_word(mode, rest)
-                for w, c in inner.items():
-                    for w2, c2 in self._mode_on_word(lead, w).items():
-                        _acc(result, w2, c * c2)
-                ops = bracket(mode, Mode(lead.field, lead.n), spec)
-                for coeff, out_mode in ops.terms:
-                    for w, c in self._mode_on_word(out_mode, rest).items():
-                        _acc(result, w, coeff * c)
-                if ops.central:
-                    _acc(result, rest, ops.central)
-                result = {w: c for w, c in result.items() if c}
-        self._word_memo[key] = result
-        return result
+    def evaluate(self, terms: Iterable[tuple[Poly, Iterable[Mode]]]) -> State:
+        """Canonical State of a sum of coefficient * mode sequence |0>."""
+        total = State()
+        for coeff, seq in terms:
+            total = total + self.normal_order(seq).scale(coeff)
+        return total
 
-    # --- composite fields ------------------------------------------------------
-
-    def field_mode_apply(self, expr: FieldExpr, n: int, state: State) -> State:
-        """Apply the physics-index-n mode of a field expression to a state.
-
-        The bilinear sums truncate exactly: on a lower-truncated module only
-        finitely many summands act nontrivially.
-        """
+    def _apply(self, field: str | FieldExpr, n: int, state: State) -> State:
         out: dict[Word, Poly] = {}
         for word, coeff in state._t.items():
-            for w, c in self._field_on_word(expr, n, word).items():
+            for w, c in self._act(field, n, word).items():
                 _acc(out, w, coeff * c)
         return State(out)
 
-    def _field_on_word(self, expr: FieldExpr, n: int, word: Word) -> dict:
-        key = (expr, n, word)
-        hit = self._field_memo.get(key)
+    def _act(self, field: str | FieldExpr, n: int, word: Word) -> dict:
+        """The mode field_n on one canonical word, as {word: coeff}.
+
+        A field reference is unwrapped and a composite symbol replaced by its
+        definition before the lookup, so a generator mode has one memo entry,
+        keyed by its symbol, whichever entry point reached it.
+        """
+        spec = self.spec
+        if isinstance(field, FieldRef):
+            field = field.symbol
+        if isinstance(field, str) and not spec.is_generator(field):
+            field = spec.composite_expr(field)
+        key = (field, n, word)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result = self._field_on_word_uncached(expr, n, word)
-        self._field_memo[key] = result
-        return result
-
-    def _field_on_word_uncached(self, expr: FieldExpr, n: int, word: Word) -> dict:
-        spec = self.spec
-        if isinstance(expr, FieldRef):
-            if spec.is_generator(expr.symbol):
-                return self._mode_on_word(Mode(expr.symbol, n), word)
-            return self._field_on_word(spec.composite_expr(expr.symbol), n, word)
-        if isinstance(expr, Identity):
-            return {word: Poly.const(1)} if n == 0 else {}
-        if isinstance(expr, Derivative):
-            h = expr_weight(expr.base, spec)
+        result: dict[Word, Poly] = {}
+        if isinstance(field, str):
+            mode = Mode(field, n)
+            creation = n <= -spec.weight_of(field)
+            if not word:
+                if creation:
+                    result[(mode,)] = Poly.const(1)
+            elif creation and (n, spec.rank(field)) <= (
+                word[0].n, spec.rank(word[0].field)
+            ):
+                result[(mode,) + word] = Poly.const(1)
+            else:
+                lead, rest = word[0], word[1:]
+                # mode * lead = lead * mode + [mode, lead]
+                for w, c in self._act(field, n, rest).items():
+                    for w2, c2 in self._act(lead.field, lead.n, w).items():
+                        _acc(result, w2, c * c2)
+                ops = bracket(mode, lead, spec)
+                for coeff, out_mode in ops.terms:
+                    for w, c in self._act(out_mode.field, out_mode.n, rest).items():
+                        _acc(result, w, coeff * c)
+                if ops.central:
+                    _acc(result, rest, ops.central)
+        elif isinstance(field, Identity):
+            if n == 0:
+                result[word] = Poly.const(1)
+        elif isinstance(field, Derivative):
+            h = expr_weight(field.base, spec)
             factor = Fraction(1)
-            for u in range(expr.order):
+            for u in range(field.order):
                 factor *= -(n + h + u)
-            if not factor:
-                return {}
-            inner = self._field_on_word(expr.base, n, word)
-            return {w: c * factor for w, c in inner.items()}
-        if isinstance(expr, LinComb):
-            out: dict[Word, Poly] = {}
-            for coeff, part in expr.parts:
-                for w, c in self._field_on_word(part, n, word).items():
-                    _acc(out, w, coeff * c)
-            return {w: c for w, c in out.items() if c}
-        if isinstance(expr, QPNop):
-            return self._field_on_word(self.qp_nop(expr.j, expr.i, expr.n), n, word)
-        if isinstance(expr, Nprod):
+            if factor:
+                for w, c in self._act(field.base, n, word).items():
+                    result[w] = c * factor
+        elif isinstance(field, LinComb):
+            for coeff, part in field.parts:
+                for w, c in self._act(part, n, word).items():
+                    _acc(result, w, coeff * c)
+        elif isinstance(field, QPNop):
+            result = self._act(self.qp_nop(field.j, field.i, field.n), n, word)
+        elif isinstance(field, Nprod):
             wmax = word_weight(word)
-            out = {}
             # sum_{k < m} phi_{n+k} psi_{-k}: psi acts first
-            for k in range(-wmax, expr.m):
-                inner = self._field_on_word(expr.right, -k, word)
-                for w1, c1 in inner.items():
-                    for w2, c2 in self._field_on_word(expr.left, n + k, w1).items():
-                        _acc(out, w2, c1 * c2)
+            for k in range(-wmax, field.m):
+                for w1, c1 in self._act(field.right, -k, word).items():
+                    for w2, c2 in self._act(field.left, n + k, w1).items():
+                        _acc(result, w2, c1 * c2)
             # sum_{k >= m} psi_{-k} phi_{n+k}: phi acts first
-            for k in range(expr.m, wmax - n + 1):
-                inner = self._field_on_word(expr.left, n + k, word)
-                for w1, c1 in inner.items():
-                    for w2, c2 in self._field_on_word(expr.right, -k, w1).items():
-                        _acc(out, w2, c1 * c2)
-            return {w: c for w, c in out.items() if c}
-        raise TypeError(f"not a field expression: {expr!r}")
+            for k in range(field.m, wmax - n + 1):
+                for w1, c1 in self._act(field.left, n + k, word).items():
+                    for w2, c2 in self._act(field.right, -k, w1).items():
+                        _acc(result, w2, c1 * c2)
+        else:
+            raise TypeError(f"not a field expression: {field!r}")
+        self._memo[key] = result
+        return result
 
     # --- quasi-primary normal-ordered products ---------------------------------
 
@@ -332,11 +324,3 @@ class Engine:
             parts.append((value * coeff, Derivative(FieldRef(k), h + n)))
         return LinComb(tuple(parts))
 
-
-def _acc(table: dict, word: Word, coeff: Poly) -> None:
-    acc = table.get(word)
-    coeff = coeff if acc is None else acc + coeff
-    if coeff:
-        table[word] = coeff
-    elif word in table:
-        del table[word]

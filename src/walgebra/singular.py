@@ -84,10 +84,7 @@ def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
 def null_vector_state(a: int, b: int, engine: Engine,
                       table: SingularTable = DEFAULT_TABLE) -> State:
     """Canonical State of the table vector N^ab."""
-    state = State()
-    for coeff, seq in null_vector_terms(a, b, table):
-        state = state + engine.normal_order(seq).scale(coeff)
-    return state
+    return engine.evaluate(null_vector_terms(a, b, table))
 
 
 def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE

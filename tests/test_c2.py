@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from walgebra.c2 import (
     CertificateError,
     ManifestMemberRule,
     MembershipClaim,
+    certificate_from_dict,
     certificate_from_json,
     certificate_to_json,
     certify_triplet_p2,
@@ -134,6 +136,47 @@ def test_parse_expression_is_strict(cert):
                  "junk (1) W1(-3) W2(-3) |0>"):
         with pytest.raises(CertificateError):
             parse_expression(text)
+
+
+def _edited(cert, edit):
+    doc = json.loads(certificate_to_json(cert))
+    edit(doc)
+    return json.dumps(doc)
+
+
+BAD_CERTIFICATES = [
+    ("empty_object", lambda cert: "{}"),
+    ("array", lambda cert: "[]"),
+    ("not_json", lambda cert: "not a certificate"),
+    ("step_without_claim",
+     lambda cert: _edited(cert, lambda d: d["steps"][0].pop("claim"))),
+    ("dangling_coefficient",
+     lambda cert: _edited(cert, lambda d: d["steps"][0]["claim"].update(
+         vector="(1+) W1(-3) W2(-3) |0>"))),
+    ("claim_space_c7",
+     lambda cert: _edited(cert, lambda d: d["steps"][0]["claim"].update(space="C7"))),
+    ("claim_without_space",
+     lambda cert: _edited(cert, lambda d: d["steps"][0]["claim"].pop("space"))),
+    ("string_id", lambda cert: _edited(cert, lambda d: d["steps"][0].update(id="0"))),
+    ("string_depends_on",
+     lambda cert: _edited(cert, lambda d: d["steps"][0].update(depends_on="abc"))),
+    ("bad_null_coefficient",
+     lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c1="1/0"))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in BAD_CERTIFICATES],
+                         ids=[name for name, _ in BAD_CERTIFICATES])
+def test_malformed_certificate_rejected(cert, make):
+    text = make(cert)
+    with pytest.raises(CertificateError):
+        certificate_from_json(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return
+    with pytest.raises(CertificateError):
+        certificate_from_dict(doc)
 
 
 def test_corrupt_any_step_fails(cert, spec):

@@ -61,6 +61,36 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+    # a negative cutoff, for every character command
+    for args in (("character", "--p", "3"), ("verma-character", "--p", "3"),
+                 ("char-diff", "--p", "3", "--left", "verma", "--right",
+                  "triplet", "--level", "0")):
+        proc = run_cli(*args, "--cutoff", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+
+def _triplet_spec_doc():
+    from importlib import resources
+
+    text = resources.files("walgebra.specs").joinpath("triplet_p2.json").read_text()
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["generators"][0].update(weight="x"),
+    lambda d: d["d"][0].update(value="2+"),
+], ids=["non_integer_weight", "malformed_polynomial"])
+def test_malformed_spec_exit_2(tmp_path, edit):
+    doc = _triplet_spec_doc()
+    edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("certify-c2", "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_missing_spec_file_exit_2():

@@ -21,6 +21,7 @@ from walgebra.engine import (
     word_weight,
 )
 from walgebra.scalar import Poly, binom_int
+from walgebra.singular import load_triplet_p2_spec
 
 
 from identity_helpers import basis_states, math_apply, omega_mode_field, virasoro_words
@@ -80,6 +81,27 @@ def test_field_mode_examples(der2):
     s = der2.field_mode_apply(Identity(), 0, der2.normal_order([T(-2)]))
     assert s == State({(T(-2),): Poly.const(1)})
     assert der2.field_mode_apply(Identity(), -1, vac).is_zero()
+
+
+@pytest.mark.parametrize("spec", [load_triplet_p2_spec(), make_derivation_spec(3)],
+                         ids=["triplet_p2", "derivation_p3"])
+def test_entry_points_agree_on_every_symbol(spec):
+    # each entry point runs on its own engine, so no memo entry is shared
+    by_mode, by_ref, by_expr = Engine(spec), Engine(spec), Engine(spec)
+    top = spec.generators[-1]
+    seqs = [(), (T(-2),), (Mode(top.symbol, -top.weight),),
+            (T(-3), Mode(top.symbol, -top.weight))]
+    states = [by_mode.normal_order(seq) for seq in seqs]
+    symbols = [g.symbol for g in spec.generators] + sorted(spec.composites)
+    for sym in symbols:
+        h = spec.weight_of(sym)
+        for n in range(-h - 1, 3):
+            for st in states:
+                want = by_mode.apply_mode(Mode(sym, n), st)
+                assert by_ref.field_mode_apply(FieldRef(sym), n, st) == want
+                if sym in spec.composites:
+                    expr = spec.composite_expr(sym)
+                    assert by_expr.field_mode_apply(expr, n, st) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
