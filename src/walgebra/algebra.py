@@ -414,12 +414,17 @@ def load_spec(document: str | dict) -> AlgebraSpec:
 def make_virasoro_spec(c: Fraction | str | Poly = "c") -> AlgebraSpec:
     """Virasoro-only algebra: one weight-2 generator T with C_TT^T = 2 and
     d_TT = c/2.  A non-numeric string keeps the central charge symbolic
-    (it then enters computations only through d_TT)."""
+    (it then enters computations only through d_TT) and must be an
+    identifier."""
     if isinstance(c, str):
         try:
             c = Fraction(c)
+        except ZeroDivisionError:
+            raise SpecError(f"central charge {c!r} has a zero denominator") from None
         except ValueError:
-            pass
+            if not (c.isascii() and c.isidentifier()):
+                raise SpecError(f"central charge {c!r} is neither a rational "
+                                "nor an identifier") from None
     if isinstance(c, str):
         cc = Fraction(0)
         d = {("T", "T"): Poly.sym(c) / 2}

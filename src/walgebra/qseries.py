@@ -1,8 +1,12 @@
 """Exact truncated q-series and the characters used for singular-vector counting.
 
-A series is sum_n a_n q^(offset + n) with rational a_n and offset, valid
-for integer steps n <= `cutoff` above the offset.  All arithmetic is exact
-and cutoff bookkeeping is conservative.
+A series is sum_n a_n q^(offset + n) with a rational offset, valid for
+integer steps n <= `cutoff` above the offset.  A coefficient is stored as
+an `int` when it is integral and as a `Fraction` otherwise, so the
+characters, whose coefficients are all integers, are computed in plain
+`int` arithmetic.  phi = prod_{n>=1} (1 - q^n) comes from Euler's
+pentagonal theorem.  All arithmetic is exact and cutoff bookkeeping is
+conservative.
 """
 
 from __future__ import annotations
@@ -17,15 +21,27 @@ class QSeriesError(ValueError):
     pass
 
 
+def _exact(c) -> int | Fraction:
+    """`c` as an int when it is integral, else as a Fraction; a float is
+    refused rather than rounded."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"q-series coefficient {c!r} is a float")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class QSeries:
     """Truncated formal series sum a_n q^(offset + n), coefficients valid
     for n <= cutoff (n counts integer steps above the offset)."""
 
     __slots__ = ("offset", "coeffs", "cutoff")
 
-    def __init__(self, offset: Fraction, coeffs: dict[int, Fraction], cutoff: int):
+    def __init__(self, offset: Fraction, coeffs: dict[int, int | Fraction],
+                 cutoff: int):
         self.offset = Fraction(offset)
-        self.coeffs = {n: Fraction(c) for n, c in coeffs.items()
+        self.coeffs = {n: _exact(c) for n, c in coeffs.items()
                        if c and 0 <= n <= cutoff}
         self.cutoff = cutoff
 
@@ -33,7 +49,7 @@ class QSeries:
 
     @classmethod
     def one(cls, cutoff: int, offset: Fraction = Fraction(0)):
-        return cls(offset, {0: Fraction(1)}, cutoff)
+        return cls(offset, {0: 1}, cutoff)
 
     # --- lattice alignment ------------------------------------------------------
 
@@ -61,14 +77,14 @@ class QSeries:
         cutoff = min(a.cutoff, b.cutoff)
         out = dict(a.coeffs)
         for n, c in b.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + c
+            out[n] = out.get(n, 0) + c
         return QSeries(a.offset, out, cutoff)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QSeries":
-        f = Fraction(factor)
+        f = _exact(factor)
         return QSeries(self.offset, {n: c * f for n, c in self.coeffs.items()},
                        self.cutoff)
 
@@ -77,15 +93,15 @@ class QSeries:
         # validity: a is exact through a.cutoff, so the product is exact
         # through min(a.cutoff + b_min, b.cutoff + a_min); use the safe bound
         cutoff = min(a.cutoff, b.cutoff)
-        out: dict[int, Fraction] = {}
+        out = [0] * (cutoff + 1)
+        b_terms = sorted(b.coeffs.items())
         for n1, c1 in a.coeffs.items():
-            if n1 > cutoff:
-                continue
-            for n2, c2 in b.coeffs.items():
+            for n2, c2 in b_terms:
                 n = n1 + n2
-                if n <= cutoff:
-                    out[n] = out.get(n, Fraction(0)) + c1 * c2
-        return QSeries(a.offset + b.offset, out, cutoff)
+                if n > cutoff:
+                    break
+                out[n] += c1 * c2
+        return QSeries(a.offset + b.offset, dict(enumerate(out)), cutoff)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant lattice term must be nonzero."""
@@ -93,15 +109,18 @@ class QSeries:
         if not a0:
             raise QSeriesError("series with vanishing constant term at its "
                                "offset cannot be inverted on the lattice")
-        inv: dict[int, Fraction] = {0: 1 / a0}
+        # 1/a0 exactly: a unit stays an int, anything else is a Fraction
+        inv0 = a0 if a0 in (1, -1) else 1 / Fraction(a0)
+        terms = sorted((k, c) for k, c in self.coeffs.items() if k)
+        inv = [inv0] + [0] * self.cutoff
         for n in range(1, self.cutoff + 1):
-            acc = Fraction(0)
-            for k, c in self.coeffs.items():
-                if 1 <= k <= n:
-                    acc += c * inv.get(n - k, Fraction(0))
-            if acc:
-                inv[n] = -acc / a0
-        return QSeries(-self.offset, inv, self.cutoff)
+            acc = 0
+            for k, c in terms:
+                if k > n:
+                    break
+                acc += c * inv[n - k]
+            inv[n] = -acc * inv0
+        return QSeries(-self.offset, dict(enumerate(inv)), self.cutoff)
 
     def shift(self, exponent: Fraction) -> "QSeries":
         """Multiply by q^exponent (exact offset shift)."""
@@ -114,18 +133,18 @@ class QSeries:
             raise QSeriesError("series is zero through its cutoff")
         return self.offset + min(self.coeffs)
 
-    def coeff_at_exponent(self, exponent: Fraction) -> Fraction:
+    def coeff_at_exponent(self, exponent: Fraction) -> int | Fraction:
         n = Fraction(exponent) - self.offset
         if n.denominator != 1:
             raise QSeriesError(f"exponent {exponent} is off-lattice")
         n = int(n)
         if n < 0:
-            return Fraction(0)
+            return 0
         if n > self.cutoff:
             raise QSeriesError(
                 f"exponent {exponent} beyond validity (cutoff index {self.cutoff})"
             )
-        return self.coeffs.get(n, Fraction(0))
+        return self.coeffs.get(n, 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
@@ -133,7 +152,7 @@ class QSeries:
         a, b = QSeries._aligned(self, other)
         cutoff = min(a.cutoff, b.cutoff)
         for n in range(cutoff + 1):
-            if a.coeffs.get(n, Fraction(0)) != b.coeffs.get(n, Fraction(0)):
+            if a.coeffs.get(n, 0) != b.coeffs.get(n, 0):
                 return False
         return True
 
@@ -144,7 +163,7 @@ class QSeries:
         if n_max > min(a.cutoff, b.cutoff):
             raise QSeriesError("agreement range exceeds validity")
         for n in range(0, n_max + 1):
-            if a.coeffs.get(n, Fraction(0)) != b.coeffs.get(n, Fraction(0)):
+            if a.coeffs.get(n, 0) != b.coeffs.get(n, 0):
                 return False
         return True
 
@@ -172,14 +191,19 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
     """prod_{n>=k} (1 - q^n), exactly through q^cutoff."""
     if k < 1:
         raise QSeriesError("phi truncation index must be >= 1")
-    coeffs = {0: Fraction(1)}
-    for n in range(k, cutoff + 1):
-        new = dict(coeffs)
-        for e, c in coeffs.items():
-            if e + n <= cutoff:
-                new[e + n] = new.get(e + n, Fraction(0)) - c
-        coeffs = {e: c for e, c in new.items() if c}
-    return QSeries(Fraction(0), coeffs, cutoff)
+    # Euler: phi = sum_j (-1)^j q^(j(3j-1)/2) over all integers j
+    coeffs = [0] * (cutoff + 1)
+    j = 0
+    while j * (3 * j - 1) // 2 <= cutoff:
+        for e in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+            if e <= cutoff:
+                coeffs[e] = -1 if j % 2 else 1
+        j += 1
+    # divide out (1 - q^n) for n < k: a running sum with stride n
+    for n in range(1, min(k, cutoff + 1)):
+        for e in range(n, cutoff + 1):
+            coeffs[e] += coeffs[e - n]
+    return QSeries(Fraction(0), dict(enumerate(coeffs)), cutoff)
 
 
 # --- characters ----------------------------------------------------------------------
@@ -208,7 +232,7 @@ def triplet_theta_bracket(p: int, cutoff: int, extra_terms: int = 0) -> QSeries:
     """sum_n (2n+1) q^(p n^2 + (p-1) n), the numerator of the triplet character
     after factoring q^(-c/24); `extra_terms` widens the theta range (the
     result must not change -- that is the truncation certificate)."""
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, int] = {}
     n = 0
     width = 0
     while True:
@@ -216,14 +240,14 @@ def triplet_theta_bracket(p: int, cutoff: int, extra_terms: int = 0) -> QSeries:
         for s in (n, -n) if n else (0,):
             e = p * s * s + (p - 1) * s
             if e <= cutoff:
-                coeffs[e] = coeffs.get(e, Fraction(0)) + (2 * s + 1)
+                coeffs[e] = coeffs.get(e, 0) + (2 * s + 1)
                 hit = True
         if not hit:
             width += 1
             if width > extra_terms:
                 break
         n += 1
-    return QSeries(Fraction(0), {e: c for e, c in coeffs.items() if c}, cutoff)
+    return QSeries(Fraction(0), coeffs, cutoff)
 
 
 def triplet_character(p: int, cutoff: int, extra_theta_terms: int = 0) -> QSeries:
@@ -243,7 +267,7 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
     first = phi_trunc(2, cutoff).inverse()
-    numer = QSeries(Fraction(0), {0: Fraction(1), 3: Fraction(-1)}, cutoff)
+    numer = QSeries(Fraction(0), {0: 1, 3: -1}, cutoff)
     phi_w_inv = phi_trunc(2 * p - 1, cutoff).inverse()
     second = (numer * phi(cutoff).inverse() * phi_w_inv * phi_w_inv)
     second = second.scale(3).shift(Fraction(2 * p - 1))
@@ -251,10 +275,10 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
     return total.shift(-c / 24)
 
 
-def coeff_at_level(series: QSeries, level: Fraction) -> Fraction:
+def coeff_at_level(series: QSeries, level: Fraction) -> int | Fraction:
     """Coefficient at (leading vacuum exponent) + level."""
     return series.coeff_at_exponent(series.leading_exponent() + Fraction(level))
 
 
-def diff_at_level(a: QSeries, b: QSeries, level: Fraction) -> Fraction:
+def diff_at_level(a: QSeries, b: QSeries, level: Fraction) -> int | Fraction:
     return coeff_at_level(a, level) - coeff_at_level(b, level)

@@ -69,6 +69,14 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+    # a Virasoro central charge with a zero denominator, or neither a
+    # rational nor an identifier
+    for c in ("1/0", "1/0x"):
+        proc = run_cli("bracket", "--virasoro", "--c", c, "--left", "T:2",
+                       "--right", "T:-2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def _triplet_spec_doc():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walgebra.algebra import central_charge_p1
 from walgebra.qseries import (
@@ -200,3 +202,77 @@ def test_agreement_range_rounds_down():
     assert a.shift(Fraction(1, 3)).agrees_with(b.shift(Fraction(1, 3)), Fraction(1, 6))
     with pytest.raises(QSeriesError):
         a.agrees_with(b, Fraction(6))
+
+
+def test_inverse_is_exact():
+    inv = series_from_terms([(0, 2), (1, -1)], 30).inverse()
+    for n in range(31):
+        c = inv.coeff_at_exponent(n)
+        assert type(c) is Fraction and c == Fraction(1, 2 ** (n + 1))
+    s = series_from_terms([(0, Fraction(3, 2)), (1, 1)], 30)
+    inv = s.inverse()
+    for n in range(31):
+        assert inv.coeff_at_exponent(n) == Fraction(2, 3) * Fraction(-2, 3) ** n
+    assert s * inv == QSeries.one(30)
+
+
+def test_character_coefficients_are_ints():
+    for series in (verma_character([2, 5, 5, 5], central_charge_p1(3), 60),
+                   triplet_character(3, 60), chi_tilde(3, 60)):
+        assert series.coeffs
+        assert all(type(c) is int for c in series.coeffs.values())
+
+
+exact_coeffs = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(Fraction, st.integers(min_value=-6, max_value=6),
+              st.integers(min_value=1, max_value=5)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_coeffs.filter(bool),
+       st.dictionaries(st.integers(min_value=1, max_value=15), exact_coeffs,
+                       max_size=5))
+def test_inverse_round_trip(a0, rest):
+    s = QSeries(Fraction(0), {0: a0, **rest}, 15)
+    inv = s.inverse()
+    assert all(type(c) in (int, Fraction) for c in inv.coeffs.values())
+    assert s * inv == QSeries.one(15)
+
+
+def test_phi_is_pentagonal_to_1000():
+    n_max = 1000
+    product = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for n in range(n_max, part - 1, -1):
+            product[n] -= product[n - part]
+    pentagonal = {}
+    for j in range(-30, 31):
+        e = j * (3 * j - 1) // 2
+        if e <= n_max:
+            pentagonal[e] = (-1) ** j
+    series = phi(n_max)
+    assert series.coeffs == pentagonal
+    assert [series.coeff_at_exponent(n) for n in range(n_max + 1)] == product
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_phi_trunc_inverse_at_400(k):
+    oracle = partitions_min_part(400, k)
+    inv = phi_trunc(k, 400).inverse()
+    assert [inv.coeff_at_exponent(n) for n in range(401)] == oracle
+
+
+def test_triplet_character_p3_to_1000_is_theta_convolution():
+    p, n_max = 3, 1000
+    parts = partitions_min_part(n_max, 1)
+    ch = triplet_character(p, n_max)
+    assert ch.offset == -central_charge_p1(p) / 24
+    for n in range(n_max + 1):
+        expected = 0
+        for s in range(-20, 21):
+            m = n - p * s * s - (p - 1) * s
+            if m >= 0:
+                expected += (2 * s + 1) * parts[m]
+        assert ch.coeff_at_exponent(ch.offset + n) == expected
