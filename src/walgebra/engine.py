@@ -25,7 +25,7 @@ from .algebra import (
     bracket,
     expr_weight,
 )
-from .scalar import Poly, binom_int, render_poly
+from .scalar import Poly, binom_int, exact, render_poly
 
 Word = tuple[Mode, ...]
 
@@ -34,7 +34,7 @@ def word_weight(word: Word) -> int:
     return sum(-m.n for m in word)
 
 
-def _acc(table: dict, word: Word, coeff: Poly) -> None:
+def _acc(table: dict, word: Word, coeff) -> None:
     acc = table.get(word)
     coeff = coeff if acc is None else acc + coeff
     if coeff:
@@ -139,7 +139,8 @@ class Engine:
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
-        # (generator symbol or field expression, n, word) -> {word: coeff}
+        # (generator symbol or field expression, n, word) -> {word: coeff},
+        # each coeff an int, a Fraction, or a Poly only when it has a symbol
         self._memo: dict[tuple[str | FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
 
@@ -183,30 +184,35 @@ class Engine:
     def _act(self, field: str | FieldExpr, n: int, word: Word) -> dict:
         """The mode field_n on one canonical word, as {word: coeff}.
 
-        A field reference is unwrapped and a composite symbol replaced by its
-        definition before the lookup, so a generator mode has one memo entry,
-        keyed by its symbol, whichever entry point reached it.
+        A field reference is unwrapped, a composite symbol replaced by its
+        definition and a quasi-primary product by its expansion before the
+        lookup, so a generator mode has one memo entry, keyed by its symbol,
+        whichever entry point reached it.  Coefficients
+        are exact numbers until a symbol enters (see `scalar.exact`), so the
+        rewriting of constant coefficients never builds a Poly.
         """
         spec = self.spec
         if isinstance(field, FieldRef):
             field = field.symbol
         if isinstance(field, str) and not spec.is_generator(field):
             field = spec.composite_expr(field)
+        if isinstance(field, QPNop):
+            field = self.qp_nop(field.j, field.i, field.n)
         key = (field, n, word)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        result: dict[Word, Poly] = {}
+        result: dict = {}
         if isinstance(field, str):
             mode = Mode(field, n)
             creation = n <= -spec.weight_of(field)
             if not word:
                 if creation:
-                    result[(mode,)] = Poly.const(1)
+                    result[(mode,)] = 1
             elif creation and (n, spec.rank(field)) <= (
                 word[0].n, spec.rank(word[0].field)
             ):
-                result[(mode,) + word] = Poly.const(1)
+                result[(mode,) + word] = 1
             else:
                 lead, rest = word[0], word[1:]
                 # mode * lead = lead * mode + [mode, lead]
@@ -215,16 +221,17 @@ class Engine:
                         _acc(result, w2, c * c2)
                 ops = bracket(mode, lead, spec)
                 for coeff, out_mode in ops.terms:
+                    coeff = exact(coeff)
                     for w, c in self._act(out_mode.field, out_mode.n, rest).items():
                         _acc(result, w, coeff * c)
                 if ops.central:
-                    _acc(result, rest, ops.central)
+                    _acc(result, rest, exact(ops.central))
         elif isinstance(field, Identity):
             if n == 0:
-                result[word] = Poly.const(1)
+                result[word] = 1
         elif isinstance(field, Derivative):
             h = expr_weight(field.base, spec)
-            factor = Fraction(1)
+            factor = 1
             for u in range(field.order):
                 factor *= -(n + h + u)
             if factor:
@@ -232,10 +239,9 @@ class Engine:
                     result[w] = c * factor
         elif isinstance(field, LinComb):
             for coeff, part in field.parts:
+                coeff = exact(coeff)
                 for w, c in self._act(part, n, word).items():
                     _acc(result, w, coeff * c)
-        elif isinstance(field, QPNop):
-            result = self._act(self.qp_nop(field.j, field.i, field.n), n, word)
         elif isinstance(field, Nprod):
             wmax = word_weight(word)
             # sum_{k < m} phi_{n+k} psi_{-k}: psi acts first
@@ -250,6 +256,9 @@ class Engine:
                         _acc(result, w2, c1 * c2)
         else:
             raise TypeError(f"not a field expression: {field!r}")
+        # a Fraction product may be integral and a Poly sum may cancel its
+        # symbols; store each coefficient in its exact form
+        result = {w: exact(c) for w, c in result.items()}
         self._memo[key] = result
         return result
 

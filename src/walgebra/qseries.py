@@ -15,21 +15,11 @@ from fractions import Fraction
 from math import floor
 
 from .algebra import central_charge_p1
+from .scalar import exact
 
 
 class QSeriesError(ValueError):
     pass
-
-
-def _exact(c) -> int | Fraction:
-    """`c` as an int when it is integral, else as a Fraction; a float is
-    refused rather than rounded."""
-    if type(c) is int:
-        return c
-    if isinstance(c, float):
-        raise TypeError(f"q-series coefficient {c!r} is a float")
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class QSeries:
@@ -41,7 +31,7 @@ class QSeries:
     def __init__(self, offset: Fraction, coeffs: dict[int, int | Fraction],
                  cutoff: int):
         self.offset = Fraction(offset)
-        self.coeffs = {n: _exact(c) for n, c in coeffs.items()
+        self.coeffs = {n: exact(c) for n, c in coeffs.items()
                        if c and 0 <= n <= cutoff}
         self.cutoff = cutoff
 
@@ -84,7 +74,7 @@ class QSeries:
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QSeries":
-        f = _exact(factor)
+        f = exact(factor)
         return QSeries(self.offset, {n: c * f for n, c in self.coeffs.items()},
                        self.cutoff)
 
@@ -218,13 +208,15 @@ def verma_character(weights: list[int], c: Fraction, cutoff: int) -> QSeries:
     ws = sorted(weights)
     if 2 not in ws:
         raise QSeriesError("weights must include the conformal weight 2")
+    if ws[0] < 1:
+        raise QSeriesError(f"bad weight {ws[0]}")
     rest = list(ws)
     rest.remove(2)
-    out = phi_trunc(2, cutoff).inverse()
+    # one inversion per distinct weight: [2, d, d, d] inverts two series
+    inverse = {h: phi_trunc(h, cutoff).inverse() for h in dict.fromkeys(ws)}
+    out = inverse[2]
     for h in rest:
-        if h < 1:
-            raise QSeriesError(f"bad weight {h}")
-        out = out * phi_trunc(h, cutoff).inverse()
+        out = out * inverse[h]
     return out.shift(-Fraction(c) / 24)
 
 

@@ -265,6 +265,22 @@ class Poly:
         return render_poly(self)
 
 
+def exact(c) -> int | Fraction | Poly:
+    """`c` as an int when it is integral, else as a Fraction; a constant
+    Poly becomes its number and a Poly with a symbol is returned as it is.
+    A float is refused rather than rounded."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Poly):
+        if not c.is_const():
+            return c
+        c = c.const_value()
+    elif isinstance(c, float):
+        raise TypeError(f"exact coefficient expected, got the float {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _coerce(value) -> Poly:
     if isinstance(value, Poly):
         return value
@@ -313,7 +329,11 @@ _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*/+-])")
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse sums of '*'-joined factors: rationals p/q, symbols, sym^k, I."""
+    """Parse sums of '*'-joined factors: rationals p/q, symbols, sym^k, I.
+
+    Terms are joined by '+' or '-'; each is read into one exact number and
+    one monomial, and the result is built as one Poly.
+    """
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
@@ -327,7 +347,7 @@ def parse_poly(text: str) -> Poly:
     if not tokens:
         raise ValueError("empty polynomial string")
 
-    out = Poly()
+    terms: dict[Mono, Fraction] = {}
     i = 0
     n = len(tokens)
     while i < n:
@@ -336,41 +356,45 @@ def parse_poly(text: str) -> Poly:
             if tokens[i] == "-":
                 sign = -sign
             i += 1
-        term = Poly.const(sign)
-        expect_factor = True
-        while i < n and (expect_factor or tokens[i] == "*"):
-            if tokens[i] == "*":
-                i += 1
-                expect_factor = True
-                continue
+        coeff: int | Fraction = sign
+        mono = _ONE_MONO
+        while True:
+            if i >= n:
+                raise ValueError(f"dangling operator in {text!r}")
             tok = tokens[i]
+            i += 1
             if tok.isdigit():
-                num = int(tok)
-                i += 1
                 if i < n and tokens[i] == "/":
                     den = tokens[i + 1] if i + 1 < n else ""
                     if not den.isdigit():
                         raise ValueError(f"bad rational in {text!r}")
-                    term = term * Fraction(num, int(den))
+                    coeff *= Fraction(int(tok), int(den))
                     i += 2
                 else:
-                    term = term * num
-            elif re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
+                    coeff *= int(tok)
+            elif tok in "^*/+-":
+                raise ValueError(f"unexpected token {tok!r} in {text!r}")
+            else:
                 power = 1
-                i += 1
                 if i < n and tokens[i] == "^":
                     if i + 1 >= n or not tokens[i + 1].isdigit():
                         raise ValueError(f"bad power in {text!r}")
                     power = int(tokens[i + 1])
                     i += 2
-                term = term * Poly.sym(tok) ** power
-            else:
-                raise ValueError(f"unexpected token {tok!r} in {text!r}")
-            expect_factor = False
-        if expect_factor:
-            raise ValueError(f"dangling operator in {text!r}")
-        out = out + term
-    return out
+                if tok == IMAG:
+                    coeff *= -1 if (power // 2) % 2 else 1
+                    power %= 2
+                if power:
+                    s, mono = _mono_mul(mono, ((tok, power),))
+                    coeff *= s
+            if i < n and tokens[i] == "*":
+                i += 1
+                continue
+            break
+        if i < n and tokens[i] not in "+-":
+            raise ValueError(f"missing operator before {tokens[i]!r} in {text!r}")
+        terms[mono] = terms.get(mono, 0) + coeff
+    return Poly(terms)
 
 
 def parse_rat(text: str) -> Fraction:

@@ -27,6 +27,7 @@ CASES = [
     (("char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
       "--level", "8", "--format", "json"), "chardiff_p3.json"),
     (("derive", "--p", "2", "--format", "json"), "derive_p2.json"),
+    (("derive", "--p", "5", "--format", "json"), "derive_p5.json"),
     (("certify-c2",), "certify_text.txt"),
     (("certify-c2", "--format", "json"), "certificate_p2.json"),
     (("verify-singular", "--solve-mode",), "verify_singular_solve.txt"),

@@ -26,7 +26,7 @@ def closed_forms(p):
     }
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
 def test_closed_forms(p, derivation):
     want = closed_forms(p)
     rep = derivation(p).report()

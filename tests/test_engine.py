@@ -21,7 +21,7 @@ from walgebra.engine import (
     word_weight,
 )
 from walgebra.scalar import Poly, binom_int
-from walgebra.singular import load_triplet_p2_spec
+from walgebra.singular import load_triplet_p2_spec, null_vector_terms
 
 
 from identity_helpers import basis_states, math_apply, omega_mode_field, virasoro_words
@@ -296,3 +296,41 @@ def test_prefix_invariance_soundness(der2):
             out = der2.apply_mode(mode, State.from_word(w))
             for word in out.words():
                 assert prefixed_manifest(word, 2, spec), (mode, w, word)
+
+
+# --- exact memo coefficients -------------------------------------------------------
+
+
+def _memo_coeffs(engine):
+    return [c for table in engine._memo.values() for c in table.values()]
+
+
+def _is_exact(c):
+    return (type(c) is int or (type(c) is Fraction and c.denominator > 1)
+            or (type(c) is Poly and not c.is_const()))
+
+
+def test_memo_holds_exact_numbers(derivation):
+    der = derivation(4)
+    der.report()
+    coeffs = _memo_coeffs(der.engine)
+    assert coeffs and all(_is_exact(c) for c in coeffs)
+    kinds = {type(c) for c in coeffs}
+    assert kinds == {int, Fraction, Poly}
+    # only the [W,W] channels bring symbols into the rewriting
+    for c in coeffs:
+        if type(c) is Poly:
+            assert c.symbols() <= {"C", "CWWT", "dWW"}
+
+
+def test_memo_keeps_symbolic_coefficients_as_poly():
+    engine = Engine(load_triplet_p2_spec())
+    states = [engine.evaluate(null_vector_terms(a, b))
+              for a in (1, 2, 3) for b in (1, 2, 3)]
+    coeffs = _memo_coeffs(engine)
+    assert all(_is_exact(c) for c in coeffs)
+    symbols = set().union(*(c.symbols() for c in coeffs if type(c) is Poly))
+    assert {"uW", "uX"} <= symbols
+    state_coeffs = [c for st in states for c in st.terms().values()]
+    assert all(type(c) is Poly for c in state_coeffs)
+    assert any("I" in c.symbols() for c in state_coeffs)

@@ -223,6 +223,25 @@ def test_character_coefficients_are_ints():
         assert all(type(c) is int for c in series.coeffs.values())
 
 
+def test_verma_character_inverts_each_weight_once(monkeypatch):
+    c = central_charge_p1(5)
+    want = (phi_trunc(2, 80).inverse() * phi_trunc(9, 80).inverse()
+            * phi_trunc(9, 80).inverse() * phi_trunc(9, 80).inverse()
+            ).shift(-c / 24)
+    calls = []
+    plain = QSeries.inverse
+
+    def counted(self):
+        calls.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(QSeries, "inverse", counted)
+    got = verma_character([2, 9, 9, 9], c, 80)
+    assert len(calls) == 2
+    assert got.offset == want.offset and got.coeffs == want.coeffs
+    assert got.render_lines() == want.render_lines()
+
+
 exact_coeffs = st.one_of(
     st.integers(min_value=-6, max_value=6),
     st.builds(Fraction, st.integers(min_value=-6, max_value=6),

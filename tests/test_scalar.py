@@ -101,8 +101,35 @@ def test_parse_examples():
     assert parse_poly("I*uW") == Poly.sym("I") * Poly.sym("uW")
     assert parse_poly("2") == Poly.const(2)
     assert parse_poly("C^2 - 1") == Poly.sym("C") ** 2 - 1
+    I, x = Poly.sym("I"), Poly.sym("x")
+    assert parse_poly("I*I") == Poly.const(-1)
+    assert parse_poly("I^3") == -I
+    assert parse_poly("I^2*I*x - 2*I*I") == -I * x + 2
+    assert parse_poly("-I*2/3*I*x") == x * Fraction(2, 3)
+    assert parse_poly("x^0 + 0*y") == Poly.const(1)
+    assert parse_poly("x - x") == Poly.zero()
     with pytest.raises(ValueError):
         parse_poly("3 **")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("1.5", ValueError),
+    ("1e3", ValueError),
+    ("2 3", ValueError),
+    ("2+", ValueError),
+    ("3*", ValueError),
+    ("*3", ValueError),
+    ("x^", ValueError),
+    ("x^-1", ValueError),
+    ("x/2", ValueError),
+    ("1/", ValueError),
+    ("1/0", ZeroDivisionError),
+    ("", ValueError),
+    ("   ", ValueError),
+])
+def test_parse_rejects(text, error):
+    with pytest.raises(error):
+        parse_poly(text)
 
 
 def test_solve_single_equation():
