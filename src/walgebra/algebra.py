@@ -96,7 +96,24 @@ class LinComb:
     parts: tuple[tuple[Poly, "FieldExpr"], ...]
 
 
-FieldExpr = Union[FieldRef, Identity, Derivative, Nprod, QPNop, LinComb]
+@dataclass(frozen=True)
+class TopPower:
+    """The `count`-fold normal-ordered power of the generator `base`, kept
+    only at top length: its vacuum modes give the words of exactly `count`
+    modes.
+
+    Modulo shorter words the creation modes of one generator commute (the
+    associated graded of Li's filtration is commutative), so mode n on the
+    vacuum is the sum over the partitions of -n into `count` parts
+    >= weight(base), each word weighted by its number of distinct orderings.
+    The engine evaluates it on the vacuum only.
+    """
+
+    base: str
+    count: int
+
+
+FieldExpr = Union[FieldRef, Identity, Derivative, Nprod, QPNop, LinComb, TopPower]
 
 
 # --- algebra specification ---------------------------------------------------
@@ -323,6 +340,8 @@ def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
         return expr_weight(expr.left, spec) + expr_weight(expr.right, spec)
     if isinstance(expr, QPNop):
         return spec.weight_of(expr.j) + spec.weight_of(expr.i) + expr.n
+    if isinstance(expr, TopPower):
+        return expr.count * spec.weight_of(expr.base)
     if isinstance(expr, LinComb):
         weights = {expr_weight(part, spec) for _, part in expr.parts}
         if len(weights) != 1:
@@ -444,34 +463,19 @@ def central_charge_p1(p: int) -> Fraction:
     return Fraction(1) - Fraction(6 * (p - 1) ** 2, p)
 
 
-def nprod_tower(height: int) -> FieldExpr:
-    """Nested bilinear product of `height` copies of T.
-
-    Equals the quasi-primary power product on every word of length >= height;
-    the dropped correction channels only produce strictly shorter words.
-    """
-    if height < 1:
-        raise ValueError("tower height must be >= 1")
-    expr: FieldExpr = FieldRef("T")
-    weight = 2
-    for _ in range(height - 1):
-        expr = Nprod(weight, FieldRef("T"), expr)
-        weight += 2
-    return expr
-
-
 def make_derivation_spec(p: int) -> AlgebraSpec:
     """Single-W algebra used by the general-coefficient derivation.
 
     Generators T (weight 2) and W (weight 2p-1); the [W,W] bracket declares
     the T channel and the weight-(2*Delta-2) tower channel NT with symbolic
-    constants CWWT and C.
+    constants CWWT and C.  NT is the (Delta-1)-fold power of T at top length
+    (`TopPower`): the derivation works modulo words shorter than Delta-1 and
+    only applies NT to the vacuum.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     delta = 2 * p - 1
     c = central_charge_p1(p)
-    tower = nprod_tower(delta - 1)
     return AlgebraSpec(
         central_charge=c,
         generators=(GeneratorDecl("T", 2), GeneratorDecl("W", delta)),
@@ -483,5 +487,7 @@ def make_derivation_spec(p: int) -> AlgebraSpec:
             ("W", "W", "T"): Poly.sym("CWWT"),
             ("W", "W", "NT"): Poly.sym("C"),
         },
-        composites={"NT": CompositeDecl("NT", 2 * delta - 2, tower)},
+        composites={
+            "NT": CompositeDecl("NT", 2 * delta - 2, TopPower("T", delta - 1))
+        },
     )

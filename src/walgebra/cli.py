@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import Mode, SpecError, central_charge_p1, load_spec, make_virasoro_spec
 from .c2 import certificate_to_json, certify_triplet_p2, verify_certificate
-from .derivation import alpha_nonzero_report
+from .derivation import MAX_P, alpha_nonzero_report
 from .qseries import (
     QSeries,
     QSeriesError,
@@ -64,10 +64,7 @@ def _series_text(series: QSeries) -> str:
 
 def _series_json(series: QSeries) -> str:
     return json.dumps(
-        [
-            {"exponent": str(series.offset + n), "coefficient": str(c)}
-            for n, c in sorted(series.coeffs.items())
-        ],
+        [{"exponent": e, "coefficient": str(c)} for e, c in series.render_terms()],
         indent=2,
     )
 
@@ -160,6 +157,8 @@ def cmd_char_diff(args) -> int:
 
 def cmd_derive(args) -> int:
     p = _positive_p(args)
+    if p > MAX_P:
+        raise InputError(f"--p must be at most {MAX_P} for derive")
     report = alpha_nonzero_report(p)
     if args.format == "json":
         _emit(report.to_json(), args.out)

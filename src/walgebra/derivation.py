@@ -10,7 +10,11 @@ coefficient in the singular vector.
 Everything is exact; the only symbols in play are C (the structure constant
 of the [W,W] tower channel), CWWT, dWW and the aggregate unknown B.
 All computations are carried out modulo words of length < Delta-1; the
-discarded remainders are retained for audit.
+discarded remainders are retained for audit.  The tower channel NT is
+declared at that top length only (`algebra.TopPower`): on the vacuum, the
+only state it meets here, its modes are sums over partitions, and no word
+shorter than Delta-1 is built for it.  p is bounded by `MAX_P`, which keeps
+the engine's recursion inside Python's default limit.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ from fractions import Fraction
 from .algebra import Mode, make_derivation_spec
 from .engine import Engine, State, project_with_audit
 from .scalar import Poly, render_poly, solve_linear
+
+
+# The engine recurses about once per mode of a word, and the derivation's
+# words reach Delta + 1 = 2p modes; p <= 400 keeps that recursion inside
+# Python's default limit of 1000 frames, with room for the caller.
+MAX_P = 400
 
 
 class DerivationError(RuntimeError):
@@ -138,8 +148,8 @@ class Derivation:
     """Derivation pipeline bound to one p; shares a single rewriting engine."""
 
     def __init__(self, p: int):
-        if p < 2:
-            raise ValueError("p must be >= 2")
+        if not 2 <= p <= MAX_P:
+            raise ValueError(f"p must be between 2 and {MAX_P}")
         self.p = p
         self.delta = 2 * p - 1
         self.spec = make_derivation_spec(p)

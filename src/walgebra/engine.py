@@ -9,7 +9,9 @@ and every mode satisfies n <= -weight.  The leftmost mode acts last.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import groupby
+from math import factorial
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
     AlgebraSpec,
@@ -22,6 +24,7 @@ from .algebra import (
     Nprod,
     QPNop,
     SpecError,
+    TopPower,
     bracket,
     expr_weight,
 )
@@ -41,6 +44,29 @@ def _acc(table: dict, word: Word, coeff) -> None:
         table[word] = coeff
     elif word in table:
         del table[word]
+
+
+def _partitions(total: int, count: int, least: int,
+                most: int) -> Iterator[tuple[int, ...]]:
+    """The nonincreasing tuples of `count` parts in [least, most] that sum to
+    `total`."""
+    if count == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(min(most, total - least * (count - 1)), least - 1, -1):
+        if first * count < total:
+            break
+        for rest in _partitions(total - first, count - 1, least, first):
+            yield (first,) + rest
+
+
+def _orderings(parts: tuple[int, ...]) -> int:
+    """The number of distinct orderings of a nonincreasing tuple."""
+    out = factorial(len(parts))
+    for _, run in groupby(parts):
+        out //= factorial(len(list(run)))
+    return out
 
 
 class State:
@@ -226,6 +252,16 @@ class Engine:
                         _acc(result, w, coeff * c)
                 if ops.central:
                     _acc(result, rest, exact(ops.central))
+        elif isinstance(field, TopPower):
+            if word:
+                rendered = "".join(m.render() + " " for m in word)
+                raise SpecError(
+                    f"{field.base}^{field.count} is kept at top length and acts "
+                    f"on the vacuum only, not on {rendered}|0>"
+                )
+            h = spec.weight_of(field.base)
+            for parts in _partitions(-n, field.count, h, -n):
+                result[tuple(Mode(field.base, -k) for k in parts)] = _orderings(parts)
         elif isinstance(field, Identity):
             if n == 0:
                 result[word] = 1

@@ -157,12 +157,18 @@ class QSeries:
                 return False
         return True
 
+    def render_terms(self) -> list[tuple[str, int | Fraction]]:
+        """(exponent text, coefficient) for each nonzero term, in order.
+
+        offset + n = (a + n b)/b stays in lowest terms for a reduced offset
+        a/b, so each exponent is rendered from integer steps without building
+        a Fraction."""
+        a, b = self.offset.numerator, self.offset.denominator
+        return [(str(a + n * b) if b == 1 else f"{a + n * b}/{b}", self.coeffs[n])
+                for n in sorted(self.coeffs)]
+
     def render_lines(self) -> list[str]:
-        out = []
-        for n in sorted(self.coeffs):
-            e = self.offset + n
-            out.append(f"{e}: {self.coeffs[n]}")
-        return out
+        return [f"{e}: {c}" for e, c in self.render_terms()]
 
     def __repr__(self) -> str:
         head = ", ".join(self.render_lines()[:6])

@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from walgebra.algebra import Derivative, FieldRef, Identity, LinComb, Mode, Nprod, expr_weight
+from walgebra.algebra import (
+    Derivative,
+    FieldExpr,
+    FieldRef,
+    Identity,
+    LinComb,
+    Mode,
+    Nprod,
+    expr_weight,
+)
 from walgebra.scalar import Poly
 
 
@@ -59,3 +68,18 @@ def omega_mode_field(math_m):
     return LinComb(
         ((Poly.const(Fraction(1, _fact(j))), Nprod(j + 2, FieldRef("T"), inner)),)
     )
+
+
+def nprod_tower(height: int) -> FieldExpr:
+    """Nested bilinear product of `height` copies of T, evaluated exactly.
+
+    The reference for `TopPower("T", height)`: on the vacuum the two agree on
+    every word of length >= height, since the quasi-primary corrections that
+    the tower leaves out only produce strictly shorter words.
+    """
+    expr: FieldExpr = FieldRef("T")
+    weight = 2
+    for _ in range(height - 1):
+        expr = Nprod(weight, FieldRef("T"), expr)
+        weight += 2
+    return expr

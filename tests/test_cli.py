@@ -70,6 +70,12 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+    # a p beyond the derivation's recursion depth, rejected before any work
+    for p in ("401", "600"):
+        proc = run_cli("derive", "--p", p)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
     # a Virasoro central charge with a zero denominator, or neither a
     # rational nor an identifier
     for c in ("1/0", "1/0x"):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from walgebra import engine
 from walgebra.algebra import Mode
-from walgebra.derivation import alpha_nonzero_report
+from walgebra.derivation import Derivation, alpha_nonzero_report
 from walgebra.engine import State
 from walgebra.scalar import Poly
 
@@ -26,7 +27,7 @@ def closed_forms(p):
     }
 
 
-@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("p", range(2, 13))
 def test_closed_forms(p, derivation):
     want = closed_forms(p)
     rep = derivation(p).report()
@@ -41,6 +42,27 @@ def test_closed_forms(p, derivation):
     assert rep.B_primary == want["B_primary"]
     assert not rep.alpha_zero_consistent
     assert rep.difference == want["B_quasi"] - want["B_primary"]
+
+
+def test_p7_values(derivation):
+    rep = derivation(7).report()
+    assert rep.beta_ww_prime == Fraction(-150, 49)
+    assert rep.B_quasiprimary == C * Fraction(-913, 294)
+    assert rep.B_primary == C * Fraction(-1801, 196)
+    assert rep.xi == (B * 3 + C * 6, B * Fraction(17, 2) + C * 66,
+                      B * Fraction(-25, 4) + C * 110)
+    assert rep.difference == C * Fraction(73, 12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_weakened_multiplicity_is_caught(p, monkeypatch):
+    # counting each partition of the NT tower once, not once per ordering,
+    # passes every DerivationError check; only the closed forms catch it
+    monkeypatch.setattr(engine, "_orderings", lambda parts: 1)
+    rep = Derivation(p).report()
+    want = closed_forms(p)
+    assert rep.B_quasiprimary != want["B_quasi"]
+    assert rep.B_primary != want["B_primary"]
 
 
 def test_p2_instantiations():

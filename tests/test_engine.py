@@ -9,10 +9,11 @@ from walgebra.algebra import (
     Identity,
     Mode,
     Nprod,
+    SpecError,
+    TopPower,
     bracket,
     make_derivation_spec,
     make_virasoro_spec,
-    nprod_tower,
 )
 from walgebra.engine import (
     Engine,
@@ -24,7 +25,13 @@ from walgebra.scalar import Poly, binom_int
 from walgebra.singular import load_triplet_p2_spec, null_vector_terms
 
 
-from identity_helpers import basis_states, math_apply, omega_mode_field, virasoro_words
+from identity_helpers import (
+    basis_states,
+    math_apply,
+    nprod_tower,
+    omega_mode_field,
+    virasoro_words,
+)
 
 
 def T(n):
@@ -83,6 +90,14 @@ def test_field_mode_examples(der2):
     assert der2.field_mode_apply(Identity(), -1, vac).is_zero()
 
 
+def _outcome(apply, *args):
+    """The State an entry point returns, or the message of its SpecError."""
+    try:
+        return apply(*args)
+    except SpecError as exc:
+        return f"SpecError: {exc}"
+
+
 @pytest.mark.parametrize("spec", [load_triplet_p2_spec(), make_derivation_spec(3)],
                          ids=["triplet_p2", "derivation_p3"])
 def test_entry_points_agree_on_every_symbol(spec):
@@ -95,23 +110,46 @@ def test_entry_points_agree_on_every_symbol(spec):
     symbols = [g.symbol for g in spec.generators] + sorted(spec.composites)
     for sym in symbols:
         h = spec.weight_of(sym)
+        top_length = (sym in spec.composites
+                      and isinstance(spec.composite_expr(sym), TopPower))
         for n in range(-h - 1, 3):
-            for st in states:
-                want = by_mode.apply_mode(Mode(sym, n), st)
-                assert by_ref.field_mode_apply(FieldRef(sym), n, st) == want
+            for seq, st in zip(seqs, states):
+                want = _outcome(by_mode.apply_mode, Mode(sym, n), st)
+                # a top-length power acts on the vacuum only, so NT raises on
+                # any other word, and so does a W mode whose [W, W] bracket
+                # puts NT on the word's other mode
+                if top_length:
+                    assert isinstance(want, str) == bool(seq)
+                elif isinstance(want, str):
+                    assert sym == "W" and len(seq) == 2
+                assert _outcome(by_ref.field_mode_apply, FieldRef(sym), n, st) == want
                 if sym in spec.composites:
                     expr = spec.composite_expr(sym)
-                    assert by_expr.field_mode_apply(expr, n, st) == want
+                    assert _outcome(by_expr.field_mode_apply, expr, n, st) == want
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_tower_bottom_mode(p):
     d = 2 * p - 1
     eng = Engine(make_derivation_spec(p))
-    tower = nprod_tower(d - 1)
-    s = eng.field_mode_apply(tower, -(2 * d - 2), State.vacuum())
-    s = project_with_audit(s, d - 1)[0]
+    s = eng.field_mode_apply(TopPower("T", d - 1), -(2 * d - 2), State.vacuum())
     assert s == State({tuple([T(-2)] * (d - 1)): Poly.const(1)})
+    exact = eng.field_mode_apply(nprod_tower(d - 1), -(2 * d - 2), State.vacuum())
+    assert s == project_with_audit(exact, d - 1)[0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_top_power_is_the_exact_tower_at_top_length(p):
+    # the four lowest vacuum modes of NT, the ones the derivation uses
+    d = 2 * p - 1
+    spec = make_derivation_spec(p)
+    assert spec.composite_expr("NT") == TopPower("T", d - 1)
+    eng = Engine(spec)
+    tower = nprod_tower(d - 1)
+    for n in range(-(2 * d + 1), -(2 * d - 2) + 1):
+        got = eng.apply_mode(Mode("NT", n), State.vacuum())
+        exact = eng.field_mode_apply(tower, n, State.vacuum())
+        assert got and got == project_with_audit(exact, d - 1)[0], n
 
 
 def test_project_examples():

@@ -295,3 +295,12 @@ def test_triplet_character_p3_to_1000_is_theta_convolution():
             if m >= 0:
                 expected += (2 * s + 1) * parts[m]
         assert ch.coeff_at_exponent(ch.offset + n) == expected
+
+
+@pytest.mark.parametrize("offset", [Fraction(0), Fraction(91, 120), Fraction(-7, 3),
+                                    Fraction(-5), Fraction(5, 2)])
+def test_render_terms_are_the_fraction_exponents(offset):
+    series = QSeries(offset, {0: 1, 1: -2, 3: Fraction(1, 3), 40: 7}, 50)
+    want = [(str(offset + n), c) for n, c in sorted(series.coeffs.items())]
+    assert series.render_terms() == want
+    assert series.render_lines() == [f"{e}: {c}" for e, c in want]
