@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .scalar import Poly, binom_int, parse_poly, parse_rat, render_poly
+from .scalar import Poly, binom_int, exact, parse_poly, parse_rat, render_poly
 
 
 class SpecError(ValueError):
@@ -238,30 +238,31 @@ class AlgebraSpec:
 
 
 @lru_cache(maxsize=None)
-def _a_coeffs(hi: int, hj: int, hk: int) -> tuple[Fraction, ...]:
+def _a_coeffs(hi: int, hj: int, hk: int) -> tuple[int | Fraction, ...]:
     h = hi + hj - hk
-    out = []
-    for t in range(h):
-        out.append(binom_int(hi + hk - hj + t - 1, t) / binom_int(2 * hk + t - 1, t))
-    return tuple(out)
+    return tuple(
+        exact(Fraction(binom_int(hi + hk - hj + t - 1, t),
+                       binom_int(2 * hk + t - 1, t)))
+        for t in range(h)
+    )
 
 
-def p_poly(hi: int, hj: int, hk: int, m: int, n: int) -> Fraction:
+def p_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     """Channel polynomial in the anchor normalization
     sum_{r+s=h(ijk)-1} a^r C(m+n-h_k, r) C(h_i-n-1, s)."""
     h = hi + hj - hk
     if h < 1:
         raise ValueError(f"h(ijk) = {h} < 1")
     a = _a_coeffs(hi, hj, hk)
-    total = Fraction(0)
+    total = 0
     for r in range(h):
         s = h - 1 - r
         total += a[r] * binom_int(m + n - hk, r) * binom_int(hi - n - 1, s)
-    return total
+    return exact(total)
 
 
 @lru_cache(maxsize=None)
-def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> Fraction:
+def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     """Channel polynomial used by the mode bracket,
     sum_{t+s=h(ijk)-1} a^t C(-(m+n)-h_k, t) C(m+h_i-1, s).
 
@@ -272,11 +273,11 @@ def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> Fraction:
     if h < 1:
         raise ValueError(f"h(ijk) = {h} < 1")
     a = _a_coeffs(hi, hj, hk)
-    total = Fraction(0)
+    total = 0
     for t in range(h):
         s = h - 1 - t
         total += a[t] * binom_int(-(m + n) - hk, t) * binom_int(m + hi - 1, s)
-    return total
+    return exact(total)
 
 
 @dataclass(frozen=True)
@@ -353,6 +354,26 @@ def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
 # --- spec documents ----------------------------------------------------------
 
 
+def _json_int(value, what: str) -> int:
+    """An integer field of a spec document: a JSON integer, not a float, a
+    string or a boolean."""
+    if type(value) is not int:
+        raise SpecError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_str(value, what: str) -> str:
+    """A number or polynomial field of a spec document: a string such as
+    "-2" or "-uW"."""
+    if not isinstance(value, str):
+        raise SpecError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _json_poly(value, what: str) -> Poly:
+    return parse_poly(_json_str(value, what))
+
+
 def _parse_field_expr(doc) -> FieldExpr:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SpecError(f"bad field expression {doc!r}")
@@ -360,24 +381,30 @@ def _parse_field_expr(doc) -> FieldExpr:
     if kind == "gen":
         return FieldRef(body)
     if kind == "deriv":
-        return Derivative(_parse_field_expr(body["base"]), int(body["order"]))
+        return Derivative(_parse_field_expr(body["base"]),
+                          _json_int(body["order"], "deriv order"))
     if kind == "nprod":
         return Nprod(
-            int(body["m"]),
+            _json_int(body["m"], "nprod m"),
             _parse_field_expr(body["left"]),
             _parse_field_expr(body["right"]),
         )
     if kind == "qpnop":
-        return QPNop(body["j"], body["i"], int(body.get("n", 0)))
+        return QPNop(body["j"], body["i"], _json_int(body.get("n", 0), "qpnop n"))
     if kind == "lincomb":
         return LinComb(
-            tuple((parse_poly(c), _parse_field_expr(e)) for c, e in body)
+            tuple((_json_poly(c, "lincomb coefficient"), _parse_field_expr(e))
+                  for c, e in body)
         )
     raise SpecError(f"unknown field expression kind {kind!r}")
 
 
 def load_spec(document: str | dict) -> AlgebraSpec:
-    """Load and validate an algebra-spec document (JSON text or dict)."""
+    """Load and validate an algebra-spec document (JSON text or dict).
+
+    The central charge and every polynomial value are strings; weights,
+    derivative orders, `nprod` m and `qpnop` n are JSON integers.
+    """
     if isinstance(document, str):
         try:
             document = json.loads(document)
@@ -386,31 +413,33 @@ def load_spec(document: str | dict) -> AlgebraSpec:
     if not isinstance(document, dict):
         raise SpecError("spec document must be a JSON object")
     try:
-        c = parse_rat(document["central_charge"])
+        c = parse_rat(_json_str(document["central_charge"], "central_charge"))
         gens = tuple(
-            GeneratorDecl(g["symbol"], int(g["weight"]))
+            GeneratorDecl(g["symbol"], _json_int(g["weight"], "generator weight"))
             for g in document["generators"]
         )
         d = {}
         for entry in document.get("d", []):
             i, j = entry["i"], entry["j"]
             key = (i, j) if i <= j else (j, i)
-            d[key] = parse_poly(entry["value"])
+            d[key] = _json_poly(entry["value"], "d value")
         constants = {}
         for entry in document.get("structure_constants", []):
             key = (entry["i"], entry["j"], entry["k"])
             if key in constants:
                 raise SpecError(f"duplicate structure constant {key}")
-            constants[key] = parse_poly(entry["value"])
+            constants[key] = _json_poly(entry["value"], "structure constant value")
         composites = {}
         for entry in document.get("composite_fields", []):
             sym = entry["symbol"]
             composites[sym] = CompositeDecl(
-                sym, int(entry["weight"]), _parse_field_expr(entry["definition"])
+                sym, _json_int(entry["weight"], "composite weight"),
+                _parse_field_expr(entry["definition"])
             )
         c_lower = {}
         for entry in document.get("c_lower", []):
-            c_lower[(entry["i"], entry["j"], entry["k"])] = parse_poly(entry["value"])
+            c_lower[(entry["i"], entry["j"], entry["k"])] = _json_poly(
+                entry["value"], "c_lower value")
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -448,7 +477,7 @@ def make_virasoro_spec(c: Fraction | str | Poly = "c") -> AlgebraSpec:
         cc = Fraction(0)
         d = {("T", "T"): Poly.sym(c) / 2}
     else:
-        cc = Fraction(c) if not isinstance(c, Poly) else c.const_value()
+        cc = Fraction(exact(c))
         d = {("T", "T"): Poly.const(cc) / 2}
     return AlgebraSpec(
         central_charge=cc,

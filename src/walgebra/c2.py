@@ -700,9 +700,9 @@ def certificate_from_dict(doc: dict) -> Certificate:
     """Load a certificate document; a missing or ill-typed field, or a claim
     about any space but C2, raises CertificateError."""
     try:
-        table = SingularTable(
-            **{k: Fraction(v) for k, v in doc["null_coefficients"].items()}
-        )
+        table = SingularTable(**{
+            k: Fraction(_typed(v, str)) for k, v in doc["null_coefficients"].items()
+        })
         steps = []
         for s in doc["steps"]:
             space = s["claim"]["space"]

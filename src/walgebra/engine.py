@@ -321,12 +321,10 @@ class Engine:
         hj = spec.weight_of(j)
         parts = []
         for r in range(n + 1):
-            coeff = (
-                Fraction((-1) ** r)
-                * binom_int(n, r)
-                * binom_int(2 * hi + n - 1, r)
-                / binom_int(2 * (hi + hj + n - 1), r)
-            )
+            coeff = exact(Fraction(
+                (-1) ** r * binom_int(n, r) * binom_int(2 * hi + n - 1, r),
+                binom_int(2 * (hi + hj + n - 1), r),
+            ))
             if not coeff:
                 continue
             core: FieldExpr = Nprod(
@@ -356,14 +354,12 @@ class Engine:
                         "coefficient is singular there"
                     )
                 continue
-            coeff = (
-                -Fraction((-1) ** n)
-                * binom_int(h + n - 1, n)
-                * binom_int(2 * hi + n - 1, h + n)
-                / binom_int(2 * (hi + hj + n - 1), n)
-                / binom_int(sigma - 1, h - 1)
-                / ((sigma + n) * (h - 1))
-            )
+            coeff = exact(Fraction(
+                -((-1) ** n) * binom_int(h + n - 1, n)
+                * binom_int(2 * hi + n - 1, h + n),
+                binom_int(2 * (hi + hj + n - 1), n) * binom_int(sigma - 1, h - 1)
+                * (sigma + n) * (h - 1),
+            ))
             if not coeff:
                 continue
             parts.append((value * coeff, Derivative(FieldRef(k), h + n)))

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic.
 
-Arbitrary-precision rationals (``fractions.Fraction``), multivariate
-polynomials over the Gaussian rationals in named symbols, generalized
-binomial coefficients, and a small linear solver.  The reserved symbol
+Exact rationals (an ``int`` when integral, else a ``fractions.Fraction``,
+never a float; see :func:`exact`), multivariate polynomials over the
+Gaussian rationals in named symbols, generalized binomial coefficients, and
+a small linear solver.  The reserved symbol
 ``I`` is the formal imaginary unit and satisfies I*I = -1; it is reduced
 eagerly so a polynomial never stores a power of I above 1.
 """
@@ -24,10 +25,12 @@ _ONE_MONO: Mono = ()
 
 
 @lru_cache(maxsize=None)
-def binom_int(x: int, k: int) -> Fraction:
+def binom_int(x: int, k: int) -> int:
     """Generalized binomial prod_{j=0}^{k-1}(x-j) / k! for integer x.
 
-    x may be negative; k must be nonnegative.
+    x may be negative; k must be nonnegative.  The result is an integer (a
+    product of k consecutive integers is divisible by k!), so the floor
+    division is exact.
     """
     if k < 0:
         raise ValueError(f"binomial lower index must be >= 0, got {k}")
@@ -37,7 +40,7 @@ def binom_int(x: int, k: int) -> Fraction:
     den = 1
     for j in range(2, k + 1):
         den *= j
-    return Fraction(num, den)
+    return num // den
 
 
 def _mono_mul(a: Mono, b: Mono) -> tuple[int, Mono]:
@@ -64,22 +67,31 @@ def _mono_mul(a: Mono, b: Mono) -> tuple[int, Mono]:
     return sign, tuple(sorted(counts.items()))
 
 
-class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+def _from_terms(t: dict[Mono, int | Fraction]) -> "Poly":
+    p = Poly.__new__(Poly)
+    p._t = t
+    p._hash = None
+    return p
 
-    Immutable by convention: no method mutates ``self``.
+
+class Poly:
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    Each stored coefficient is an ``int`` when it is integral and a
+    ``Fraction`` with denominator > 1 otherwise, never a float (see
+    :func:`exact`).  Immutable by convention: no method mutates ``self``.
     """
 
     __slots__ = ("_t", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        t: dict[Mono, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
+        t: dict[Mono, int | Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _number(exact(c))
                 if c:
                     acc = t.get(mono)
-                    c = c if acc is None else acc + c
+                    c = c if acc is None else exact(acc + c)
                     if c:
                         t[mono] = c
                     elif mono in t:
@@ -95,14 +107,14 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        v = Fraction(value)
-        return cls({_ONE_MONO: v}) if v else cls()
+        v = _number(exact(value))
+        return _from_terms({_ONE_MONO: v} if v else {})
 
     @classmethod
     def sym(cls, name: str) -> "Poly":
         if not name:
             raise ValueError("empty symbol name")
-        return cls({((name, 1),): Fraction(1)})
+        return _from_terms({((name, 1),): 1})
 
     # --- basic queries ---------------------------------------------------
 
@@ -115,9 +127,9 @@ class Poly:
     def is_const(self) -> bool:
         return not self._t or (len(self._t) == 1 and _ONE_MONO in self._t)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> int | Fraction:
         if not self._t:
-            return Fraction(0)
+            return 0
         if not self.is_const():
             raise ValueError(f"not a constant polynomial: {self}")
         return self._t[_ONE_MONO]
@@ -129,7 +141,7 @@ class Poly:
                 out.add(name)
         return out
 
-    def terms(self) -> dict[Mono, Fraction]:
+    def terms(self) -> dict[Mono, int | Fraction]:
         return dict(self._t)
 
     # --- ring operations --------------------------------------------------
@@ -143,23 +155,17 @@ class Poly:
         t = dict(self._t)
         for mono, c in other._t.items():
             acc = t.get(mono)
-            c = c if acc is None else acc + c
+            c = c if acc is None else exact(acc + c)
             if c:
                 t[mono] = c
             elif mono in t:
                 del t[mono]
-        p = Poly.__new__(Poly)
-        p._t = t
-        p._hash = None
-        return p
+        return _from_terms(t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._t = {m: -c for m, c in self._t.items()}
-        p._hash = None
-        return p
+        return _from_terms({m: -c for m, c in self._t.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -167,37 +173,42 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return _coerce(other) + (-self)
 
+    def _scaled(self, c: int | Fraction) -> "Poly":
+        """self * c for a nonzero exact number c; no monomial changes."""
+        if c == 1:
+            return self
+        return _from_terms({m: exact(v * c) for m, v in self._t.items()})
+
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+        if isinstance(other, Poly):
+            a, b = self._t, other._t
+            if not a or not b:
                 return Poly()
-            p = Poly.__new__(Poly)
-            p._t = {m: v * c for m, v in self._t.items()}
-            p._hash = None
-            return p
-        other = _coerce(other)
-        t: dict[Mono, Fraction] = {}
-        for m1, c1 in self._t.items():
-            for m2, c2 in other._t.items():
+            # a constant operand scales the other one directly
+            if len(b) == 1 and _ONE_MONO in b:
+                return self._scaled(b[_ONE_MONO])
+            if len(a) == 1 and _ONE_MONO in a:
+                return other._scaled(a[_ONE_MONO])
+        else:
+            c = _number(other)
+            return self._scaled(c) if c and self._t else Poly()
+        t: dict[Mono, int | Fraction] = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 sign, m = _mono_mul(m1, m2)
-                c = c1 * c2 * sign
+                c = c1 * c2 if sign == 1 else -(c1 * c2)
                 acc = t.get(m)
-                c = c if acc is None else acc + c
+                c = exact(c if acc is None else acc + c)
                 if c:
                     t[m] = c
                 elif m in t:
                     del t[m]
-        p = Poly.__new__(Poly)
-        p._t = t
-        p._hash = None
-        return p
+        return _from_terms(t)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        c = Fraction(other)
-        return self * (1 / c)
+        return self * (Fraction(1) / _number(other))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -243,8 +254,8 @@ class Poly:
 
         Raises if ``name`` appears with power >= 2.
         """
-        coeff: dict[Mono, Fraction] = {}
-        rest: dict[Mono, Fraction] = {}
+        coeff: dict[Mono, int | Fraction] = {}
+        rest: dict[Mono, int | Fraction] = {}
         for mono, c in self._t.items():
             hit = [(s, p) for s, p in mono if s == name]
             if not hit:
@@ -254,7 +265,7 @@ class Poly:
                     raise ValueError(f"{name} appears with power {hit[0][1]}")
                 reduced = tuple((s, p) for s, p in mono if s != name)
                 coeff[reduced] = c
-        return Poly(coeff), Poly(rest)
+        return _from_terms(coeff), _from_terms(rest)
 
     # --- rendering ----------------------------------------------------------
 
@@ -268,9 +279,13 @@ class Poly:
 def exact(c) -> int | Fraction | Poly:
     """`c` as an int when it is integral, else as a Fraction; a constant
     Poly becomes its number and a Poly with a symbol is returned as it is.
-    A float is refused rather than rounded."""
-    if type(c) is int:
+    A float is refused rather than rounded.  This is the one normaliser of
+    every coefficient a `Poly` stores and of the engine's memo values."""
+    t = type(c)
+    if t is int:
         return c
+    if t is Fraction:
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, Poly):
         if not c.is_const():
             return c
@@ -281,18 +296,21 @@ def exact(c) -> int | Fraction | Poly:
     return c.numerator if c.denominator == 1 else c
 
 
-def _coerce(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
+def _number(value) -> int | Fraction:
+    """A non-Poly operand of `*` or `/`: an exact number, never a float."""
     if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
-    raise TypeError(f"cannot coerce {type(value)!r} to Poly")
+        return value
+    raise TypeError(f"exact number expected, got {type(value).__name__} {value!r}")
+
+
+def _coerce(value) -> Poly:
+    return value if isinstance(value, Poly) else Poly.const(_number(value))
 
 
 # --- rendering / parsing -----------------------------------------------------
 
 
-def render_rat(r: Fraction) -> str:
+def render_rat(r: int | Fraction) -> str:
     return str(r)
 
 
@@ -470,8 +488,9 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
         coeffs, rest = rows.pop(pivot_idx)
         pv = coeffs.pop(pivot_name).const_value()
         # pivot_name = -(rest + sum coeffs*u)/pv
-        expr_rest = rest * Fraction(-1, 1) / pv
-        expr_coeffs = {u: c * Fraction(-1, 1) / pv for u, c in coeffs.items()}
+        inv = Fraction(-1) / pv
+        expr_rest = rest * inv
+        expr_coeffs = {u: c * inv for u, c in coeffs.items()}
         remaining.remove(pivot_name)
         # substitute into all other rows
         new_rows = []

@@ -69,6 +69,13 @@ def test_virasoro_oracle():
             assert ops.central == want_central
 
 
+def test_virasoro_central_charge_is_exact():
+    assert make_virasoro_spec(Fraction(1, 3)).central_charge == Fraction(1, 3)
+    assert make_virasoro_spec(Poly.const(-2)).central_charge == -2
+    with pytest.raises(TypeError):
+        make_virasoro_spec(0.1)
+
+
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_primary_bracket(p):
     # [L_m, phi_n] = ((h-1) m - n) phi_{m+n} for a primary field, all m, n

@@ -162,6 +162,12 @@ BAD_CERTIFICATES = [
      lambda cert: _edited(cert, lambda d: d["steps"][0].update(depends_on="abc"))),
     ("bad_null_coefficient",
      lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c1="1/0"))),
+    # the writer writes every coefficient as a string; a JSON number would
+    # load as a value the file does not state exactly
+    ("float_null_coefficient",
+     lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c5=2.0))),
+    ("bool_null_coefficient",
+     lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c1=True))),
 ]
 
 

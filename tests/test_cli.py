@@ -93,10 +93,29 @@ def _triplet_spec_doc():
     return json.loads(text)
 
 
+def _define_l4(definition):
+    return lambda d: d["composite_fields"][0].update(definition=definition)
+
+
+T_REF = {"gen": "T"}
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["generators"][0].update(weight="x"),
     lambda d: d["d"][0].update(value="2+"),
-], ids=["non_integer_weight", "malformed_polynomial"])
+    lambda d: d.update(central_charge=-2),
+    lambda d: d["generators"][0].update(weight=2.7),
+    lambda d: d["generators"][1].update(weight=True),
+    lambda d: d["composite_fields"][0].update(weight=4.0),
+    _define_l4({"deriv": {"base": T_REF, "order": 2.0}}),
+    _define_l4({"nprod": {"m": 1.0, "left": T_REF, "right": T_REF}}),
+    _define_l4({"qpnop": {"j": "T", "i": "T", "n": False}}),
+    lambda d: d["d"][0].update(value=-1),
+    lambda d: d["structure_constants"][0].update(value=2),
+], ids=["non_integer_weight", "malformed_polynomial", "number_central_charge",
+        "float_weight", "bool_weight", "float_composite_weight",
+        "float_deriv_order", "float_nprod_m", "bool_qpnop_n", "number_d_value",
+        "number_structure_constant"])
 def test_malformed_spec_exit_2(tmp_path, edit):
     doc = _triplet_spec_doc()
     edit(doc)

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walgebra.algebra import channel_poly, make_derivation_spec, p_poly
+from walgebra.engine import Engine
 from walgebra.scalar import (
     Poly,
     SolveError,
@@ -88,6 +91,83 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def _is_exact(c) -> bool:
+    """An int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+exact_numbers = st.one_of(st.integers(min_value=-40, max_value=40), rationals)
+
+
+@st.composite
+def ic_polys(draw):
+    """Polys in I and C built from int and Fraction coefficients; some of
+    the Fractions are integral (4/2) and must be stored as ints."""
+    terms = draw(st.lists(
+        st.tuples(st.lists(st.sampled_from(["I", "C"]), max_size=3), exact_numbers),
+        max_size=4,
+    ))
+    out = Poly.zero()
+    for names, coeff in terms:
+        term = Poly.const(coeff)
+        for name in names:
+            term = term * Poly.sym(name)
+        out = out + term
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(ic_polys(), ic_polys(), exact_numbers)
+def test_stored_coefficients_are_exact(a, b, r):
+    results = [
+        a, b, a + b, a - b, a * b, b * a, a * r, r * a, a + r, a - r,
+        a * Poly.const(r), Poly.const(r) * b,
+        a.substitute({"C": b}), a.substitute({"C": r, "I": b}),
+        parse_poly(render_poly(a)),
+    ]
+    if r:
+        results.append(a / r)
+    for p in results:
+        assert all(_is_exact(c) for c in p.terms().values()), p.terms()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Poly.const(0.1),
+    lambda: Poly({(): 0.5}),
+    lambda: Poly.sym("C") / 0.5,
+    lambda: Poly.sym("C") * 0.5,
+    lambda: 0.5 * Poly.sym("C"),
+    lambda: Poly.sym("C") + 0.5,
+    lambda: Poly.sym("C").substitute({"C": 0.5}),
+], ids=["const", "init", "truediv", "mul", "rmul", "add", "substitute"])
+def test_float_rejected(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_bracket_constants_are_exact():
+    for x, k in product(range(-10, 11), range(9)):
+        assert type(binom_int(x, k)) is int
+    # the uncached body, so the grid does not fill the lru_cache; p_poly is
+    # the anchor form, checked where it agrees with channel_poly (h_i = h_j)
+    channel = channel_poly.__wrapped__
+    for hi, hj, hk in product(range(1, 9), repeat=3):
+        if not 1 <= hi + hj - hk <= 8:
+            continue
+        for m, n in product(range(-10, 11), repeat=2):
+            value = channel(hi, hj, hk, m, n)
+            assert value == 0 or _is_exact(value)
+            if hi == hj:
+                value = p_poly(hi, hj, hk, m, n)
+                assert value == 0 or _is_exact(value)
+    for p in (2, 3, 4):
+        eng = Engine(make_derivation_spec(p))
+        for (j, i), n in product(product("TW", repeat=2), range(11)):
+            for lincomb in (eng.qp_nop_plain(j, i, n), eng.qp_nop_corrections(j, i, n)):
+                for coeff, _ in lincomb.parts:
+                    assert all(_is_exact(c) for c in coeff.terms().values())
 
 
 @settings(max_examples=60, deadline=None)
