@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .scalar import Poly, binom_int, exact, parse_poly, parse_rat, render_poly
+from .scalar import Poly, binom_int, exact, parse_poly, render_poly
 
 
 class SpecError(ValueError):
@@ -413,7 +413,7 @@ def load_spec(document: str | dict) -> AlgebraSpec:
     if not isinstance(document, dict):
         raise SpecError("spec document must be a JSON object")
     try:
-        c = parse_rat(_json_str(document["central_charge"], "central_charge"))
+        c = Fraction(_json_str(document["central_charge"], "central_charge"))
         gens = tuple(
             GeneratorDecl(g["symbol"], _json_int(g["weight"], "generator weight"))
             for g in document["generators"]

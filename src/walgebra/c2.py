@@ -1,7 +1,7 @@
 """Replayable certificates of C_n-membership for the c = -2 triplet algebra.
 
 A claim asserts that the vector of a formal mode expression lies in C_2 of
-the vacuum algebra, justified by one of five mechanically checkable rules:
+the vacuum algebra, justified by one of six mechanically checkable rules:
 
 * ManifestMember     -- the leftmost mode is deep enough (math index <= -n);
 * PrefixInvariance   -- nonpositive-math-index modes prefix an earlier claim;
@@ -9,6 +9,9 @@ the vacuum algebra, justified by one of five mechanically checkable rules:
                         the declared null vectors (exact state arithmetic);
 * WeightBoundedBracket -- a [W,W] commutator whose declared channels all have
                         weight <= 2h-1, hence land at math index <= -2;
+* Reorder            -- nonpositive conformal modes moved across the W modes
+                        of an earlier claim, every commutator fired on the
+                        way weight-bounded;
 * LinearCombination  -- exact combination of earlier claims plus manifest
                         remainder.
 
@@ -20,13 +23,15 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import get_args
 
-from .algebra import AlgebraSpec, Mode, convert_index
+from .algebra import AlgebraSpec, Mode, bracket, convert_index
 from .engine import Engine, State
 from .scalar import Poly, parse_poly, render_poly
-from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
+from .singular import (DEFAULT_TABLE, SingularTable, load_triplet_p2_spec,
+                       null_vector_terms)
 
 # expression: formal sum of mode compositions applied to the vacuum
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -184,6 +189,79 @@ class StepReport:
 # --- verification ------------------------------------------------------------
 
 
+def _cited(rule: Rule) -> tuple[int, ...]:
+    """The earlier claims a rule rests on, in order: the `uses` of its claim."""
+    if isinstance(rule, (PrefixInvarianceRule, ReorderRule)):
+        return (rule.base,)
+    if isinstance(rule, LinearCombinationRule):
+        return tuple(claim_id for _, claim_id in rule.parts)
+    return ()
+
+
+def _implied_vector(rule: Rule, cert: Certificate) -> Expression | None:
+    """The vector a prefix, reorder or bracket rule states outright, from its
+    parameters and the claims it cites; None for the other rules."""
+    if isinstance(rule, PrefixInvarianceRule):
+        return expr_prefix(rule.prefix, cert.step(rule.base).vector)
+    if isinstance(rule, ReorderRule):
+        return expression((1, rule.prefix + rule.block))
+    if isinstance(rule, WeightBoundedBracketRule):
+        return expression((1, (rule.a, rule.b) + rule.right),
+                          (-1, (rule.b, rule.a) + rule.right))
+    return None
+
+
+def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
+                 remainder: Expression, engine: Engine) -> tuple[bool, str]:
+    """vector - sum coeff * known - remainder vanishes, formally or else as a
+    state, and every remainder term is prefixed-manifest."""
+    for _, seq in remainder:
+        if not prefixed_manifest(seq, 2, engine.spec):
+            return False, f"remainder term {seq} is not prefixed-manifest"
+    residual = expr_add(vector, expr_scale(remainder, -1))
+    for coeff, known_vector in known:
+        residual = expr_add(residual, expr_scale(known_vector, -coeff))
+    if residual:
+        # formal cancellation failed; fall back to exact state arithmetic
+        total = engine.evaluate(residual)
+        if total:
+            return False, f"residual: {total.render()}"
+    return True, ""
+
+
+def _commute_T_past_W(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
+                      spec: AlgebraSpec) -> Expression:
+    """Rewrite the composition prefix+block as block+prefix plus bracket
+    terms, using only pairwise mode brackets.  Returns the bracket terms."""
+    done: list[tuple[Poly, tuple[Mode, ...]]] = []
+    work = [(Poly.const(1), tuple(prefix) + tuple(block))]
+
+    def sort_key(m: Mode) -> int:
+        # W modes before T modes: move every T right past every W
+        return 0 if m.field != "T" else 1
+
+    while work:
+        coeff, seq = work.pop()
+        for i in range(len(seq) - 1):
+            x, y = seq[i], seq[i + 1]
+            if sort_key(x) > sort_key(y):
+                swapped = seq[:i] + (y, x) + seq[i + 2:]
+                work.append((coeff, swapped))
+                ops = bracket(x, y, spec)
+                if ops.central:
+                    raise CertificateError("unexpected central term in trace")
+                for c2, mode in ops.terms:
+                    work.append((coeff * c2, seq[:i] + (mode,) + seq[i + 2:]))
+                break
+        else:
+            done.append((coeff, seq))
+    target = tuple(block) + tuple(prefix)
+    trace = expr_add(tuple(done), expression((-1, target)))
+    if any(seq == target for _, seq in trace):
+        raise CertificateError("commutation trace lost the sorted word")
+    return trace
+
+
 def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
                 ) -> tuple[bool, str]:
     spec = engine.spec
@@ -191,6 +269,11 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
     earlier = {s.id for s in cert.steps if s.id < claim.id}
     if any(u not in earlier for u in claim.uses):
         return False, "claim cites a step that is not strictly earlier"
+    if any(u not in claim.uses for u in _cited(rule)):
+        return False, "the rule rests on a claim that the step does not cite"
+    want = _implied_vector(rule, cert)
+    if want is not None and expr_add(claim.vector, expr_scale(want, -1)):
+        return False, f"vector is not the one the {rule.name} rule states"
 
     if isinstance(rule, ManifestMemberRule):
         for _, seq in claim.vector:
@@ -199,32 +282,14 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         return True, ""
 
     if isinstance(rule, PrefixInvarianceRule):
-        if rule.base not in earlier or rule.base not in claim.uses:
-            return False, "prefix base must be cited and earlier"
         for m in rule.prefix:
             if math_index(m, spec) > 0:
                 return False, f"prefix mode {m} has positive math index"
-        base = cert.step(rule.base)
-        want = expr_prefix(rule.prefix, base.vector)
-        if expr_add(claim.vector, expr_scale(want, -1)):
-            return False, "vector is not the stated prefix of the base claim"
         return True, ""
 
     if isinstance(rule, SingularRewriteRule):
-        residual = claim.vector
-        for coeff, (a, b) in rule.nulls:
-            null = expr_scale(null_vector_terms(a, b, cert.table), -coeff)
-            residual = expr_add(residual, null)
-        residual = expr_add(residual, expr_scale(rule.remainder, -1))
-        for _, seq in rule.remainder:
-            if not prefixed_manifest(seq, 2, spec):
-                return False, f"remainder term {seq} is not prefixed-manifest"
-        if residual:
-            # formal cancellation failed; fall back to exact state arithmetic
-            total = engine.evaluate(residual)
-            if total:
-                return False, f"rewrite residual: {total.render()}"
-        return True, ""
+        nulls = [(c, null_vector_terms(a, b, cert.table)) for c, (a, b) in rule.nulls]
+        return _combination(claim.vector, nulls, rule.remainder, engine)
 
     if isinstance(rule, WeightBoundedBracketRule):
         ha = spec.weight_of(rule.a.field)
@@ -237,18 +302,10 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
                     return False, f"channel {k} of weight {hk} violates the bound"
                 if convert_index(msum, hk, "phys_to_math") > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
-        want = expression(
-            (1, (rule.a, rule.b) + rule.right),
-            (-1, (rule.b, rule.a) + rule.right),
-        )
-        if expr_add(claim.vector, expr_scale(want, -1)):
-            return False, "vector is not the stated commutator expression"
         # replay the channel expansion exactly
         lhs = engine.evaluate(claim.vector)
         rhs = State()
-        from .algebra import bracket as _bracket
-
-        ops = _bracket(rule.a, rule.b, spec)
+        ops = bracket(rule.a, rule.b, spec)
         right_state = engine.normal_order(rule.right)
         for coeff, mode in ops.terms:
             rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
@@ -259,41 +316,20 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         return True, ""
 
     if isinstance(rule, ReorderRule):
-        if rule.base not in earlier or rule.base not in claim.uses:
-            return False, "reorder base must be cited and earlier"
         for m in rule.prefix:
             if math_index(m, spec) > 0 or m.field != "T":
                 return False, f"reorder prefix mode {m} not allowed"
-        base = cert.step(rule.base)
-        if expr_add(base.vector,
+        if expr_add(cert.step(rule.base).vector,
                     expr_scale(expression((1, rule.block + rule.prefix)), -1)):
             return False, "base claim does not hold the reordered composition"
-        if expr_add(claim.vector,
-                    expr_scale(expression((1, rule.prefix + rule.block)), -1)):
-            return False, "vector is not the stated composition"
-        trace = _commute_T_past_W(rule.prefix, rule.block, spec)
-        for _, seq in trace:
+        for _, seq in _commute_T_past_W(rule.prefix, rule.block, spec):
             if not prefixed_manifest(seq, 2, spec):
                 return False, f"trace term {seq} is not prefixed-manifest"
         return True, ""
 
     if isinstance(rule, LinearCombinationRule):
-        residual = claim.vector
-        for coeff, claim_id in rule.parts:
-            if claim_id not in earlier or claim_id not in claim.uses:
-                return False, f"part {claim_id} must be cited and earlier"
-            residual = expr_add(
-                residual, expr_scale(cert.step(claim_id).vector, -coeff)
-            )
-        for _, seq in rule.remainder:
-            if not prefixed_manifest(seq, 2, spec):
-                return False, f"remainder term {seq} is not prefixed-manifest"
-        residual = expr_add(residual, expr_scale(rule.remainder, -1))
-        if residual:
-            total = engine.evaluate(residual)
-            if total:
-                return False, f"combination residual: {total.render()}"
-        return True, ""
+        parts = [(c, cert.step(claim_id).vector) for c, claim_id in rule.parts]
+        return _combination(claim.vector, parts, rule.remainder, engine)
 
     return False, f"unknown rule {rule!r}"
 
@@ -306,9 +342,9 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
     reports: list[StepReport] = []
     seen: set[int] = set()
     for claim in cert.steps:
-        if claim.id in seen or any(u >= claim.id for u in claim.uses):
+        if claim.id in seen:
             reports.append(StepReport(claim.id, False, claim.label,
-                                      "step ordering violated"))
+                                      "duplicate step id"))
             return False, reports
         seen.add(claim.id)
         ok, detail = _check_rule(claim, cert, engine)
@@ -334,45 +370,6 @@ def _t(n: int) -> Mode:
     return Mode("T", n)
 
 
-def _commute_T_past_W(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
-                      spec: AlgebraSpec) -> Expression:
-    """Rewrite the composition prefix+block as block+prefix plus bracket
-    terms, using only pairwise mode brackets.  Returns the bracket terms."""
-    from .algebra import bracket as _bracket
-
-    done: list[tuple[Poly, tuple[Mode, ...]]] = []
-    work = [(Poly.const(1), tuple(prefix) + tuple(block))]
-    target = tuple(block) + tuple(prefix)
-
-    def sort_key(m: Mode) -> int:
-        # W modes before T modes: move every T right past every W
-        return 0 if m.field != "T" else 1
-
-    while work:
-        coeff, seq = work.pop()
-        for i in range(len(seq) - 1):
-            x, y = seq[i], seq[i + 1]
-            if sort_key(x) > sort_key(y):
-                swapped = seq[:i] + (y, x) + seq[i + 2:]
-                work.append((coeff, swapped))
-                ops = _bracket(x, y, spec)
-                if ops.central:
-                    raise CertificateError("unexpected central term in trace")
-                for c2, mode in ops.terms:
-                    work.append((coeff * c2, seq[:i] + (mode,) + seq[i + 2:]))
-                break
-        else:
-            done.append((coeff, seq))
-    acc: dict[tuple[Mode, ...], Poly] = {}
-    for coeff, seq in done:
-        acc[seq] = acc.get(seq, Poly.zero()) + coeff
-    if acc.get(target) != Poly.const(1):
-        raise CertificateError("commutation trace lost the sorted word")
-    del acc[target]
-    return tuple(sorted(((c, s) for s, c in acc.items() if c),
-                        key=lambda t: t[1]))
-
-
 def certify_triplet_p2(table: SingularTable | None = None,
                        spec: AlgebraSpec | None = None) -> Certificate:
     """Certificate that (W^a_{-3})^m O (m = 3,4,5), the mixed and difference
@@ -384,22 +381,20 @@ def certify_triplet_p2(table: SingularTable | None = None,
             "the L_{-2}^3 coefficient of the null vector must be nonzero"
         )
     if spec is None:
-        from .singular import load_triplet_p2_spec
-
         spec = load_triplet_p2_spec()
-    steps: list[MembershipClaim] = []
-    targets: list[int] = []
-    next_id = 1
+    cert = Certificate(table, [], [])
 
-    def add(vector, rule, uses=(), depends=(), label="", target=False):
-        nonlocal next_id
-        claim = MembershipClaim(next_id, vector, rule, tuple(uses),
-                                tuple(depends), label)
-        steps.append(claim)
+    def add(rule, vector=None, depends=(), label="", target=False):
+        """Append a claim citing what its rule rests on; the vector defaults
+        to the one the rule states."""
+        claim_id = len(cert.steps) + 1
+        if vector is None:
+            vector = _implied_vector(rule, cert)
+        cert.steps.append(MembershipClaim(claim_id, vector, rule, _cited(rule),
+                                          tuple(depends), label))
         if target:
-            targets.append(next_id)
-        next_id += 1
-        return claim.id
+            cert.targets.append(claim_id)
+        return claim_id
 
     def rewrite(vector: Expression, a: int, b: int) -> SingularRewriteRule:
         """vector = N^ab + what remains of vector once N^ab is subtracted."""
@@ -411,8 +406,8 @@ def certify_triplet_p2(table: SingularTable | None = None,
     for a, b in ((1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)):
         quadratic = expression((1, (_w(a), _w(b))))
         mixed_ids[(a, b)] = add(
-            quadratic,
             rewrite(quadratic, a, b),
+            quadratic,
             depends=("c5", "c6"),
             label=f"W{a}(-3) W{b}(-3) |0> in C2",
             target=True,
@@ -420,39 +415,33 @@ def certify_triplet_p2(table: SingularTable | None = None,
 
     # difference of squares
     diff_id = add(
-        expression((1, (_w(1), _w(1))), (-1, (_w(2), _w(2)))),
         SingularRewriteRule(
             ((Poly.const(1), (1, 1)), (Poly.const(-1), (2, 2))), ()
         ),
+        expression((1, (_w(1), _w(1))), (-1, (_w(2), _w(2)))),
         label="(W1(-3)^2 - W2(-3)^2) |0> in C2",
         target=True,
     )
 
     # cube: W1^3 = W1 (W1^2 - W2^2) + W2 (W1 W2) + [W1, W2] W2
     sq_prefix = add(
-        expr_prefix((_w(1),), steps[diff_id - 1].vector),
         PrefixInvarianceRule((_w(1),), diff_id),
-        uses=(diff_id,),
         label="W1(-3) (W1^2 - W2^2) |0> in C2",
     )
     swap_prefix = add(
-        expr_prefix((_w(2),), steps[mixed_ids[(1, 2)] - 1].vector),
         PrefixInvarianceRule((_w(2),), mixed_ids[(1, 2)]),
-        uses=(mixed_ids[(1, 2)],),
         label="W2(-3) W1(-3) W2(-3) |0> in C2",
     )
     bracket_id = add(
-        expression((1, (_w(1), _w(2), _w(2))), (-1, (_w(2), _w(1), _w(2)))),
         WeightBoundedBracketRule(_w(1), _w(2), (_w(2),)),
         label="[W1(-3), W2(-3)] W2(-3) |0> in C2",
     )
     cube_id = add(
-        expression((1, (_w(1), _w(1), _w(1)))),
         LinearCombinationRule(
             ((Poly.const(1), sq_prefix), (Poly.const(1), swap_prefix),
              (Poly.const(1), bracket_id)),
         ),
-        uses=(sq_prefix, swap_prefix, bracket_id),
+        expression((1, (_w(1), _w(1), _w(1)))),
         label="W1(-3)^3 |0> in C2",
         target=True,
     )
@@ -461,9 +450,7 @@ def certify_triplet_p2(table: SingularTable | None = None,
     power_ids = {3: cube_id}
     for m in (4, 5):
         power_ids[m] = add(
-            expr_prefix((_w(1),), steps[power_ids[m - 1] - 1].vector),
             PrefixInvarianceRule((_w(1),), power_ids[m - 1]),
-            uses=(power_ids[m - 1],),
             label=f"W1(-3)^{m} |0> in C2",
             target=True,
         )
@@ -472,54 +459,46 @@ def certify_triplet_p2(table: SingularTable | None = None,
     l2cube = (_t(-2), _t(-2), _t(-2))
     shifted = expression((1, (_w(1), _w(1))), (-table.c1, l2cube))
     shifted_id = add(
-        shifted,
         rewrite(shifted, 1, 1),
+        shifted,
         depends=("c1", "c2", "c3", "c4"),
         label="(W1(-3)^2 - c1 L(-2)^3) |0> in C2",
     )
 
     # W1^2 (W1^2 - c1 L^3)
     w2_shift = add(
-        expr_prefix((_w(1), _w(1)), steps[shifted_id - 1].vector),
         PrefixInvarianceRule((_w(1), _w(1)), shifted_id),
-        uses=(shifted_id,),
         label="W1^2 (W1^2 - c1 L(-2)^3) |0> in C2",
     )
 
     # W1^2 L^3 = (1/c1)(W1^4 - W1^2 (W1^2 - c1 L^3))
     inv_c1 = Fraction(1) / table.c1
     cross1 = add(
-        expression((1, (_w(1), _w(1)) + l2cube)),
         LinearCombinationRule(
             ((Poly.const(inv_c1), power_ids[4]),
              (Poly.const(-inv_c1), w2_shift)),
         ),
-        uses=(power_ids[4], w2_shift),
+        expression((1, (_w(1), _w(1)) + l2cube)),
         depends=("c1",),
         label="W1(-3)^2 L(-2)^3 |0> in C2",
     )
 
     # L^3 W1^2 = W1^2 L^3 + weight-bounded commutator trace
     cross2 = add(
-        expression((1, l2cube + (_w(1), _w(1)))),
         ReorderRule(l2cube, (_w(1), _w(1)), cross1),
-        uses=(cross1,),
         depends=("c1",),
         label="L(-2)^3 W1(-3)^2 |0> in C2",
     )
 
     # L^3 (W1^2 - c1 L^3)
     l3_shift = add(
-        expr_prefix(l2cube, steps[shifted_id - 1].vector),
         PrefixInvarianceRule(l2cube, shifted_id),
-        uses=(shifted_id,),
         label="L(-2)^3 (W1^2 - c1 L(-2)^3) |0> in C2",
     )
 
     # c1^2 L^6 = (W1^2 - c1 L^3)^2 expanded through the claims above
     inv_c1_sq = inv_c1 * inv_c1
     add(
-        expression((1, l2cube + l2cube)),
         LinearCombinationRule(
             (
                 (Poly.const(inv_c1_sq), w2_shift),
@@ -529,13 +508,13 @@ def certify_triplet_p2(table: SingularTable | None = None,
                 (Poly.const(inv_c1), cross2),
             ),
         ),
-        uses=(w2_shift, l3_shift, power_ids[4], cross1, cross2),
+        expression((1, l2cube + l2cube)),
         depends=("c1",),
         label="L(-2)^6 |0> in C2",
         target=True,
     )
 
-    return Certificate(table, steps, targets)
+    return cert
 
 
 # --- serialization ----------------------------------------------------------------
@@ -582,49 +561,11 @@ def parse_expression(text: str) -> Expression:
         pos = sep.end()
 
 
-def _mode_to_str(m: Mode) -> str:
-    return m.render()
-
-
 def _mode_from_str(s: str) -> Mode:
     m = _MODE_RE.fullmatch(s.strip())
     if not m:
         raise CertificateError(f"bad mode {s!r}")
     return Mode(m.group(1), int(m.group(2)))
-
-
-def _rule_to_dict(rule: Rule) -> dict:
-    if isinstance(rule, ManifestMemberRule):
-        return {"n": rule.n}
-    if isinstance(rule, PrefixInvarianceRule):
-        return {"prefix": [_mode_to_str(m) for m in rule.prefix],
-                "base": rule.base}
-    if isinstance(rule, SingularRewriteRule):
-        return {
-            "nulls": [
-                {"coeff": render_poly(c), "a": a, "b": b}
-                for c, (a, b) in rule.nulls
-            ],
-            "remainder": render_expression(rule.remainder),
-        }
-    if isinstance(rule, WeightBoundedBracketRule):
-        return {
-            "a": _mode_to_str(rule.a),
-            "b": _mode_to_str(rule.b),
-            "right": [_mode_to_str(m) for m in rule.right],
-        }
-    if isinstance(rule, ReorderRule):
-        return {
-            "prefix": [_mode_to_str(m) for m in rule.prefix],
-            "block": [_mode_to_str(m) for m in rule.block],
-            "base": rule.base,
-        }
-    if isinstance(rule, LinearCombinationRule):
-        return {
-            "parts": [{"coeff": render_poly(c), "id": i} for c, i in rule.parts],
-            "remainder": render_expression(rule.remainder),
-        }
-    raise CertificateError(f"unknown rule {rule!r}")
 
 
 def _typed(value, kind: type):
@@ -633,41 +574,49 @@ def _typed(value, kind: type):
     return value
 
 
+# each rule's JSON params are its dataclass fields, written by field name
+_RULES = {rule.name: rule for rule in get_args(Rule)}
+
+
+def _param_to_json(key: str, value):
+    if key in ("n", "base"):
+        return value
+    if key in ("a", "b"):
+        return value.render()
+    if key in ("prefix", "block", "right"):
+        return [m.render() for m in value]
+    if key == "remainder":
+        return render_expression(value)
+    if key == "nulls":
+        return [{"coeff": render_poly(c), "a": a, "b": b} for c, (a, b) in value]
+    return [{"coeff": render_poly(c), "id": i} for c, i in value]  # parts
+
+
+def _param_from_json(key: str, value):
+    if key in ("n", "base"):
+        return _typed(value, int)
+    if key in ("a", "b"):
+        return _mode_from_str(value)
+    if key in ("prefix", "block", "right"):
+        return tuple(_mode_from_str(s) for s in value)
+    if key == "remainder":
+        return parse_expression(value)
+    if key == "nulls":
+        return tuple((parse_poly(e["coeff"]),
+                      (_typed(e["a"], int), _typed(e["b"], int))) for e in value)
+    return tuple((parse_poly(e["coeff"]), _typed(e["id"], int)) for e in value)
+
+
+def _rule_to_dict(rule: Rule) -> dict:
+    return {f.name: _param_to_json(f.name, getattr(rule, f.name))
+            for f in fields(rule)}
+
+
 def _rule_from_dict(name: str, params: dict) -> Rule:
-    if name == "ManifestMember":
-        return ManifestMemberRule(_typed(params["n"], int))
-    if name == "PrefixInvariance":
-        return PrefixInvarianceRule(
-            tuple(_mode_from_str(s) for s in params["prefix"]),
-            _typed(params["base"], int),
-        )
-    if name == "SingularRewrite":
-        return SingularRewriteRule(
-            tuple(
-                (parse_poly(e["coeff"]), (_typed(e["a"], int), _typed(e["b"], int)))
-                for e in params["nulls"]
-            ),
-            parse_expression(params["remainder"]),
-        )
-    if name == "WeightBoundedBracket":
-        return WeightBoundedBracketRule(
-            _mode_from_str(params["a"]),
-            _mode_from_str(params["b"]),
-            tuple(_mode_from_str(s) for s in params["right"]),
-        )
-    if name == "Reorder":
-        return ReorderRule(
-            tuple(_mode_from_str(s) for s in params["prefix"]),
-            tuple(_mode_from_str(s) for s in params["block"]),
-            _typed(params["base"], int),
-        )
-    if name == "LinearCombination":
-        return LinearCombinationRule(
-            tuple((parse_poly(e["coeff"]), _typed(e["id"], int))
-                  for e in params["parts"]),
-            parse_expression(params["remainder"]),
-        )
-    raise CertificateError(f"unknown rule name {name!r}")
+    if name not in _RULES:
+        raise CertificateError(f"unknown rule name {name!r}")
+    cls = _RULES[name]
+    return cls(**{f.name: _param_from_json(f.name, params[f.name]) for f in fields(cls)})
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

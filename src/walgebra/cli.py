@@ -12,7 +12,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Mode, SpecError, central_charge_p1, load_spec, make_virasoro_spec
+from .algebra import (Mode, SpecError, bracket, central_charge_p1, load_spec,
+                      make_virasoro_spec)
 from .c2 import certificate_to_json, certify_triplet_p2, verify_certificate
 from .derivation import MAX_P, alpha_nonzero_report
 from .qseries import (
@@ -97,10 +98,8 @@ def cmd_bracket(args) -> int:
         spec = load_triplet_p2_spec()
     left = _parse_mode(args.left)
     right = _parse_mode(args.right)
-    from .algebra import bracket as _bracket
-
     try:
-        ops = _bracket(left, right, spec)
+        ops = bracket(left, right, spec)
     except SpecError as exc:
         raise InputError(str(exc)) from exc
     if args.format == "json":

@@ -9,8 +9,8 @@ coefficient in the singular vector.
 
 Everything is exact; the only symbols in play are C (the structure constant
 of the [W,W] tower channel), CWWT, dWW and the aggregate unknown B.
-All computations are carried out modulo words of length < Delta-1; the
-discarded remainders are retained for audit.  The tower channel NT is
+All computations are carried out modulo words of length < Delta-1, which
+each projection drops.  The tower channel NT is
 declared at that top length only (`algebra.TopPower`): on the vacuum, the
 only state it meets here, its modes are sums over partitions, and no word
 shorter than Delta-1 is built for it.  p is bounded by `MAX_P`, which keeps
@@ -112,7 +112,6 @@ class DerivationReport:
     alpha_zero_consistent: bool
     difference: Poly
     assumptions: list[str] = field(default_factory=list)
-    audit: dict[str, State] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -155,17 +154,14 @@ class Derivation:
         self.spec = make_derivation_spec(p)
         self.engine = Engine(self.spec)
         self.mono = Monomials(self.delta)
-        self.audit: dict[str, State] = {}
 
     # -- helpers ---------------------------------------------------------------
 
     def _project(self, state: State, tag: str,
                  expected: set | None = None) -> State:
-        """Keep the words of length >= Delta-1, recording the dropped rest;
-        with `expected` given, any other kept word is a DerivationError."""
-        kept, dropped = project_with_audit(state, self.delta - 1)
-        if dropped:
-            self.audit[tag] = dropped
+        """Keep the words of length >= Delta-1; with `expected` given, any
+        other kept word is a DerivationError."""
+        kept = project_with_audit(state, self.delta - 1)[0]
         if expected is not None:
             stray = [w for w in kept.words() if w not in expected]
             if stray:
@@ -329,7 +325,6 @@ class Derivation:
             alpha_zero_consistent=consistent,
             difference=difference,
             assumptions=list(ASSUMPTIONS),
-            audit=dict(self.audit),
         )
 
 

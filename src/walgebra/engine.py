@@ -150,7 +150,7 @@ class State:
 
 def project_with_audit(state: State, min_length: int) -> tuple[State, State]:
     """Split a state into the words made of at least `min_length` modes and
-    the discarded remainder, kept for length-discipline audits."""
+    the remainder that a length projection drops."""
     kept = {w: c for w, c in state._t.items() if len(w) >= min_length}
     dropped = {w: c for w, c in state._t.items() if len(w) < min_length}
     return State(kept), State(dropped)

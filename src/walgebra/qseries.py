@@ -226,34 +226,28 @@ def verma_character(weights: list[int], c: Fraction, cutoff: int) -> QSeries:
     return out.shift(-Fraction(c) / 24)
 
 
-def triplet_theta_bracket(p: int, cutoff: int, extra_terms: int = 0) -> QSeries:
-    """sum_n (2n+1) q^(p n^2 + (p-1) n), the numerator of the triplet character
-    after factoring q^(-c/24); `extra_terms` widens the theta range (the
-    result must not change -- that is the truncation certificate)."""
+def triplet_theta_bracket(p: int, cutoff: int) -> QSeries:
+    """sum_s (2s+1) q^(p s^2 + (p-1) s), the numerator of the triplet character
+    after factoring q^(-c/24).  The exponent grows with |s| on each side of
+    s = 0, and the two sides never share an exponent, so n = |s| runs upward
+    until the smaller exponent p n^2 - (p-1) n, at s = -n, passes the cutoff."""
     coeffs: dict[int, int] = {}
     n = 0
-    width = 0
-    while True:
-        hit = False
+    while p * n * n - (p - 1) * n <= cutoff:
         for s in (n, -n) if n else (0,):
             e = p * s * s + (p - 1) * s
             if e <= cutoff:
-                coeffs[e] = coeffs.get(e, 0) + (2 * s + 1)
-                hit = True
-        if not hit:
-            width += 1
-            if width > extra_terms:
-                break
+                coeffs[e] = 2 * s + 1
         n += 1
     return QSeries(Fraction(0), coeffs, cutoff)
 
 
-def triplet_character(p: int, cutoff: int, extra_theta_terms: int = 0) -> QSeries:
+def triplet_character(p: int, cutoff: int) -> QSeries:
     """Character of the weight-(2p-1) triplet algebra at c_{p,1}."""
     if p < 2:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
-    bracket = triplet_theta_bracket(p, cutoff, extra_theta_terms)
+    bracket = triplet_theta_bracket(p, cutoff)
     series = phi(cutoff).inverse() * bracket
     return series.shift(-c / 24)
 

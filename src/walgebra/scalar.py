@@ -90,12 +90,7 @@ class Poly:
             for mono, c in terms.items():
                 c = _number(exact(c))
                 if c:
-                    acc = t.get(mono)
-                    c = c if acc is None else exact(acc + c)
-                    if c:
-                        t[mono] = c
-                    elif mono in t:
-                        del t[mono]
+                    t[mono] = c
         self._t = t
         self._hash: int | None = None
 
@@ -310,10 +305,6 @@ def _coerce(value) -> Poly:
 # --- rendering / parsing -----------------------------------------------------
 
 
-def render_rat(r: int | Fraction) -> str:
-    return str(r)
-
-
 def _render_mono(mono: Mono) -> str:
     parts = []
     for name, p in mono:
@@ -329,11 +320,11 @@ def render_poly(p: Poly) -> str:
         c = p._t[mono]
         m = _render_mono(mono)
         if not m:
-            body = render_rat(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = m
         else:
-            body = f"{render_rat(abs(c))}*{m}"
+            body = f"{abs(c)}*{m}"
         sign = "-" if c < 0 else "+"
         bits.append((sign, body))
     first_sign, first = bits[0]
@@ -415,10 +406,6 @@ def parse_poly(text: str) -> Poly:
     return Poly(terms)
 
 
-def parse_rat(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 # --- linear solver -------------------------------------------------------------
 
 
@@ -432,27 +419,43 @@ class SolveError(ValueError):
         self.free = free or []
 
 
-def _decompose(eq: Poly, unknowns: list[str]) -> tuple[dict[str, Poly], Poly]:
-    """Write eq = sum coeff_u * u + rest; each monomial may hold one unknown,
-    to the first power."""
+def _decompose(eq: Poly, unknowns: list[str]) -> dict[str | None, Poly]:
+    """Write eq = sum coeff_u * u + rest as the row {u: coeff_u, None: rest},
+    zeros left out; each monomial may hold one unknown, to the first power."""
     uset = set(unknowns)
-    coeffs: dict[str, dict[Mono, Fraction]] = {u: {} for u in unknowns}
-    rest: dict[Mono, Fraction] = {}
+    row: dict[str | None, dict[Mono, int | Fraction]] = {}
     for mono, c in eq.terms().items():
         present = [(s, p) for s, p in mono if s in uset]
         if not present:
-            rest[mono] = c
+            row.setdefault(None, {})[mono] = c
             continue
         if len(present) > 1 or present[0][1] > 1:
             raise SolveError(f"equation not linear in unknowns: {eq}")
         name = present[0][0]
         reduced = tuple((s, p) for s, p in mono if s != name)
-        coeffs[name][reduced] = c
-    return {u: Poly(t) for u, t in coeffs.items() if t}, Poly(rest)
+        row.setdefault(name, {})[reduced] = c
+    return {k: Poly(t) for k, t in row.items()}
+
+
+def _eliminate(row: dict[str | None, Poly], name: str,
+               pivot: dict[str | None, Poly]) -> dict[str | None, Poly]:
+    """row - c * (name + pivot), with c the row's coefficient on `name`; a
+    pivot row leaves its coefficient 1 on its own unknown implicit."""
+    c = row.get(name)
+    if c is None:
+        return row
+    neg = -c
+    out = {k: v for k, v in row.items() if k != name}
+    for k, v in pivot.items():
+        term = v * neg
+        out[k] = out[k] + term if k in out else term
+    return {k: v for k, v in out.items() if v}
 
 
 def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str, Poly]:
-    """Solve a linear system over the polynomial ring by elimination.
+    """Solve a linear system over the polynomial ring by Gauss-Jordan
+    elimination: each pivot row is scaled to 1 on its unknown u, and u is
+    eliminated from every other row, so each pivot row ends as u + rest = 0.
 
     Pivots must be nonzero rational constants (the systems this engine
     produces always have constant coefficients on their unknowns).
@@ -460,23 +463,21 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
     """
     names = list(unknowns)
     rows = [_decompose(eq, names) for eq in equations]
-    assignment: dict[str, Poly] = {}
+    pivots: dict[str, dict[str | None, Poly]] = {}
 
     remaining = list(names)
     while remaining:
         pivot_idx = pivot_name = None
-        for ri, (coeffs, _) in enumerate(rows):
+        for ri, row in enumerate(rows):
             for u in remaining:
-                c = coeffs.get(u)
+                c = row.get(u)
                 if c is not None and c.is_const() and c.const_value():
                     pivot_idx, pivot_name = ri, u
                     break
             if pivot_idx is not None:
                 break
         if pivot_idx is None:
-            appearing = sorted(
-                {u for coeffs, _ in rows for u in coeffs if u in remaining}
-            )
+            appearing = sorted({u for row in rows for u in row if u in remaining})
             if appearing:
                 raise SolveError(
                     f"no constant pivot for unknowns {appearing}", free=appearing
@@ -485,48 +486,18 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
                 f"underdetermined system; free unknowns: {sorted(remaining)}",
                 free=sorted(remaining),
             )
-        coeffs, rest = rows.pop(pivot_idx)
-        pv = coeffs.pop(pivot_name).const_value()
-        # pivot_name = -(rest + sum coeffs*u)/pv
-        inv = Fraction(-1) / pv
-        expr_rest = rest * inv
-        expr_coeffs = {u: c * inv for u, c in coeffs.items()}
+        row = rows.pop(pivot_idx)
+        inv = Fraction(1) / row.pop(pivot_name).const_value()
+        row = {k: v * inv for k, v in row.items()}
         remaining.remove(pivot_name)
-        # substitute into all other rows
-        new_rows = []
-        for rcoeffs, rrest in rows:
-            c = rcoeffs.pop(pivot_name, None)
-            if c is not None:
-                if not c.is_const():
-                    raise SolveError(f"nonconstant coefficient on {pivot_name}")
-                cv = c.const_value()
-                rrest = rrest + expr_rest * cv
-                for u, cu in expr_coeffs.items():
-                    rcoeffs[u] = rcoeffs.get(u, Poly()) + cu * cv
-                rcoeffs = {u: cc for u, cc in rcoeffs.items() if cc}
-            new_rows.append((rcoeffs, rrest))
-        rows = new_rows
-        # substitute into earlier assignments
-        for u, expr in list(assignment.items()):
-            c, r = expr.coeff_of_symbol(pivot_name)
-            if c:
-                repl = expr_rest + sum(
-                    (cc * Poly.sym(v) for v, cc in expr_coeffs.items()), Poly()
-                )
-                assignment[u] = r + c * repl
-        assignment[pivot_name] = expr_rest + sum(
-            (cc * Poly.sym(v) for v, cc in expr_coeffs.items()), Poly()
-        )
+        if any(pivot_name in r and not r[pivot_name].is_const() for r in rows):
+            raise SolveError(f"nonconstant coefficient on {pivot_name}")
+        rows = [_eliminate(r, pivot_name, row) for r in rows]
+        pivots = {u: _eliminate(r, pivot_name, row) for u, r in pivots.items()}
+        pivots[pivot_name] = row
 
-    for coeffs, rest in rows:
-        if coeffs:
-            raise SolveError(f"unresolved coefficients remain: {coeffs}")
+    for row in rows:
+        rest = row.get(None)
         if rest:
             raise SolveError(f"inconsistent system, residual {rest}", residual=rest)
-
-    for u, expr in assignment.items():
-        if expr.symbols() & set(names):
-            raise SolveError(
-                f"underdetermined: {u} depends on free unknowns", free=names
-            )
-    return assignment
+    return {u: -row.get(None, Poly()) for u, row in pivots.items()}

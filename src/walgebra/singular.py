@@ -9,13 +9,14 @@ the annihilation equations for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 
 from .algebra import AlgebraSpec, Mode, load_spec
 from .engine import Engine, State
-from .scalar import Poly, SolveError, render_poly, solve_linear
+from .scalar import Poly, SolveError, exact, render_poly, solve_linear
 
 EPSILON = {
     (1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
@@ -30,17 +31,20 @@ class SingularTable:
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O
          + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O."""
 
-    c1: Fraction = Fraction(8, 9)
-    c2: Fraction = Fraction(19, 36)
-    c3: Fraction = Fraction(14, 9)
-    c4: Fraction = Fraction(16, 9)
-    c5: Fraction = Fraction(2)
-    c6: Fraction = Fraction(5, 4)
+    c1: int | Fraction = Fraction(8, 9)
+    c2: int | Fraction = Fraction(19, 36)
+    c3: int | Fraction = Fraction(14, 9)
+    c4: int | Fraction = Fraction(16, 9)
+    c5: int | Fraction = 2
+    c6: int | Fraction = Fraction(5, 4)
+
+    def __post_init__(self):
+        # stored exactly through scalar.exact: a float raises TypeError
+        for f in fields(self):
+            object.__setattr__(self, f.name, exact(getattr(self, f.name)))
 
     def replace(self, **kw) -> "SingularTable":
-        vals = {k: getattr(self, k) for k in ("c1", "c2", "c3", "c4", "c5", "c6")}
-        vals.update({k: Fraction(v) for k, v in kw.items()})
-        return SingularTable(**vals)
+        return dataclasses.replace(self, **kw)
 
 
 DEFAULT_TABLE = SingularTable()
@@ -99,6 +103,11 @@ def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE
     return out
 
 
+def _symbolic_constants(spec: AlgebraSpec) -> list[str]:
+    """The symbols of the spec's structure constants, I aside, sorted."""
+    return sorted({s for v in spec.constants.values() for s in v.symbols()} - {"I"})
+
+
 @dataclass
 class SolveReport:
     consistent: bool
@@ -122,9 +131,7 @@ def solve_structure_constants(spec: AlgebraSpec | None = None,
     annihilation equations of the table vectors."""
     spec = spec or load_triplet_p2_spec()
     engine = Engine(spec)
-    unknowns = sorted(
-        {s for v in spec.constants.values() for s in v.symbols()} - {"I"}
-    )
+    unknowns = _symbolic_constants(spec)
     equations = []
     for state in annihilation_states(engine, table).values():
         equations.extend(state.terms().values())
@@ -168,9 +175,7 @@ def verify_singular_p2(spec: AlgebraSpec | None = None, *,
         report = solve_structure_constants(spec, table)
         return report.consistent, report.to_dict()
     engine = Engine(spec)
-    symbolic = sorted(
-        {s for v in spec.constants.values() for s in v.symbols()} - {"I"}
-    )
+    symbolic = _symbolic_constants(spec)
     if symbolic:
         raise SolveError(
             f"spec carries symbolic constants {symbolic}; "

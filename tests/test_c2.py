@@ -197,6 +197,54 @@ def test_corrupt_any_step_fails(cert, spec):
         assert not ok, f"corrupted step {step.id} slipped through"
 
 
+def _rule_parameter_cases():
+    """(step index, field, term index) for every null coefficient, part
+    coefficient and remainder term of the p = 2 certificate."""
+    cases = []
+    for idx, step in enumerate(certify_triplet_p2().steps):
+        for field in ("nulls", "parts", "remainder"):
+            for term in range(len(getattr(step.rule, field, ()))):
+                cases.append(pytest.param(idx, field, term,
+                                          id=f"step{step.id}-{field}{term}"))
+    return cases
+
+
+RULE_PARAMETER_CASES = _rule_parameter_cases()
+
+
+def test_rule_parameter_cases_cover_every_coefficient():
+    assert len(RULE_PARAMETER_CASES) == 34
+
+
+@pytest.mark.parametrize("idx, field, term", RULE_PARAMETER_CASES)
+def test_corrupted_rule_parameter_fails(cert, spec, idx, field, term):
+    # triple one coefficient of a rule's own parameters; the claim vector is
+    # left as it was
+    bad = certificate_from_json(certificate_to_json(cert))
+    step = bad.steps[idx]
+    items = list(getattr(step.rule, field))
+    items[term] = (items[term][0] * 3, items[term][1])
+    rule = dataclasses.replace(step.rule, **{field: tuple(items)})
+    bad.steps[idx] = dataclasses.replace(step, rule=rule)
+    ok, reports = verify_certificate(bad, spec)
+    assert not ok
+    assert reports[-1].id == step.id and not reports[-1].ok
+
+
+def test_uncited_rule_base_fails(cert, spec):
+    # a prefix, reorder or combination step that does not cite the claims
+    # its rule rests on is rejected, even though those claims are earlier
+    text = certificate_to_json(cert)
+    cited = [idx for idx, step in enumerate(cert.steps) if step.uses]
+    assert len(cited) == 10
+    for idx in cited:
+        bad = certificate_from_json(text)
+        step = bad.steps[idx]
+        bad.steps[idx] = dataclasses.replace(step, uses=step.uses[1:])
+        ok, reports = verify_certificate(bad, spec)
+        assert not ok and reports[-1].id == step.id, step.id
+
+
 def test_ordering_violation_fails(cert, spec):
     bad = certificate_from_json(certificate_to_json(cert))
     # make some later step cite a claim that does not exist yet

@@ -126,17 +126,6 @@ def test_lowering_consistency(p, derivation):
     assert direct == indirect
 
 
-def test_length_discipline_audit(derivation):
-    der = derivation(3)
-    rep = der.report()
-    # every audited discarded remainder contains only words shorter than d-1
-    assert rep.audit  # projections did discard sub-threshold material
-    for tag, dropped in rep.audit.items():
-        assert dropped, tag
-        for word in dropped.words():
-            assert len(word) < der.delta - 1, (tag, word)
-
-
 def test_invalid_p():
     with pytest.raises(ValueError):
         alpha_nonzero_report(1)

@@ -164,7 +164,17 @@ def test_p2_overlap_is_nine():
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_theta_truncation_certified(p):
-    assert triplet_character(p, 25) == triplet_character(p, 25, extra_theta_terms=3)
+    # brute force over every |s| <= cutoff: p s^2 + (p-1) s >= |s| for p >= 2,
+    # so no term past |s| = cutoff can land at or below the cutoff
+    cutoff = 60
+    coeffs = {}
+    for s in range(-cutoff, cutoff + 1):
+        e = p * s * s + (p - 1) * s
+        if e <= cutoff:
+            coeffs[e] = coeffs.get(e, 0) + 2 * s + 1
+    bracket = triplet_theta_bracket(p, cutoff)
+    assert bracket.cutoff == cutoff
+    assert bracket.coeffs == {e: c for e, c in coeffs.items() if c}
 
 
 def test_cutoff_bookkeeping_is_conservative():

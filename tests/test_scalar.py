@@ -1,8 +1,8 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walgebra.algebra import channel_poly, make_derivation_spec, p_poly
@@ -242,5 +242,59 @@ def test_solve_substitution_residuals():
     B, C, D = Poly.sym("B"), Poly.sym("C"), Poly.sym("D")
     eqs = [B * 2 + C * 3 - 1, C * 4 + D, D - B + 5]
     sol = solve_linear(eqs, ["B", "C", "D"])
+    for eq in eqs:
+        assert eq.substitute(sol).is_zero()
+
+
+def test_solve_late_pivot_back_substitutes():
+    # x has a constant coefficient only in the second row, so y is pivoted
+    # first on row 0, and x = 2 must then be eliminated from y's row, where
+    # its coefficient is C
+    x, y, C = Poly.sym("x"), Poly.sym("y"), Poly.sym("C")
+    eqs = [C * x + y - 1, x - 2]
+    sol = solve_linear(eqs, ["x", "y"])
+    assert sol == {"x": Poly.const(2), "y": 1 - C * 2}
+    for eq in eqs:
+        assert eq.substitute(sol).is_zero()
+
+
+def _det(matrix) -> Fraction:
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1) ** inversions
+        for i in range(n):
+            term *= matrix[i][perm[i]]
+        total += term
+    return total
+
+
+@st.composite
+def nonsingular_systems(draw):
+    """sum_j A_ij x_j + b_i = 0 with A an invertible rational matrix and each
+    b_i a polynomial in I and C."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    matrix = draw(st.lists(st.lists(exact_numbers, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    assume(_det(matrix) != 0)
+    names = [f"x{j}" for j in range(n)]
+    eqs = []
+    for row in matrix:
+        eq = draw(ic_polys())
+        for a, name in zip(row, names):
+            eq = eq + Poly.sym(name) * a
+        eqs.append(eq)
+    return eqs, names
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonsingular_systems())
+def test_solve_round_trip(system):
+    eqs, names = system
+    sol = solve_linear(eqs, names)
+    assert sorted(sol) == names
+    for value in sol.values():
+        assert value.symbols() <= {"I", "C"}
     for eq in eqs:
         assert eq.substitute(sol).is_zero()

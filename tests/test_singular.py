@@ -90,3 +90,14 @@ def test_all_eighteen_annihilations(numeric_spec):
     states = annihilation_states(Engine(numeric_spec))
     assert len(states) == 18
     assert all(s.is_zero() for s in states.values())
+
+
+def test_table_values_are_exact():
+    with pytest.raises(TypeError):
+        SingularTable().replace(c1=0.1)
+    with pytest.raises(TypeError):
+        SingularTable(c6=1.25)
+    table = SingularTable().replace(c1=Fraction(4, 2), c2=Fraction(1, 3))
+    assert type(table.c1) is int and table.c1 == 2
+    assert table.c2 == Fraction(1, 3) and table.c3 == Fraction(14, 9)
+    assert type(SingularTable().c5) is int
