@@ -30,8 +30,7 @@ from typing import get_args
 from .algebra import AlgebraSpec, Mode, bracket, convert_index
 from .engine import Engine, State
 from .scalar import Poly, parse_poly, render_poly
-from .singular import (DEFAULT_TABLE, SingularTable, load_triplet_p2_spec,
-                       null_vector_terms)
+from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 # expression: formal sum of mode compositions applied to the vacuum
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -370,8 +369,7 @@ def _t(n: int) -> Mode:
     return Mode("T", n)
 
 
-def certify_triplet_p2(table: SingularTable | None = None,
-                       spec: AlgebraSpec | None = None) -> Certificate:
+def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
     """Certificate that (W^a_{-3})^m O (m = 3,4,5), the mixed and difference
     quadratics, and L_{-2}^6 O all lie in C_2, from the declared level-6
     null vectors."""
@@ -380,8 +378,6 @@ def certify_triplet_p2(table: SingularTable | None = None,
         raise CertificateError(
             "the L_{-2}^3 coefficient of the null vector must be nonzero"
         )
-    if spec is None:
-        spec = load_triplet_p2_spec()
     cert = Certificate(table, [], [])
 
     def add(rule, vector=None, depends=(), label="", target=False):

@@ -17,6 +17,7 @@ from .algebra import (Mode, SpecError, bracket, central_charge_p1, load_spec,
 from .c2 import certificate_to_json, certify_triplet_p2, verify_certificate
 from .derivation import MAX_P, alpha_nonzero_report
 from .qseries import (
+    MAX_CUTOFF,
     QSeries,
     QSeriesError,
     chi_tilde,
@@ -79,6 +80,8 @@ def _positive_p(args) -> int:
 def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
     if cutoff < 0:
         raise InputError("--cutoff must be an integer >= 0")
+    if cutoff > MAX_CUTOFF:
+        raise InputError(f"--cutoff must be at most {MAX_CUTOFF}")
     if kind == "verma":
         d = 2 * p - 1
         return verma_character([2, d, d, d], central_charge_p1(p), cutoff)
@@ -182,7 +185,7 @@ def cmd_derive(args) -> int:
 
 def cmd_certify_c2(args) -> int:
     spec = _load_spec_arg(args.spec)
-    cert = certify_triplet_p2(spec=spec)
+    cert = certify_triplet_p2()
     ok, reports = verify_certificate(cert, spec)
     payload = certificate_to_json(cert)
     if args.format == "json":

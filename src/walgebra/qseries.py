@@ -5,17 +5,30 @@ integer steps n <= `cutoff` above the offset.  A coefficient is stored as
 an `int` when it is integral and as a `Fraction` otherwise, so the
 characters, whose coefficients are all integers, are computed in plain
 `int` arithmetic.  phi = prod_{n>=1} (1 - q^n) comes from Euler's
-pentagonal theorem.  All arithmetic is exact and cutoff bookkeeping is
-conservative.
+pentagonal theorem, and its inverse from the pentagonal recurrence; each
+1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is built from that one inversion
+by running differences, so phi is the only series a character inverts.
+A product is one big-integer product by Kronecker substitution: each
+factor's coefficients, scaled to integers by the lcm of their
+denominators, are packed as signed digits wide enough for every product
+coefficient, and the product's digits are read back exactly.  All
+arithmetic is exact and cutoff bookkeeping is conservative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 from .algebra import central_charge_p1
 from .scalar import exact
+
+
+# The characters cost about 4.5x more per doubling of the cutoff (the
+# Kronecker products grow in length and in digit width).  At 20000 the
+# slowest one, the p = 2 Verma character, took 58 s and 74 MB in-process
+# (Python 3.11.7, 2 vCPU); far larger cutoffs would not finish.
+MAX_CUTOFF = 20000
 
 
 class QSeriesError(ValueError):
@@ -83,15 +96,20 @@ class QSeries:
         # validity: a is exact through a.cutoff, so the product is exact
         # through min(a.cutoff + b_min, b.cutoff + a_min); use the safe bound
         cutoff = min(a.cutoff, b.cutoff)
-        out = [0] * (cutoff + 1)
-        b_terms = sorted(b.coeffs.items())
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in b_terms:
-                n = n1 + n2
-                if n > cutoff:
-                    break
-                out[n] += c1 * c2
-        return QSeries(a.offset + b.offset, dict(enumerate(out)), cutoff)
+        offset = a.offset + b.offset
+        xs, x_den = _scaled_digits(a.coeffs, cutoff)
+        ys, y_den = _scaled_digits(b.coeffs, cutoff)
+        if not xs or not ys:
+            return QSeries(offset, {}, cutoff)
+        # Kronecker substitution: evaluate both at q = 2^(8 width), multiply
+        # once, read the product's coefficients back as digits
+        width = (_digit_bits(max(map(abs, xs)), max(map(abs, ys)),
+                             min(len(xs), len(ys))) + 7) // 8
+        out = _unpack(_pack(xs, width) * _pack(ys, width), width, cutoff + 1)
+        den = x_den * y_den
+        if den != 1:
+            out = [Fraction(d, den) for d in out]
+        return QSeries(offset, dict(enumerate(out)), cutoff)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant lattice term must be nonzero."""
@@ -175,6 +193,60 @@ class QSeries:
         return f"QSeries<{head}{', ...' if len(self.coeffs) > 6 else ''}>"
 
 
+# --- Kronecker substitution ---------------------------------------------------------
+
+
+def _scaled_digits(coeffs: dict[int, int | Fraction], cutoff: int
+                   ) -> tuple[list[int], int]:
+    """The coefficients through `cutoff` as a dense integer list, scaled by
+    the lcm of their denominators, and that lcm."""
+    terms = {n: c for n, c in coeffs.items() if n <= cutoff}
+    if not terms:
+        return [], 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    digits = [0] * (max(terms) + 1)
+    for n, c in terms.items():
+        digits[n] = c.numerator * (den // c.denominator)
+    return digits, den
+
+
+def _digit_bits(x_max: int, y_max: int, overlap: int) -> int:
+    """Bits of a signed digit that holds every coefficient of a product.
+
+    A product coefficient sums at most `overlap` = min(len x, len y) terms
+    x_i y_j, so its size is below 2^(bits(x_max) + bits(y_max) +
+    bits(overlap)); one more bit for the sign makes the digit range
+    [-2^(w-1), 2^(w-1)) hold it exactly, and the operands' digits too."""
+    return x_max.bit_length() + y_max.bit_length() + overlap.bit_length() + 1
+
+
+def _ones(count: int, width: int) -> int:
+    """sum_{i < count} 2^(8 width i): one unit in each of `count` digits."""
+    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
+
+
+def _pack(digits: list[int], width: int) -> int:
+    """sum_i d_i 2^(8 width i) for signed digits |d_i| < 2^(8 width - 1): each
+    digit is written biased by 2^(8 width - 1), and the biases are taken off
+    the packed integer at once."""
+    bias = 1 << (8 * width - 1)
+    packed = b"".join((d + bias).to_bytes(width, "little") for d in digits)
+    return int.from_bytes(packed, "little") - bias * _ones(len(digits), width)
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The low `count` signed digits of value = sum_i d_i 2^(8 width i),
+    |d_i| < 2^(8 width - 1).  With the bias added to each of them the low
+    digits are unsigned and borrow nothing from the digits above, which
+    the mask drops."""
+    bias = 1 << (8 * width - 1)
+    size = width * count
+    low = (value + bias * _ones(count, width)) & ((1 << (8 * size)) - 1)
+    raw = low.to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - bias
+            for i in range(0, size, width)]
+
+
 # --- phi products ------------------------------------------------------------------
 
 
@@ -202,6 +274,24 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
     return QSeries(Fraction(0), dict(enumerate(coeffs)), cutoff)
 
 
+def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
+    """1/phi_k for each k in `ks`, exactly through q^cutoff, from one
+    inversion of phi: 1/phi_k = (1/phi) prod_{n<k} (1 - q^n).  The factors
+    are applied for n = 1, 2, ... in turn, each as a running difference, and
+    1/phi_k is read off once every n < k has been applied."""
+    inv = phi(cutoff).inverse()
+    coeffs = [inv.coeffs.get(e, 0) for e in range(cutoff + 1)]
+    out = {}
+    n = 1
+    for k in sorted(set(ks)):
+        while n < min(k, cutoff + 1):
+            for e in range(cutoff, n - 1, -1):
+                coeffs[e] -= coeffs[e - n]
+            n += 1
+        out[k] = QSeries(Fraction(0), dict(enumerate(coeffs)), cutoff)
+    return out
+
+
 # --- characters ----------------------------------------------------------------------
 
 
@@ -218,8 +308,7 @@ def verma_character(weights: list[int], c: Fraction, cutoff: int) -> QSeries:
         raise QSeriesError(f"bad weight {ws[0]}")
     rest = list(ws)
     rest.remove(2)
-    # one inversion per distinct weight: [2, d, d, d] inverts two series
-    inverse = {h: phi_trunc(h, cutoff).inverse() for h in dict.fromkeys(ws)}
+    inverse = _inverse_phi_truncs(ws, cutoff)
     out = inverse[2]
     for h in rest:
         out = out * inverse[h]
@@ -258,10 +347,11 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
     if p < 2:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
-    first = phi_trunc(2, cutoff).inverse()
+    inverse = _inverse_phi_truncs([1, 2, 2 * p - 1], cutoff)
+    first = inverse[2]
     numer = QSeries(Fraction(0), {0: 1, 3: -1}, cutoff)
-    phi_w_inv = phi_trunc(2 * p - 1, cutoff).inverse()
-    second = (numer * phi(cutoff).inverse() * phi_w_inv * phi_w_inv)
+    phi_w_inv = inverse[2 * p - 1]
+    second = (numer * inverse[1] * phi_w_inv * phi_w_inv)
     second = second.scale(3).shift(Fraction(2 * p - 1))
     total = first + second
     return total.shift(-c / 24)

@@ -130,13 +130,12 @@ def solve_structure_constants(spec: AlgebraSpec | None = None,
     """Treat the symbolic [W,W] constants as unknowns and solve the
     annihilation equations of the table vectors."""
     spec = spec or load_triplet_p2_spec()
-    engine = Engine(spec)
     unknowns = _symbolic_constants(spec)
-    equations = []
-    for state in annihilation_states(engine, table).values():
-        equations.extend(state.terms().values())
     if not unknowns:
         raise SolveError("spec has no symbolic structure constants to solve for")
+    equations = []
+    for state in annihilation_states(Engine(spec), table).values():
+        equations.extend(state.terms().values())
     try:
         assignment = solve_linear(equations, unknowns)
     except SolveError as exc:

@@ -39,8 +39,8 @@ def spec():
 
 
 @pytest.fixture(scope="module")
-def cert(spec):
-    return certify_triplet_p2(spec=spec)
+def cert():
+    return certify_triplet_p2()
 
 
 def test_manifest_member_examples(spec):
@@ -271,7 +271,7 @@ def test_manifest_claim_for_l2_cubed_fails(spec):
 
 def test_corrupted_table_still_certifies(spec):
     table = SingularTable().replace(c1=Fraction(1, 2))
-    cert = certify_triplet_p2(table=table, spec=spec)
+    cert = certify_triplet_p2(table=table)
     ok, _ = verify_certificate(cert, spec)
     assert ok
     flagged = set()
@@ -280,16 +280,16 @@ def test_corrupted_table_still_certifies(spec):
     assert flagged == {"c1", "c2", "c3", "c4", "c5", "c6"}
 
 
-def test_vanishing_key_coefficient_rejected(spec):
+def test_vanishing_key_coefficient_rejected():
     with pytest.raises(CertificateError):
-        certify_triplet_p2(table=SingularTable().replace(c1=0), spec=spec)
+        certify_triplet_p2(table=SingularTable().replace(c1=0))
 
 
 def test_certificate_is_self_contained(cert, spec):
     # replaying a certificate generated from a different table must use the
     # table stored in the certificate, not the default one
     table = SingularTable().replace(c2=Fraction(1, 2))
-    cert2 = certify_triplet_p2(table=table, spec=spec)
+    cert2 = certify_triplet_p2(table=table)
     ok, _ = verify_certificate(cert2, spec)
     assert ok
     # swapping the body table breaks it

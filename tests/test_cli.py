@@ -70,6 +70,16 @@ def test_usage_errors_exit_2():
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+    # a cutoff past qseries.MAX_CUTOFF, for every character command, rejected
+    # before any work (10^12 once ended in a MemoryError traceback)
+    for args in (("character", "--p", "3", "--cutoff", "1000000000000"),
+                 ("character", "--p", "3", "--cutoff", "20001"),
+                 ("verma-character", "--p", "3", "--cutoff", "20001"),
+                 ("char-diff", "--p", "3", "--left", "verma", "--right",
+                  "triplet", "--level", "0", "--cutoff", "20001")):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: --cutoff must be at most 20000\n"
     # a p beyond the derivation's recursion depth, rejected before any work
     for p in ("401", "600"):
         proc = run_cli("derive", "--p", p)
@@ -125,6 +135,22 @@ def test_malformed_spec_exit_2(tmp_path, edit):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_solve_mode_without_unknowns_exit_2(tmp_path):
+    # the solved constants substituted: solve mode has nothing to solve for
+    solved = {"uT": "3", "uL": "4", "uW": "5*I", "-uW": "-5*I",
+              "uX": "12/5*I", "-uX": "-12/5*I"}
+    doc = _triplet_spec_doc()
+    for entry in doc["structure_constants"]:
+        entry["value"] = solved.get(entry["value"], entry["value"])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("verify-singular", "--solve-mode", "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: spec has no symbolic structure constants to solve for\n"
+    # the same spec verifies without solve mode
+    assert run_cli("verify-singular", "--spec", str(path)).returncode == 0
 
 
 def test_missing_spec_file_exit_2():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walgebra import qseries
 from walgebra.algebra import central_charge_p1
 from walgebra.qseries import (
     QSeries,
@@ -247,7 +248,8 @@ def test_verma_character_inverts_each_weight_once(monkeypatch):
 
     monkeypatch.setattr(QSeries, "inverse", counted)
     got = verma_character([2, 9, 9, 9], c, 80)
-    assert len(calls) == 2
+    # phi is inverted once; 1/phi_2 and 1/phi_9 are built from it
+    assert calls == [phi(80)]
     assert got.offset == want.offset and got.coeffs == want.coeffs
     assert got.render_lines() == want.render_lines()
 
@@ -314,3 +316,94 @@ def test_render_terms_are_the_fraction_exponents(offset):
     want = [(str(offset + n), c) for n, c in sorted(series.coeffs.items())]
     assert series.render_terms() == want
     assert series.render_lines() == [f"{e}: {c}" for e, c in want]
+
+
+def schoolbook_product(x, y):
+    """Reference product: every pair of terms, placed by its exponent, on the
+    lattice of the lower offset and through the shorter validity."""
+    low = min(x.offset, y.offset)
+    dx, dy = int(x.offset - low), int(y.offset - low)
+    cutoff = min(x.cutoff + dx, y.cutoff + dy)
+    out = {}
+    for n1, c1 in x.coeffs.items():
+        for n2, c2 in y.coeffs.items():
+            n = n1 + dx + n2 + dy
+            if n <= cutoff:
+                out[n] = out.get(n, 0) + c1 * c2
+    return QSeries(2 * low, out, cutoff)
+
+
+def assert_same_series(got, want):
+    assert got.offset == want.offset and got.cutoff == want.cutoff
+    assert got.coeffs == want.coeffs
+    # an integral coefficient is an int, and only such a coefficient is
+    assert all((type(c) is int) == (Fraction(c).denominator == 1)
+               for c in got.coeffs.values())
+
+
+big_ints = st.integers(min_value=-2 ** 256, max_value=2 ** 256)
+kernel_coeffs = st.one_of(
+    st.just(0), big_ints, st.integers(min_value=-3, max_value=3),
+    st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=10 ** 6)),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=12)),
+)
+kernel_terms = st.one_of(
+    st.dictionaries(st.integers(min_value=0, max_value=40), kernel_coeffs,
+                    max_size=12),
+    st.lists(kernel_coeffs, max_size=35).map(lambda cs: dict(enumerate(cs))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(max_denominator=12), st.integers(min_value=-5, max_value=5),
+       st.integers(min_value=-5, max_value=5), kernel_terms, kernel_terms,
+       st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+def test_product_is_the_schoolbook_product(base, i, j, xs, ys, x_cut, y_cut):
+    x = QSeries(base + i, xs, x_cut)
+    y = QSeries(base + j, ys, y_cut)
+    assert_same_series(x * y, schoolbook_product(x, y))
+
+
+def test_product_of_empty_series():
+    # the zero series is valid through 1/3 + 12 = -2/3 + 13
+    zero = QSeries(Fraction(1, 3), {}, 12)
+    assert_same_series(zero * phi(20).shift(Fraction(-2, 3)),
+                       QSeries(Fraction(-4, 3), {}, 13))
+    # terms past the product's cutoff contribute nothing
+    late = QSeries(Fraction(0), {15: 7}, 20)
+    assert (late * phi(10)).coeffs == {}
+
+
+@pytest.mark.parametrize("x_sign,y_sign", [
+    ((1, 1), (1, 1)), ((1, 1), (-1, -1)), ((1, -1), (1, -1)), ((1, -1), (-1, 1)),
+])
+def test_digit_width_bound_is_tight(monkeypatch, x_sign, y_sign):
+    # 255 terms of size M = 2^100 - 1: the bound is 100 + 100 + 8 + 1 = 209
+    # bits, 27 bytes.  The middle coefficient is +-255 M^2, above 2^207 in
+    # size, so one bit less, 208 bits or 26 bytes, cannot hold it.
+    m, n = 2 ** 100 - 1, 255
+    x = QSeries(Fraction(0), {i: x_sign[i % 2] * m for i in range(n)}, 2 * n)
+    y = QSeries(Fraction(0), {i: y_sign[i % 2] * m for i in range(n)}, 2 * n)
+    want = schoolbook_product(x, y)
+    assert abs(want.coeffs[n - 1]) == n * m * m > 2 ** 207
+    assert_same_series(x * y, want)
+    plain = qseries._digit_bits
+    monkeypatch.setattr(qseries, "_digit_bits", lambda *args: plain(*args) - 1)
+    assert (x * y).coeffs != want.coeffs
+
+
+def test_verma_character_to_600_is_a_partition_convolution():
+    # parts >= 2 for L, three colours of parts >= 9 for the W modes at p = 5
+    ch = verma_character([2, 9, 9, 9], central_charge_p1(5), 600)
+    want = verma_enumeration(5, 600)
+    assert [coeff_at_level(ch, n) for n in range(601)] == want
+
+
+def test_inverse_phi_truncs_count_restricted_partitions():
+    got = qseries._inverse_phi_truncs([9, 1, 2, 2, 500], 400)
+    assert sorted(got) == [1, 2, 9, 500]
+    for k, series in got.items():
+        assert series.cutoff == 400
+        assert [series.coeff_at_exponent(n) for n in range(401)] == \
+            partitions_min_part(400, k)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from walgebra import singular
 from walgebra.algebra import Mode
 from walgebra.engine import Engine
 from walgebra.scalar import Poly, SolveError
@@ -52,6 +53,17 @@ def test_solved_constants(solved):
 def test_numeric_constants_annihilate(numeric_spec):
     ok, report = verify_singular_p2(numeric_spec)
     assert ok, report
+
+
+def test_numeric_spec_refused_before_any_engine_work(numeric_spec, monkeypatch):
+    # nothing to solve for is known from the spec alone, so no annihilation
+    # state may be built first
+    def fail(*args, **kwargs):
+        raise AssertionError("annihilation states built for a numeric spec")
+
+    monkeypatch.setattr(singular, "annihilation_states", fail)
+    with pytest.raises(SolveError, match="no symbolic structure constants"):
+        solve_structure_constants(numeric_spec)
 
 
 def test_symbolic_spec_requires_solve_mode(spec):
