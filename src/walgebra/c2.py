@@ -3,12 +3,14 @@
 A claim asserts that the vector of a formal mode expression lies in C_2 of
 the vacuum algebra, justified by one of six mechanically checkable rules:
 
-* ManifestMember     -- the leftmost mode is deep enough (math index <= -n);
+* ManifestMember     -- the leftmost mode is deep enough (math index <= -n,
+                        n >= 2, so that C_n lies in C_2);
 * PrefixInvariance   -- nonpositive-math-index modes prefix an earlier claim;
 * SingularRewrite    -- the vector equals manifest/earlier material modulo
                         the declared null vectors (exact state arithmetic);
-* WeightBoundedBracket -- a [W,W] commutator whose declared channels all have
-                        weight <= 2h-1, hence land at math index <= -2;
+* WeightBoundedBracket -- a [W,W] commutator with no central term, whose
+                        declared channels all have weight <= 2h-1, hence
+                        land at math index <= -2;
 * Reorder            -- nonpositive conformal modes moved across the W modes
                         of an earlier claim, every commutator fired on the
                         way weight-bounded;
@@ -275,6 +277,8 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         return False, f"vector is not the one the {rule.name} rule states"
 
     if isinstance(rule, ManifestMemberRule):
+        if rule.n < 2:
+            return False, f"depth n={rule.n} does not imply C2 membership (n >= 2)"
         for _, seq in claim.vector:
             if not manifest_member(seq, rule.n, spec):
                 return False, f"term {seq} is not manifest at n={rule.n}"
@@ -301,15 +305,15 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
                     return False, f"channel {k} of weight {hk} violates the bound"
                 if convert_index(msum, hk, "phys_to_math") > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
+        ops = bracket(rule.a, rule.b, spec)
+        if ops.central:
+            return False, f"central term {render_poly(ops.central)} is not in C2"
         # replay the channel expansion exactly
         lhs = engine.evaluate(claim.vector)
         rhs = State()
-        ops = bracket(rule.a, rule.b, spec)
         right_state = engine.normal_order(rule.right)
         for coeff, mode in ops.terms:
             rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
-        if ops.central:
-            rhs = rhs + right_state.scale(ops.central)
         if lhs - rhs:
             return False, f"bracket replay residual: {(lhs - rhs).render()}"
         return True, ""

@@ -26,7 +26,7 @@ from .qseries import (
     verma_character,
 )
 from .scalar import SolveError, render_poly
-from .singular import load_triplet_p2_spec, verify_singular_p2
+from .singular import load_triplet_p2_spec, solve_structure_constants, verify_singular_p2
 
 _MODE_ARG = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(-?\d+)$")
 
@@ -203,7 +203,11 @@ def cmd_certify_c2(args) -> int:
 
 def cmd_verify_singular(args) -> int:
     spec = _load_spec_arg(args.spec)
-    ok, report = verify_singular_p2(spec, solve_mode=args.solve_mode)
+    if args.solve_mode:
+        solved = solve_structure_constants(spec)
+        ok, report = solved.consistent, solved.to_dict()
+    else:
+        ok, report = verify_singular_p2(spec)
     if args.format == "json":
         _emit(json.dumps({"ok": ok, "report": report}, indent=2, sort_keys=True),
               args.out)

@@ -128,9 +128,6 @@ class State:
         out._t = {w: c * f for w, c in self._t.items()}
         return out
 
-    def substitute(self, assignment) -> "State":
-        return State({w: c.substitute(assignment) for w, c in self._t.items()})
-
     def max_weight(self) -> int:
         return max((word_weight(w) for w in self._t), default=0)
 

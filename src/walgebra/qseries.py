@@ -1,8 +1,9 @@
 """Exact truncated q-series and the characters used for singular-vector counting.
 
-A series is sum_n a_n q^(offset + n) with a rational offset, valid for
-integer steps n <= `cutoff` above the offset.  A coefficient is stored as
-an `int` when it is integral and as a `Fraction` otherwise, so the
+A series is sum_n a_n q^(offset + n) with a rational offset, stored as one
+dense list a_0 .. a_cutoff of the coefficients at integer steps above the
+offset; the list's length is the validity range.  A coefficient is stored
+as an `int` when it is integral and as a `Fraction` otherwise, so the
 characters, whose coefficients are all integers, are computed in plain
 `int` arithmetic.  phi = prod_{n>=1} (1 - q^n) comes from Euler's
 pentagonal theorem, and its inverse from the pentagonal recurrence; each
@@ -36,110 +37,100 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """Truncated formal series sum a_n q^(offset + n), coefficients valid
-    for n <= cutoff (n counts integer steps above the offset)."""
+    """Truncated formal series sum a_n q^(offset + n): `coeffs` lists a_0 ..
+    a_cutoff densely, so its length is the validity range (n counts integer
+    steps above the offset)."""
 
-    __slots__ = ("offset", "coeffs", "cutoff")
+    __slots__ = ("offset", "coeffs")
 
-    def __init__(self, offset: Fraction, coeffs: dict[int, int | Fraction],
-                 cutoff: int):
+    def __init__(self, offset: Fraction, coeffs: list[int | Fraction]):
         self.offset = Fraction(offset)
-        self.coeffs = {n: exact(c) for n, c in coeffs.items()
-                       if c and 0 <= n <= cutoff}
-        self.cutoff = cutoff
+        self.coeffs = [exact(c) for c in coeffs]
 
     # --- constructors ----------------------------------------------------------
 
     @classmethod
-    def one(cls, cutoff: int, offset: Fraction = Fraction(0)):
-        return cls(offset, {0: 1}, cutoff)
+    def one(cls, cutoff: int):
+        return cls(Fraction(0), [1] + [0] * cutoff)
 
     # --- lattice alignment ------------------------------------------------------
 
     @staticmethod
     def _aligned(a: "QSeries", b: "QSeries"):
+        """The lower offset, and both coefficient lists on it: zero-padded in
+        front and cut to their common validity."""
         shift = b.offset - a.offset
         if shift.denominator != 1:
             raise QSeriesError(
                 f"offsets {a.offset} and {b.offset} differ off-lattice"
             )
         s = int(shift)
-        # express b relative to a's offset
-        if s >= 0:
-            b_coeffs = {n + s: c for n, c in b.coeffs.items()}
-            b_cut = b.cutoff + s
-            return a, QSeries(a.offset, b_coeffs, b_cut)
-        a_coeffs = {n - s: c for n, c in a.coeffs.items()}
-        a_cut = a.cutoff - s
-        return QSeries(b.offset, a_coeffs, a_cut), b
+        xs = [0] * -s + a.coeffs
+        ys = [0] * s + b.coeffs
+        n = min(len(xs), len(ys))
+        return min(a.offset, b.offset), xs[:n], ys[:n]
 
     # --- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        a, b = QSeries._aligned(self, other)
-        cutoff = min(a.cutoff, b.cutoff)
-        out = dict(a.coeffs)
-        for n, c in b.coeffs.items():
-            out[n] = out.get(n, 0) + c
-        return QSeries(a.offset, out, cutoff)
+        offset, xs, ys = QSeries._aligned(self, other)
+        return QSeries(offset, [x + y for x, y in zip(xs, ys)])
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "QSeries":
-        f = exact(factor)
-        return QSeries(self.offset, {n: c * f for n, c in self.coeffs.items()},
-                       self.cutoff)
+        return QSeries(self.offset, [c * factor for c in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        a, b = QSeries._aligned(self, other)
-        # validity: a is exact through a.cutoff, so the product is exact
-        # through min(a.cutoff + b_min, b.cutoff + a_min); use the safe bound
-        cutoff = min(a.cutoff, b.cutoff)
-        offset = a.offset + b.offset
-        xs, x_den = _scaled_digits(a.coeffs, cutoff)
-        ys, y_den = _scaled_digits(b.coeffs, cutoff)
+        # both factors are exact through the aligned length, so their product
+        # is too; it sits at twice the common offset
+        offset, xs, ys = QSeries._aligned(self, other)
+        count = len(xs)
+        xs, x_den = _scaled_digits(xs)
+        ys, y_den = _scaled_digits(ys)
         if not xs or not ys:
-            return QSeries(offset, {}, cutoff)
+            return QSeries(2 * offset, [0] * count)
         # Kronecker substitution: evaluate both at q = 2^(8 width), multiply
         # once, read the product's coefficients back as digits
         width = (_digit_bits(max(map(abs, xs)), max(map(abs, ys)),
                              min(len(xs), len(ys))) + 7) // 8
-        out = _unpack(_pack(xs, width) * _pack(ys, width), width, cutoff + 1)
+        out = _unpack(_pack(xs, width) * _pack(ys, width), width, count)
         den = x_den * y_den
         if den != 1:
             out = [Fraction(d, den) for d in out]
-        return QSeries(offset, dict(enumerate(out)), cutoff)
+        return QSeries(2 * offset, out)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse; the constant lattice term must be nonzero."""
-        a0 = self.coeffs.get(0)
-        if not a0:
+        if not self.coeffs or not self.coeffs[0]:
             raise QSeriesError("series with vanishing constant term at its "
                                "offset cannot be inverted on the lattice")
+        a0 = self.coeffs[0]
         # 1/a0 exactly: a unit stays an int, anything else is a Fraction
         inv0 = a0 if a0 in (1, -1) else 1 / Fraction(a0)
-        terms = sorted((k, c) for k, c in self.coeffs.items() if k)
-        inv = [inv0] + [0] * self.cutoff
-        for n in range(1, self.cutoff + 1):
+        terms = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
+        inv = [inv0] + [0] * (len(self.coeffs) - 1)
+        for n in range(1, len(inv)):
             acc = 0
             for k, c in terms:
                 if k > n:
                     break
                 acc += c * inv[n - k]
             inv[n] = -acc * inv0
-        return QSeries(-self.offset, dict(enumerate(inv)), self.cutoff)
+        return QSeries(-self.offset, inv)
 
     def shift(self, exponent: Fraction) -> "QSeries":
         """Multiply by q^exponent (exact offset shift)."""
-        return QSeries(self.offset + Fraction(exponent), self.coeffs, self.cutoff)
+        return QSeries(self.offset + Fraction(exponent), self.coeffs)
 
     # --- queries ------------------------------------------------------------------
 
     def leading_exponent(self) -> Fraction:
-        if not self.coeffs:
-            raise QSeriesError("series is zero through its cutoff")
-        return self.offset + min(self.coeffs)
+        for n, c in enumerate(self.coeffs):
+            if c:
+                return self.offset + n
+        raise QSeriesError("series is zero through its cutoff")
 
     def coeff_at_exponent(self, exponent: Fraction) -> int | Fraction:
         n = Fraction(exponent) - self.offset
@@ -148,32 +139,24 @@ class QSeries:
         n = int(n)
         if n < 0:
             return 0
-        if n > self.cutoff:
-            raise QSeriesError(
-                f"exponent {exponent} beyond validity (cutoff index {self.cutoff})"
-            )
-        return self.coeffs.get(n, 0)
+        if n >= len(self.coeffs):
+            raise QSeriesError(f"exponent {exponent} beyond validity "
+                               f"(cutoff index {len(self.coeffs) - 1})")
+        return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = QSeries._aligned(self, other)
-        cutoff = min(a.cutoff, b.cutoff)
-        for n in range(cutoff + 1):
-            if a.coeffs.get(n, 0) != b.coeffs.get(n, 0):
-                return False
-        return True
+        _, xs, ys = QSeries._aligned(self, other)
+        return xs == ys
 
     def agrees_with(self, other: "QSeries", through: Fraction) -> bool:
         """Coefficient agreement at every lattice exponent <= `through`."""
-        a, b = QSeries._aligned(self, other)
-        n_max = floor(Fraction(through) - a.offset)
-        if n_max > min(a.cutoff, b.cutoff):
+        offset, xs, ys = QSeries._aligned(self, other)
+        count = max(floor(Fraction(through) - offset) + 1, 0)
+        if count > len(xs):
             raise QSeriesError("agreement range exceeds validity")
-        for n in range(0, n_max + 1):
-            if a.coeffs.get(n, 0) != b.coeffs.get(n, 0):
-                return False
-        return True
+        return xs[:count] == ys[:count]
 
     def render_terms(self) -> list[tuple[str, int | Fraction]]:
         """(exponent text, coefficient) for each nonzero term, in order.
@@ -182,32 +165,28 @@ class QSeries:
         a/b, so each exponent is rendered from integer steps without building
         a Fraction."""
         a, b = self.offset.numerator, self.offset.denominator
-        return [(str(a + n * b) if b == 1 else f"{a + n * b}/{b}", self.coeffs[n])
-                for n in sorted(self.coeffs)]
+        return [(str(a + n * b) if b == 1 else f"{a + n * b}/{b}", c)
+                for n, c in enumerate(self.coeffs) if c]
 
     def render_lines(self) -> list[str]:
         return [f"{e}: {c}" for e, c in self.render_terms()]
 
     def __repr__(self) -> str:
-        head = ", ".join(self.render_lines()[:6])
-        return f"QSeries<{head}{', ...' if len(self.coeffs) > 6 else ''}>"
+        lines = self.render_lines()
+        return f"QSeries<{', '.join(lines[:6])}{', ...' if len(lines) > 6 else ''}>"
 
 
 # --- Kronecker substitution ---------------------------------------------------------
 
 
-def _scaled_digits(coeffs: dict[int, int | Fraction], cutoff: int
-                   ) -> tuple[list[int], int]:
-    """The coefficients through `cutoff` as a dense integer list, scaled by
+def _scaled_digits(coeffs: list[int | Fraction]) -> tuple[list[int], int]:
+    """The coefficients without their trailing zeros, scaled to integers by
     the lcm of their denominators, and that lcm."""
-    terms = {n: c for n, c in coeffs.items() if n <= cutoff}
-    if not terms:
-        return [], 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    digits = [0] * (max(terms) + 1)
-    for n, c in terms.items():
-        digits[n] = c.numerator * (den // c.denominator)
-    return digits, den
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    den = lcm(*(c.denominator for c in coeffs[:n]))
+    return [c.numerator * (den // c.denominator) for c in coeffs[:n]], den
 
 
 def _digit_bits(x_max: int, y_max: int, overlap: int) -> int:
@@ -271,7 +250,7 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
     for n in range(1, min(k, cutoff + 1)):
         for e in range(n, cutoff + 1):
             coeffs[e] += coeffs[e - n]
-    return QSeries(Fraction(0), dict(enumerate(coeffs)), cutoff)
+    return QSeries(Fraction(0), coeffs)
 
 
 def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
@@ -279,8 +258,7 @@ def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
     inversion of phi: 1/phi_k = (1/phi) prod_{n<k} (1 - q^n).  The factors
     are applied for n = 1, 2, ... in turn, each as a running difference, and
     1/phi_k is read off once every n < k has been applied."""
-    inv = phi(cutoff).inverse()
-    coeffs = [inv.coeffs.get(e, 0) for e in range(cutoff + 1)]
+    coeffs = phi(cutoff).inverse().coeffs
     out = {}
     n = 1
     for k in sorted(set(ks)):
@@ -288,7 +266,7 @@ def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
             for e in range(cutoff, n - 1, -1):
                 coeffs[e] -= coeffs[e - n]
             n += 1
-        out[k] = QSeries(Fraction(0), dict(enumerate(coeffs)), cutoff)
+        out[k] = QSeries(Fraction(0), coeffs)
     return out
 
 
@@ -320,7 +298,7 @@ def triplet_theta_bracket(p: int, cutoff: int) -> QSeries:
     after factoring q^(-c/24).  The exponent grows with |s| on each side of
     s = 0, and the two sides never share an exponent, so n = |s| runs upward
     until the smaller exponent p n^2 - (p-1) n, at s = -n, passes the cutoff."""
-    coeffs: dict[int, int] = {}
+    coeffs = [0] * (cutoff + 1)
     n = 0
     while p * n * n - (p - 1) * n <= cutoff:
         for s in (n, -n) if n else (0,):
@@ -328,7 +306,7 @@ def triplet_theta_bracket(p: int, cutoff: int) -> QSeries:
             if e <= cutoff:
                 coeffs[e] = 2 * s + 1
         n += 1
-    return QSeries(Fraction(0), coeffs, cutoff)
+    return QSeries(Fraction(0), coeffs)
 
 
 def triplet_character(p: int, cutoff: int) -> QSeries:
@@ -349,7 +327,7 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
     c = central_charge_p1(p)
     inverse = _inverse_phi_truncs([1, 2, 2 * p - 1], cutoff)
     first = inverse[2]
-    numer = QSeries(Fraction(0), {0: 1, 3: -1}, cutoff)
+    numer = QSeries(Fraction(0), ([1, 0, 0, -1] + [0] * cutoff)[:cutoff + 1])
     phi_w_inv = inverse[2 * p - 1]
     second = (numer * inverse[1] * phi_w_inv * phi_w_inv)
     second = second.scale(3).shift(Fraction(2 * p - 1))

@@ -2,8 +2,8 @@
 
 The coefficient table is published; the [W,W] structure constants are not.
 ``verify_singular_p2`` checks that the positive modes L_1 and L_2 annihilate
-every table vector, either with numeric constants supplied by the algebra
-spec or, in solve mode, by treating the constants as unknowns and solving
+every table vector with numeric constants supplied by the algebra spec;
+``solve_structure_constants`` treats the constants as unknowns and solves
 the annihilation equations for them.
 """
 
@@ -125,11 +125,10 @@ class SolveReport:
         }
 
 
-def solve_structure_constants(spec: AlgebraSpec | None = None,
+def solve_structure_constants(spec: AlgebraSpec,
                               table: SingularTable = DEFAULT_TABLE) -> SolveReport:
     """Treat the symbolic [W,W] constants as unknowns and solve the
     annihilation equations of the table vectors."""
-    spec = spec or load_triplet_p2_spec()
     unknowns = _symbolic_constants(spec)
     if not unknowns:
         raise SolveError("spec has no symbolic structure constants to solve for")
@@ -160,20 +159,9 @@ def substitute_constants(spec: AlgebraSpec, assignment: dict[str, Poly]
     )
 
 
-def verify_singular_p2(spec: AlgebraSpec | None = None, *,
-                       solve_mode: bool = False,
-                       table: SingularTable = DEFAULT_TABLE):
-    """Check L_1 and L_2 annihilate all nine N^ab exactly.
-
-    Without solve_mode the spec constants must be numeric; the result is a
-    (bool, report-dict).  With solve_mode the constants are solved for and the
-    report carries the assignment.
-    """
-    spec = spec or load_triplet_p2_spec()
-    if solve_mode:
-        report = solve_structure_constants(spec, table)
-        return report.consistent, report.to_dict()
-    engine = Engine(spec)
+def verify_singular_p2(spec: AlgebraSpec, *, table: SingularTable = DEFAULT_TABLE):
+    """Check L_1 and L_2 annihilate all nine N^ab exactly; the spec constants
+    must be numeric.  The result is a (bool, report-dict)."""
     symbolic = _symbolic_constants(spec)
     if symbolic:
         raise SolveError(
@@ -181,7 +169,7 @@ def verify_singular_p2(spec: AlgebraSpec | None = None, *,
             "supply numeric values or use solve mode"
         )
     failures = {}
-    for (m, a, b), state in annihilation_states(engine, table).items():
+    for (m, a, b), state in annihilation_states(Engine(spec), table).items():
         if state:
             failures[f"L{m} N{a}{b}"] = state.render()
     return not failures, {"failures": failures}

@@ -1,14 +1,17 @@
 import dataclasses
 import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from walgebra.algebra import Mode
+from walgebra.algebra import Mode, load_spec
 from walgebra.c2 import (
+    Certificate,
     CertificateError,
     ManifestMemberRule,
     MembershipClaim,
+    WeightBoundedBracketRule,
     certificate_from_dict,
     certificate_from_json,
     certificate_to_json,
@@ -22,6 +25,7 @@ from walgebra.c2 import (
     render_expression,
     verify_certificate,
 )
+from walgebra.engine import Engine
 from walgebra.singular import SingularTable, load_triplet_p2_spec
 
 
@@ -256,8 +260,6 @@ def test_ordering_violation_fails(cert, spec):
 
 
 def test_manifest_claim_for_l2_cubed_fails(spec):
-    from walgebra.c2 import Certificate
-
     claim = MembershipClaim(
         id=1,
         vector=expression((1, (T(-2), T(-2), T(-2)))),
@@ -267,6 +269,37 @@ def test_manifest_claim_for_l2_cubed_fails(spec):
     ok, reports = verify_certificate(cert, spec)
     assert not ok
     assert "not manifest" in reports[0].detail
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_manifest_member_below_depth_two_fails(cert, spec, n):
+    # T(-2) has math index -1: the vector lies in C_1 only, and omega is not
+    # in C_2; depth 0 names no space at all
+    doc = json.loads(certificate_to_json(cert))
+    doc["steps"] = [{"id": 1, "claim": {"vector": "(1) T(-2) |0>", "space": "C2"},
+                     "rule": "ManifestMember", "params": {"n": n}, "uses": []}]
+    doc["targets"] = [1]
+    ok, reports = verify_certificate(certificate_from_dict(doc), spec)
+    assert not ok
+    assert [r.id for r in reports] == [1] and not reports[0].ok
+    assert "n >= 2" in reports[0].detail and "\n" not in reports[0].detail
+
+
+def test_bracket_with_central_term_fails():
+    # without its [W1,W1] channels, [W1(3), W1(-3)] is its central term alone,
+    # and the step would certify a multiple of the vacuum as a C2 member
+    doc = json.loads(
+        resources.files("walgebra.specs").joinpath("triplet_p2.json").read_text())
+    doc["structure_constants"] = [e for e in doc["structure_constants"]
+                                  if not e["i"] == e["j"] == "W1"]
+    spec = load_spec(json.dumps(doc))
+    a, b = W(1, 3), W(1, -3)
+    claim = MembershipClaim(1, expression((1, (a, b)), (-1, (b, a))),
+                            WeightBoundedBracketRule(a, b, ()))
+    assert Engine(spec).evaluate(claim.vector)
+    ok, reports = verify_certificate(Certificate(SingularTable(), [claim], [1]), spec)
+    assert not ok
+    assert "central term" in reports[0].detail
 
 
 def test_corrupted_table_still_certifies(spec):

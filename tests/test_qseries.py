@@ -30,18 +30,23 @@ def partitions_min_part(n_max, kmin):
     return table
 
 
+def series(offset, terms, cutoff):
+    """The series with the {n: coefficient} `terms` at n <= cutoff."""
+    return QSeries(offset, [terms.get(n, 0) for n in range(cutoff + 1)])
+
+
 def series_from_terms(terms, cutoff):
     coeffs = {}
     for e, c in terms:
         coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(c)
-    return QSeries(Fraction(0), coeffs, cutoff)
+    return series(Fraction(0), coeffs, cutoff)
 
 
 def test_inverse_phi_counts_partitions():
     oracle = partitions_min_part(60, 1)
     inv = phi(60).inverse()
     for n in range(61):
-        assert inv.coeffs.get(n, Fraction(0)) == oracle[n]
+        assert inv.coeffs[n] == oracle[n]
     assert oracle[6] == 11
 
 
@@ -62,7 +67,7 @@ def test_phi_trunc_counts_restricted_partitions():
         oracle = partitions_min_part(40, k)
         inv = phi_trunc(k, 40).inverse()
         for n in range(41):
-            assert inv.coeffs.get(n, Fraction(0)) == oracle[n]
+            assert inv.coeffs[n] == oracle[n]
 
 
 def verma_enumeration(p, n_max):
@@ -174,8 +179,8 @@ def test_theta_truncation_certified(p):
         if e <= cutoff:
             coeffs[e] = coeffs.get(e, 0) + 2 * s + 1
     bracket = triplet_theta_bracket(p, cutoff)
-    assert bracket.cutoff == cutoff
-    assert bracket.coeffs == {e: c for e, c in coeffs.items() if c}
+    assert len(bracket.coeffs) == cutoff + 1
+    assert bracket.coeffs == [coeffs.get(e, 0) for e in range(cutoff + 1)]
 
 
 def test_cutoff_bookkeeping_is_conservative():
@@ -186,14 +191,14 @@ def test_cutoff_bookkeeping_is_conservative():
         s.coeff_at_exponent(Fraction(1, 2))
     # products never claim validity beyond the shorter factor
     t = phi(5) * phi(10)
-    assert t.cutoff == 5
+    assert len(t.coeffs) == 5 + 1
 
 
 def test_lattice_alignment():
     # series live on integer steps above their offset; offsets that differ by
     # an integer align, anything else is off-lattice
-    a = QSeries(Fraction(1, 6), {0: Fraction(1)}, 8)
-    b = QSeries(Fraction(-5, 6), {0: Fraction(1)}, 9)
+    a = series(Fraction(1, 6), {0: Fraction(1)}, 8)
+    b = series(Fraction(-5, 6), {0: Fraction(1)}, 9)
     s = a + b
     assert s.offset == Fraction(-5, 6)
     assert s.coeff_at_exponent(Fraction(-5, 6)) == 1
@@ -201,7 +206,7 @@ def test_lattice_alignment():
     with pytest.raises(QSeriesError):
         s.coeff_at_exponent(Fraction(1, 2))
     with pytest.raises(QSeriesError):
-        a + QSeries(Fraction(0), {0: Fraction(1)}, 8)
+        a + series(Fraction(0), {0: Fraction(1)}, 8)
 
 
 def test_agreement_range_rounds_down():
@@ -228,10 +233,26 @@ def test_inverse_is_exact():
 
 
 def test_character_coefficients_are_ints():
-    for series in (verma_character([2, 5, 5, 5], central_charge_p1(3), 60),
-                   triplet_character(3, 60), chi_tilde(3, 60)):
-        assert series.coeffs
-        assert all(type(c) is int for c in series.coeffs.values())
+    for ch in (verma_character([2, 5, 5, 5], central_charge_p1(3), 60),
+               triplet_character(3, 60), chi_tilde(3, 60)):
+        assert any(ch.coeffs)
+        assert all(type(c) is int for c in ch.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_characters_agree_under_truncation(p):
+    # cutoffs below chi-tilde's (1 - q^3) numerator and below the W weight
+    d = 2 * p - 1
+    for character in (
+            lambda cutoff: verma_character([2, d, d, d], central_charge_p1(p), cutoff),
+            lambda cutoff: triplet_character(p, cutoff),
+            lambda cutoff: chi_tilde(p, cutoff)):
+        full = character(40)
+        for cutoff in range(5):
+            ch = character(cutoff)
+            assert ch.offset == full.offset and ch == full
+            assert len(ch.coeffs) == cutoff + 1
+            assert all(type(c) is int for c in ch.coeffs)
 
 
 def test_verma_character_inverts_each_weight_once(monkeypatch):
@@ -266,9 +287,9 @@ exact_coeffs = st.one_of(
        st.dictionaries(st.integers(min_value=1, max_value=15), exact_coeffs,
                        max_size=5))
 def test_inverse_round_trip(a0, rest):
-    s = QSeries(Fraction(0), {0: a0, **rest}, 15)
+    s = series(Fraction(0), {0: a0, **rest}, 15)
     inv = s.inverse()
-    assert all(type(c) in (int, Fraction) for c in inv.coeffs.values())
+    assert all(type(c) in (int, Fraction) for c in inv.coeffs)
     assert s * inv == QSeries.one(15)
 
 
@@ -283,9 +304,9 @@ def test_phi_is_pentagonal_to_1000():
         e = j * (3 * j - 1) // 2
         if e <= n_max:
             pentagonal[e] = (-1) ** j
-    series = phi(n_max)
-    assert series.coeffs == pentagonal
-    assert [series.coeff_at_exponent(n) for n in range(n_max + 1)] == product
+    got = phi(n_max)
+    assert got.coeffs == [pentagonal.get(n, 0) for n in range(n_max + 1)]
+    assert [got.coeff_at_exponent(n) for n in range(n_max + 1)] == product
 
 
 @pytest.mark.parametrize("k", [1, 2, 9])
@@ -312,10 +333,11 @@ def test_triplet_character_p3_to_1000_is_theta_convolution():
 @pytest.mark.parametrize("offset", [Fraction(0), Fraction(91, 120), Fraction(-7, 3),
                                     Fraction(-5), Fraction(5, 2)])
 def test_render_terms_are_the_fraction_exponents(offset):
-    series = QSeries(offset, {0: 1, 1: -2, 3: Fraction(1, 3), 40: 7}, 50)
-    want = [(str(offset + n), c) for n, c in sorted(series.coeffs.items())]
-    assert series.render_terms() == want
-    assert series.render_lines() == [f"{e}: {c}" for e, c in want]
+    terms = {0: 1, 1: -2, 3: Fraction(1, 3), 40: 7}
+    got = series(offset, terms, 50)
+    want = [(str(offset + n), c) for n, c in sorted(terms.items())]
+    assert got.render_terms() == want
+    assert got.render_lines() == [f"{e}: {c}" for e, c in want]
 
 
 def schoolbook_product(x, y):
@@ -323,22 +345,22 @@ def schoolbook_product(x, y):
     lattice of the lower offset and through the shorter validity."""
     low = min(x.offset, y.offset)
     dx, dy = int(x.offset - low), int(y.offset - low)
-    cutoff = min(x.cutoff + dx, y.cutoff + dy)
-    out = {}
-    for n1, c1 in x.coeffs.items():
-        for n2, c2 in y.coeffs.items():
+    cutoff = min(len(x.coeffs) - 1 + dx, len(y.coeffs) - 1 + dy)
+    out = [0] * (cutoff + 1)
+    for n1, c1 in enumerate(x.coeffs):
+        for n2, c2 in enumerate(y.coeffs):
             n = n1 + dx + n2 + dy
             if n <= cutoff:
-                out[n] = out.get(n, 0) + c1 * c2
-    return QSeries(2 * low, out, cutoff)
+                out[n] += c1 * c2
+    return QSeries(2 * low, out)
 
 
 def assert_same_series(got, want):
-    assert got.offset == want.offset and got.cutoff == want.cutoff
+    assert got.offset == want.offset and len(got.coeffs) == len(want.coeffs)
     assert got.coeffs == want.coeffs
     # an integral coefficient is an int, and only such a coefficient is
     assert all((type(c) is int) == (Fraction(c).denominator == 1)
-               for c in got.coeffs.values())
+               for c in got.coeffs)
 
 
 big_ints = st.integers(min_value=-2 ** 256, max_value=2 ** 256)
@@ -360,19 +382,19 @@ kernel_terms = st.one_of(
        st.integers(min_value=-5, max_value=5), kernel_terms, kernel_terms,
        st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
 def test_product_is_the_schoolbook_product(base, i, j, xs, ys, x_cut, y_cut):
-    x = QSeries(base + i, xs, x_cut)
-    y = QSeries(base + j, ys, y_cut)
+    x = series(base + i, xs, x_cut)
+    y = series(base + j, ys, y_cut)
     assert_same_series(x * y, schoolbook_product(x, y))
 
 
 def test_product_of_empty_series():
     # the zero series is valid through 1/3 + 12 = -2/3 + 13
-    zero = QSeries(Fraction(1, 3), {}, 12)
+    zero = series(Fraction(1, 3), {}, 12)
     assert_same_series(zero * phi(20).shift(Fraction(-2, 3)),
-                       QSeries(Fraction(-4, 3), {}, 13))
+                       series(Fraction(-4, 3), {}, 13))
     # terms past the product's cutoff contribute nothing
-    late = QSeries(Fraction(0), {15: 7}, 20)
-    assert (late * phi(10)).coeffs == {}
+    late = series(Fraction(0), {15: 7}, 20)
+    assert (late * phi(10)).coeffs == [0] * 11
 
 
 @pytest.mark.parametrize("x_sign,y_sign", [
@@ -383,8 +405,8 @@ def test_digit_width_bound_is_tight(monkeypatch, x_sign, y_sign):
     # bits, 27 bytes.  The middle coefficient is +-255 M^2, above 2^207 in
     # size, so one bit less, 208 bits or 26 bytes, cannot hold it.
     m, n = 2 ** 100 - 1, 255
-    x = QSeries(Fraction(0), {i: x_sign[i % 2] * m for i in range(n)}, 2 * n)
-    y = QSeries(Fraction(0), {i: y_sign[i % 2] * m for i in range(n)}, 2 * n)
+    x = series(Fraction(0), {i: x_sign[i % 2] * m for i in range(n)}, 2 * n)
+    y = series(Fraction(0), {i: y_sign[i % 2] * m for i in range(n)}, 2 * n)
     want = schoolbook_product(x, y)
     assert abs(want.coeffs[n - 1]) == n * m * m > 2 ** 207
     assert_same_series(x * y, want)
@@ -403,7 +425,7 @@ def test_verma_character_to_600_is_a_partition_convolution():
 def test_inverse_phi_truncs_count_restricted_partitions():
     got = qseries._inverse_phi_truncs([9, 1, 2, 2, 500], 400)
     assert sorted(got) == [1, 2, 9, 500]
-    for k, series in got.items():
-        assert series.cutoff == 400
-        assert [series.coeff_at_exponent(n) for n in range(401)] == \
+    for k, inv in got.items():
+        assert len(inv.coeffs) == 400 + 1
+        assert [inv.coeff_at_exponent(n) for n in range(401)] == \
             partitions_min_part(400, k)

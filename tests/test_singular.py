@@ -37,9 +37,9 @@ def numeric_spec(spec, solved):
 
 
 def test_solve_mode_reports_solution(spec):
-    ok, report = verify_singular_p2(spec, solve_mode=True)
-    assert ok
-    assert set(report["assignment"]) == {"uL", "uT", "uW", "uX"}
+    solved = solve_structure_constants(spec)
+    assert solved.consistent
+    assert set(solved.to_dict()["assignment"]) == {"uL", "uT", "uW", "uX"}
 
 
 def test_solved_constants(solved):
@@ -82,8 +82,7 @@ def test_any_single_perturbation_fails(numeric_spec, name):
 
 def test_solve_mode_with_corrupted_table_inconsistent(spec):
     bad = SingularTable().replace(c1=Fraction(1, 3))
-    ok, _ = verify_singular_p2(spec, solve_mode=True, table=bad)
-    assert not ok
+    assert not solve_structure_constants(spec, table=bad).consistent
 
 
 def test_null_vectors_have_table_shape(numeric_spec):
