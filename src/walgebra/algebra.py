@@ -14,10 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import NamedTuple, Union
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 from .scalar import Poly, binom_int, exact, parse_poly, render_poly
+
+if TYPE_CHECKING:
+    from .engine import Engine
 
 
 class SpecError(ValueError):
@@ -132,29 +136,45 @@ class CompositeDecl:
     definition: FieldExpr
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraSpec:
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
-    and composite fields usable as commutator channels."""
+    and composite fields usable as commutator channels.
+
+    A spec is immutable: its mappings are read-only copies of the ones it was
+    built from, so the rewriting engine it owns can never go stale.
+    """
 
     central_charge: Fraction
     generators: tuple[GeneratorDecl, ...]
-    d: dict[tuple[str, str], Poly]
-    constants: dict[tuple[str, str, str], Poly]
-    composites: dict[str, CompositeDecl] = field(default_factory=dict)
-    c_lower: dict[tuple[str, str, str], Poly] = field(default_factory=dict)
+    d: Mapping[tuple[str, str], Poly]
+    constants: Mapping[tuple[str, str, str], Poly]
+    composites: Mapping[str, CompositeDecl] = field(default_factory=dict)
+    c_lower: Mapping[tuple[str, str, str], Poly] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._rank = {g.symbol: i for i, g in enumerate(self.generators)}
-        self._weights = {g.symbol: g.weight for g in self.generators}
+        init = object.__setattr__
+        for name in ("d", "constants", "composites", "c_lower"):
+            init(self, name, MappingProxyType(dict(getattr(self, name))))
+        init(self, "_rank", {g.symbol: i for i, g in enumerate(self.generators)})
+        weights = {g.symbol: g.weight for g in self.generators}
         for c in self.composites.values():
-            self._weights[c.symbol] = c.weight
-        self._channels: dict[tuple[str, str], list[tuple[str, Poly]]] = {}
+            weights[c.symbol] = c.weight
+        init(self, "_weights", weights)
+        channels: dict[tuple[str, str], list[tuple[str, Poly]]] = {}
         for (i, j, k), value in self.constants.items():
-            self._channels.setdefault((i, j), []).append((k, value))
-        for chans in self._channels.values():
-            chans.sort(key=lambda kv: kv[0])
+            channels.setdefault((i, j), []).append((k, value))
+        init(self, "_channels", {key: tuple(sorted(chans, key=lambda kv: kv[0]))
+                                 for key, chans in channels.items()})
         self.validate()
+
+    @cached_property
+    def engine(self) -> Engine:
+        """The rewriting engine bound to this spec, built on first use; its
+        memo lives as long as the spec does."""
+        from .engine import Engine
+
+        return Engine(self)
 
     # --- lookups ---
 
@@ -173,11 +193,14 @@ class AlgebraSpec:
     def pairing(self, i: str, j: str) -> Poly:
         return self.d.get((i, j) if i <= j else (j, i), Poly.zero())
 
-    def channels(self, i: str, j: str) -> list[tuple[str, Poly]]:
-        return self._channels.get((i, j), [])
+    def channels(self, i: str, j: str) -> tuple[tuple[str, Poly], ...]:
+        return self._channels.get((i, j), ())
 
     def composite_expr(self, symbol: str) -> FieldExpr:
-        return self.composites[symbol].definition
+        try:
+            return self.composites[symbol].definition
+        except KeyError:
+            raise SpecError(f"undeclared field {symbol!r}") from None
 
     # --- validation ---
 

@@ -341,7 +341,7 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
                        ) -> tuple[bool, list[StepReport]]:
     """Replay every step; returns overall validity and per-step reports.
     Verification stops at the first failing step."""
-    engine = Engine(spec)
+    engine = spec.engine
     reports: list[StepReport] = []
     seen: set[int] = set()
     for claim in cert.steps:
@@ -576,6 +576,40 @@ def _typed(value, kind: type):
 
 # each rule's JSON params are its dataclass fields, written by field name
 _RULES = {rule.name: rule for rule in get_args(Rule)}
+_NULL_COEFFICIENTS = tuple(f.name for f in fields(SingularTable))
+
+
+def _schema(required, optional=()) -> tuple[frozenset, frozenset]:
+    return frozenset(required), frozenset(optional)
+
+
+# each JSON object of a certificate: its required keys and its optional ones
+_KEYS = {
+    "the certificate": _schema({"null_coefficients", "steps", "targets"}),
+    "null_coefficients": _schema(_NULL_COEFFICIENTS),
+    "a step": _schema({"id", "claim", "rule", "params", "uses"},
+                      {"depends_on", "label"}),
+    "a claim": _schema({"vector", "space"}),
+    "a null": _schema({"coeff", "a", "b"}),
+    "a part": _schema({"coeff", "id"}),
+    **{f"{name} params": _schema(f.name for f in fields(rule))
+       for name, rule in _RULES.items()},
+}
+
+
+def _keyed(doc, what: str) -> dict:
+    """The JSON object `what` of a certificate, with every required key, any
+    optional one and no other (see `_KEYS`)."""
+    if not isinstance(doc, dict):
+        raise CertificateError(f"{what} must be a JSON object, got {doc!r}")
+    required, optional = _KEYS[what]
+    if doc.keys() - optional != required:
+        unknown = doc.keys() - required - optional
+        if unknown:
+            raise CertificateError(f"unknown key(s) {sorted(map(str, unknown))} "
+                                   f"in {what}")
+        raise CertificateError(f"{what} lacks key(s) {sorted(required - doc.keys())}")
+    return doc
 
 
 def _param_to_json(key: str, value):
@@ -602,9 +636,11 @@ def _param_from_json(key: str, value):
     if key == "remainder":
         return parse_expression(value)
     if key == "nulls":
+        entries = [_keyed(e, "a null") for e in value]
         return tuple((parse_poly(e["coeff"]),
-                      (_typed(e["a"], int), _typed(e["b"], int))) for e in value)
-    return tuple((parse_poly(e["coeff"]), _typed(e["id"], int)) for e in value)
+                      (_typed(e["a"], int), _typed(e["b"], int))) for e in entries)
+    entries = [_keyed(e, "a part") for e in value]
+    return tuple((parse_poly(e["coeff"]), _typed(e["id"], int)) for e in entries)
 
 
 def _rule_to_dict(rule: Rule) -> dict:
@@ -615,15 +651,14 @@ def _rule_to_dict(rule: Rule) -> dict:
 def _rule_from_dict(name: str, params: dict) -> Rule:
     if name not in _RULES:
         raise CertificateError(f"unknown rule name {name!r}")
-    cls = _RULES[name]
-    return cls(**{f.name: _param_from_json(f.name, params[f.name]) for f in fields(cls)})
+    params = _keyed(params, f"{name} params")
+    return _RULES[name](**{k: _param_from_json(k, v) for k, v in params.items()})
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "null_coefficients": {
-            k: str(getattr(cert.table, k))
-            for k in ("c1", "c2", "c3", "c4", "c5", "c6")
+            k: str(getattr(cert.table, k)) for k in _NULL_COEFFICIENTS
         },
         "steps": [
             {
@@ -646,15 +681,18 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_dict(doc: dict) -> Certificate:
-    """Load a certificate document; a missing or ill-typed field, or a claim
-    about any space but C2, raises CertificateError."""
+    """Load a certificate document; a missing, unknown or ill-typed key, or a
+    claim about any space but C2, raises CertificateError."""
     try:
+        doc = _keyed(doc, "the certificate")
         table = SingularTable(**{
-            k: Fraction(_typed(v, str)) for k, v in doc["null_coefficients"].items()
+            k: Fraction(_typed(v, str))
+            for k, v in _keyed(doc["null_coefficients"], "null_coefficients").items()
         })
         steps = []
         for s in doc["steps"]:
-            space = s["claim"]["space"]
+            s = _keyed(s, "a step")
+            space = _keyed(s["claim"], "a claim")["space"]
             if space != "C2":
                 raise CertificateError(f"claim space {space!r} is not C2")
             steps.append(

@@ -93,10 +93,14 @@ def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
 
 
 def cmd_bracket(args) -> int:
+    if args.spec and args.virasoro:
+        raise InputError("--spec and --virasoro exclude each other")
+    if args.c is not None and not args.virasoro:
+        raise InputError("--c sets the central charge of --virasoro only")
     if args.spec:
         spec = _load_spec_arg(args.spec)
     elif args.virasoro:
-        spec = make_virasoro_spec(args.c)
+        spec = make_virasoro_spec("c" if args.c is None else args.c)
     else:
         spec = load_triplet_p2_spec()
     left = _parse_mode(args.left)
@@ -250,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--right", required=True, help="mode, e.g. W1:-3")
     p_br.add_argument("--virasoro", action="store_true",
                       help="use the Virasoro-only spec")
-    p_br.add_argument("--c", default="c",
-                      help="central charge for --virasoro (rational or symbol)")
+    p_br.add_argument("--c", default=None,
+                      help="central charge for --virasoro (rational or symbol; "
+                      "default: the symbol c)")
     common(p_br, spec=True)
     p_br.set_defaults(func=cmd_bracket)
 

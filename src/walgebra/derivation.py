@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Mode, make_derivation_spec
-from .engine import Engine, State, project_with_audit
+from .engine import State, project_with_audit
 from .scalar import Poly, render_poly, solve_linear
 
 
@@ -144,7 +144,8 @@ ASSUMPTIONS = [
 
 
 class Derivation:
-    """Derivation pipeline bound to one p; shares a single rewriting engine."""
+    """Derivation pipeline bound to one p; every stage uses the engine owned by
+    its spec."""
 
     def __init__(self, p: int):
         if not 2 <= p <= MAX_P:
@@ -152,7 +153,6 @@ class Derivation:
         self.p = p
         self.delta = 2 * p - 1
         self.spec = make_derivation_spec(p)
-        self.engine = Engine(self.spec)
         self.mono = Monomials(self.delta)
 
     # -- helpers ---------------------------------------------------------------
@@ -181,7 +181,7 @@ class Derivation:
         length-projected quasi-primary product of W with itself at its lowest
         vacuum mode."""
         d = self.delta
-        eng = self.engine
+        eng = self.spec.engine
         ww = eng.qp_nop("W", "W", 0)
         state = eng.field_mode_apply(ww, -2 * d, State.vacuum())
         mono = self.mono
@@ -200,7 +200,7 @@ class Derivation:
         being nonzero is the quasi-primary-but-not-primary statement.
         """
         d = self.delta
-        eng = self.engine
+        eng = self.spec.engine
         B = Poly.sym("B")
         C = Poly.sym("C")
         ansatz = State(
@@ -217,7 +217,7 @@ class Derivation:
         """Aggregate second coefficient forced by quasi-primarity of the
         remaining weight-2*Delta fields: L_1 annihilation at length Delta-1
         ties it to B."""
-        eng = self.engine
+        eng = self.spec.engine
         b_sym, g_sym = Poly.sym("B"), Poly.sym("_G")
         state = State({self.mono.l4_l2: b_sym, self.mono.l33_l2: g_sym})
         image = eng.apply_mode(_T(1), state)
@@ -233,7 +233,7 @@ class Derivation:
         monomials against the quasi-primary product's correction channels,
         yielding the three aggregate coefficients xi."""
         d = self.delta
-        eng = self.engine
+        eng = self.spec.engine
         mono = self.mono
         ansatz = State(
             {mono.ww: Poly.const(1), mono.l4_l2: beta, mono.l33_l2: gamma}
@@ -284,7 +284,7 @@ class Derivation:
         its two-W words regrow length-(d-1) content under L_2.
         """
         d = self.delta
-        eng = self.engine
+        eng = self.spec.engine
         mono = self.mono
         rep = eng.field_mode_apply(eng.qp_nop("W", "W", 0), -2 * d - 1, State.vacuum())
         rep = rep + State({mono.l5_l2: xi[0], mono.l4_l3_l2: xi[1]})

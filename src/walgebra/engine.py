@@ -157,7 +157,10 @@ class Engine:
     """Rewriting engine bound to one algebra spec.
 
     Pure operations over immutable values; the internal memo table is an
-    invisible cache.
+    invisible cache.  The library uses the engine owned by the spec
+    (`AlgebraSpec.engine`), so its memo lives as long as the spec does and is
+    shared by every computation on that spec; constructing an `Engine`
+    directly gives a fresh, empty memo.
     """
 
     def __init__(self, spec: AlgebraSpec):

@@ -133,7 +133,7 @@ def solve_structure_constants(spec: AlgebraSpec,
     if not unknowns:
         raise SolveError("spec has no symbolic structure constants to solve for")
     equations = []
-    for state in annihilation_states(Engine(spec), table).values():
+    for state in annihilation_states(spec.engine, table).values():
         equations.extend(state.terms().values())
     try:
         assignment = solve_linear(equations, unknowns)
@@ -169,7 +169,7 @@ def verify_singular_p2(spec: AlgebraSpec, *, table: SingularTable = DEFAULT_TABL
             "supply numeric values or use solve mode"
         )
     failures = {}
-    for (m, a, b), state in annihilation_states(Engine(spec), table).items():
+    for (m, a, b), state in annihilation_states(spec.engine, table).items():
         if state:
             failures[f"L{m} N{a}{b}"] = state.render()
     return not failures, {"failures": failures}

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from walgebra.algebra import (
+    AlgebraSpec,
+    GeneratorDecl,
     Mode,
     SpecError,
     bracket,
@@ -16,7 +19,7 @@ from walgebra.algebra import (
     p_poly,
 )
 from walgebra.scalar import Poly
-from walgebra.singular import load_triplet_p2_spec
+from walgebra.singular import load_triplet_p2_spec, substitute_constants
 
 
 def T(n):
@@ -187,3 +190,37 @@ def test_central_charges():
     assert central_charge_p1(2) == -2
     assert central_charge_p1(3) == Fraction(-7)
     assert central_charge_p1(5) == Fraction(1) - Fraction(6 * 16, 5)
+
+
+def test_spec_is_frozen_and_owns_its_engine():
+    spec = load_triplet_p2_spec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.central_charge = Fraction(1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.constants = {}
+    key = ("T", "T", "T")
+    for mapping in (spec.d, spec.constants, spec.composites, spec.c_lower):
+        with pytest.raises(TypeError):
+            mapping[key] = Poly.const(1)
+    assert spec.engine is spec.engine and spec.engine.spec is spec
+    # substitution builds a new spec, with an engine of its own
+    new = substitute_constants(spec, {"uT": Poly.const(3)})
+    assert new is not spec and new.engine is not spec.engine
+    assert new.engine.spec is new
+    assert new.constants[("W1", "W1", "T")] == Poly.const(3)
+    assert spec.constants[("W1", "W1", "T")] == Poly.sym("uT")
+
+
+def test_spec_copies_the_mappings_it_is_built_from():
+    d = {("T", "T"): Poly.const(1)}
+    spec = AlgebraSpec(Fraction(2), (GeneratorDecl("T", 2),), d,
+                       {("T", "T", "T"): Poly.const(2)})
+    d[("T", "T")] = Poly.const(5)
+    assert spec.pairing("T", "T") == Poly.const(1)
+
+
+def test_undeclared_field_is_a_spec_error():
+    spec = make_virasoro_spec("c")
+    for lookup in (spec.weight_of, spec.composite_expr):
+        with pytest.raises(SpecError, match="undeclared field 'W1'"):
+            lookup("W1")

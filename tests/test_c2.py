@@ -5,10 +5,11 @@ from importlib import resources
 
 import pytest
 
-from walgebra.algebra import Mode, load_spec
+from walgebra.algebra import Mode, SpecError, load_spec
 from walgebra.c2 import (
     Certificate,
     CertificateError,
+    LinearCombinationRule,
     ManifestMemberRule,
     MembershipClaim,
     WeightBoundedBracketRule,
@@ -26,6 +27,7 @@ from walgebra.c2 import (
     verify_certificate,
 )
 from walgebra.engine import Engine
+from walgebra.scalar import Poly
 from walgebra.singular import SingularTable, load_triplet_p2_spec
 
 
@@ -172,6 +174,26 @@ BAD_CERTIFICATES = [
      lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c5=2.0))),
     ("bool_null_coefficient",
      lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c1=True))),
+    # a key the loader does not know, at any level, or a null coefficient
+    # left out (a missing c6 once loaded as the published 5/4)
+    ("unknown_top_level_key",
+     lambda cert: _edited(cert, lambda d: d.update(bogus=5))),
+    ("unknown_step_key",
+     lambda cert: _edited(cert, lambda d: d["steps"][6].update(bogus=5))),
+    ("unknown_claim_key",
+     lambda cert: _edited(cert, lambda d: d["steps"][6]["claim"].update(bogus=5))),
+    ("unknown_params_key",
+     lambda cert: _edited(cert, lambda d: d["steps"][6]["params"].update(bogus=5))),
+    ("unknown_null_entry_key",
+     lambda cert: _edited(cert, lambda d: d["steps"][0]["params"]["nulls"][0].update(
+         bogus=5))),
+    ("unknown_part_entry_key",
+     lambda cert: _edited(cert, lambda d: d["steps"][10]["params"]["parts"][0].update(
+         bogus=5))),
+    ("unknown_null_coefficient",
+     lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c7="1"))),
+    ("missing_null_coefficient",
+     lambda cert: _edited(cert, lambda d: d["null_coefficients"].pop("c6"))),
 ]
 
 
@@ -335,3 +357,61 @@ def test_prefixed_manifest(spec):
     assert prefixed_manifest((T(-2), W(1, -5), W(1, -3)), 2, spec)
     assert not prefixed_manifest((T(-2), T(-2)), 2, spec)
     assert not prefixed_manifest((T(3), W(1, -5)), 2, spec)
+
+
+# --- the engine memo shared through the spec ----------------------------------
+
+# the factors the benchmark's corruptions multiply one term by
+MULTIPLIERS = (2, 3, -1, -2, Fraction(1, 2), Fraction(1, 3), Fraction(-3, 7),
+               Fraction(5, 4))
+
+
+def _with_vector(cert, idx, vector):
+    steps = list(cert.steps)
+    steps[idx] = dataclasses.replace(steps[idx], vector=tuple(vector))
+    return Certificate(cert.table, steps, list(cert.targets))
+
+
+@pytest.fixture(scope="module")
+def shared_spec(cert):
+    spec = load_triplet_p2_spec()
+    assert verify_certificate(cert, spec)[0]
+    return spec
+
+
+@pytest.mark.parametrize("idx", range(len(certify_triplet_p2().steps)))
+def test_shared_memo_corruptions_match_fresh_spec(cert, shared_spec, idx):
+    # the memo a spec's engine keeps from earlier replays changes no verdict
+    # and no report
+    for k, factor in enumerate(MULTIPLIERS):
+        vec = list(cert.steps[idx].vector)
+        t = k % len(vec)
+        vec[t] = (vec[t][0] * factor, vec[t][1])
+        bad = _with_vector(cert, idx, vec)
+        shared = verify_certificate(bad, shared_spec)
+        assert not shared[0]
+        assert shared == verify_certificate(bad, load_triplet_p2_spec())
+
+
+def test_second_clean_replay_adds_no_memo_entries(cert):
+    spec = load_triplet_p2_spec()
+    first = verify_certificate(cert, spec)
+    size = len(spec.engine._memo)
+    assert first[0] and size
+    assert verify_certificate(cert, spec) == first
+    assert len(spec.engine._memo) == size
+
+
+def test_replay_raising_part_way_leaves_engine_usable(cert):
+    spec = load_triplet_p2_spec()
+    clean = verify_certificate(cert, load_triplet_p2_spec())
+    # the first combination step, with a term whose second mode belongs to an
+    # undeclared field: its residual fails to cancel formally and the engine
+    # raises while evaluating it, after the earlier steps filled the memo
+    idx = next(i for i, s in enumerate(cert.steps)
+               if isinstance(s.rule, LinearCombinationRule))
+    vec = cert.steps[idx].vector + ((Poly.const(1), (Mode("X", -4), W(1, -3))),)
+    with pytest.raises(SpecError, match="undeclared field 'X'"):
+        verify_certificate(_with_vector(cert, idx, vec), spec)
+    assert spec.engine._memo
+    assert verify_certificate(cert, spec) == clean

@@ -153,6 +153,42 @@ def test_solve_mode_without_unknowns_exit_2(tmp_path):
     assert run_cli("verify-singular", "--spec", str(path)).returncode == 0
 
 
+VIRASORO_DOC = {
+    "central_charge": "-2",
+    "generators": [{"symbol": "T", "weight": 2}],
+    "d": [{"i": "T", "j": "T", "value": "-1"}],
+    "structure_constants": [{"i": "T", "j": "T", "k": "T", "value": "2"}],
+}
+
+
+@pytest.mark.parametrize("command", ["verify-singular", "certify-c2"])
+def test_undeclared_field_exit_2(tmp_path, command):
+    # the singular vectors and the certificate need W1..W3, which a
+    # Virasoro-only spec does not declare
+    path = tmp_path / "virasoro.json"
+    path.write_text(json.dumps(VIRASORO_DOC))
+    proc = run_cli(command, "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: undeclared field")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--c", "1"),
+    ("--spec", "SPEC", "--virasoro"),
+    ("--spec", "SPEC", "--c", "1"),
+], ids=["c_without_virasoro", "spec_and_virasoro", "spec_and_c"])
+def test_bracket_rejects_ignored_flags(tmp_path, flags):
+    path = tmp_path / "virasoro.json"
+    path.write_text(json.dumps(VIRASORO_DOC))
+    flags = [str(path) if f == "SPEC" else f for f in flags]
+    proc = run_cli("bracket", *flags, "--left", "T:2", "--right", "T:-2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 def test_missing_spec_file_exit_2():
     proc = run_cli("certify-c2", "--spec", "/nonexistent/path.json")
     assert proc.returncode == 2

@@ -106,7 +106,7 @@ def test_lowering_consistency(p, derivation):
     """L_{-1} of the ansatz agrees with the mode-by-mode sl2 lowering rule."""
     d = 2 * p - 1
     der = derivation(p)
-    eng = der.engine
+    eng = der.spec.engine
     beta_ww, gamma_ww, _ = der.beta_gamma_ww()
     beta = beta_ww + B
     gamma = gamma_ww + der.gamma_sum(B)

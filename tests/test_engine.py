@@ -351,7 +351,7 @@ def _is_exact(c):
 def test_memo_holds_exact_numbers(derivation):
     der = derivation(4)
     der.report()
-    coeffs = _memo_coeffs(der.engine)
+    coeffs = _memo_coeffs(der.spec.engine)
     assert coeffs and all(_is_exact(c) for c in coeffs)
     kinds = {type(c) for c in coeffs}
     assert kinds == {int, Fraction, Poly}

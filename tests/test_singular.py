@@ -112,3 +112,20 @@ def test_table_values_are_exact():
     assert type(table.c1) is int and table.c1 == 2
     assert table.c2 == Fraction(1, 3) and table.c3 == Fraction(14, 9)
     assert type(SingularTable().c5) is int
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 5), Fraction(-1, 5)])
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5", "c6"])
+def test_shared_memo_perturbation_matches_fresh_spec(spec, solved, numeric_spec,
+                                                     name, delta):
+    # after a clean verification has filled the numeric spec's memo, a
+    # perturbed table fails exactly as it does on a fresh spec
+    assert verify_singular_p2(numeric_spec)[0]
+    table = SingularTable()
+    bad = table.replace(**{name: getattr(table, name) + delta})
+    assignment = dict(solved.assignment)
+    assignment["dWW"] = Poly.const(-1)
+    fresh = substitute_constants(spec, assignment)
+    shared = verify_singular_p2(numeric_spec, table=bad)
+    assert not shared[0]
+    assert shared == verify_singular_p2(fresh, table=bad)
