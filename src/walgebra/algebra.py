@@ -234,6 +234,11 @@ class AlgebraSpec:
         t = self.generators[0].symbol
         if self.weight_of(t) != 2:
             raise SpecError("first generator must be the weight-2 conformal field")
+        # the conformal field pairs with itself to c/2, unless d_TT is symbolic
+        d_tt = self.pairing(t, t)
+        if d_tt.is_const() and d_tt != Poly.const(self.central_charge / 2):
+            raise SpecError(f"d_{t}{t} = {render_poly(d_tt)} is not half the "
+                            f"central charge {self.central_charge}")
         for g in self.generators:
             want = Poly.const(g.weight)
             for key in ((t, g.symbol, g.symbol), (g.symbol, t, g.symbol)):
@@ -311,18 +316,6 @@ class OperatorSum:
     terms: tuple[tuple[Poly, Mode], ...]
     central: Poly
 
-    def __add__(self, other: "OperatorSum") -> "OperatorSum":
-        acc: dict[Mode, Poly] = {}
-        for coeff, mode in self.terms + other.terms:
-            acc[mode] = acc.get(mode, Poly.zero()) + coeff
-        terms = tuple(
-            (c, m) for m, c in sorted(acc.items(), key=lambda kv: kv[0]) if c
-        )
-        return OperatorSum(terms, self.central + other.central)
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.central.is_zero()
-
     def render(self) -> str:
         bits = [f"({render_poly(c)})*{m.render()}" for c, m in self.terms]
         if self.central:
@@ -386,8 +379,8 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_str(value, what: str) -> str:
-    """A number or polynomial field of a spec document: a string such as
-    "-2" or "-uW"."""
+    """A string field of a spec document: a field symbol, or a number or
+    polynomial such as "-2" or "-uW"."""
     if not isinstance(value, str):
         raise SpecError(f"{what} must be a string, got {value!r}")
     return value
@@ -397,23 +390,66 @@ def _json_poly(value, what: str) -> Poly:
     return parse_poly(_json_str(value, what))
 
 
+def keyed(doc, what: str, required: set, optional: set = frozenset(),
+          error=SpecError) -> dict:
+    """`doc`, the JSON object `what` of a document, if it has every
+    `required` key, any `optional` one and no other; otherwise raises
+    `error`."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be a JSON object, got {doc!r}")
+    if doc.keys() - optional != required:
+        unknown = doc.keys() - required - optional
+        if unknown:
+            raise error(f"unknown key(s) {sorted(map(str, unknown))} in {what}")
+        raise error(f"{what} lacks key(s) {sorted(required - doc.keys())}")
+    return doc
+
+
+# each JSON object of a spec document: its required keys, then its optional ones
+_SPEC_KEYS = {
+    "the spec document": ({"central_charge", "generators"},
+                          {"d", "structure_constants", "composite_fields", "c_lower"}),
+    "generators": ({"symbol", "weight"},),
+    "d": ({"i", "j", "value"},),
+    "structure_constants": ({"i", "j", "k", "value"},),
+    "composite_fields": ({"symbol", "weight", "definition"},),
+    "c_lower": ({"i", "j", "k", "value"},),
+}
+
+
+def _entries(document: dict, key: str) -> list[dict]:
+    """The objects listed under `key` of a spec document, each with exactly
+    the keys `_SPEC_KEYS[key]` allows."""
+    return [keyed(e, f"a {key} entry", *_SPEC_KEYS[key]) for e in document.get(key, [])]
+
+
+def _put(table: dict, key, value, what: str) -> None:
+    if key in table:
+        raise SpecError(f"duplicate {what} {key!r}")
+    table[key] = value
+
+
 def _parse_field_expr(doc) -> FieldExpr:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SpecError(f"bad field expression {doc!r}")
     (kind, body), = doc.items()
     if kind == "gen":
-        return FieldRef(body)
+        return FieldRef(_json_str(body, "gen symbol"))
     if kind == "deriv":
+        body = keyed(body, "a deriv body", {"base", "order"})
         return Derivative(_parse_field_expr(body["base"]),
                           _json_int(body["order"], "deriv order"))
     if kind == "nprod":
+        body = keyed(body, "an nprod body", {"m", "left", "right"})
         return Nprod(
             _json_int(body["m"], "nprod m"),
             _parse_field_expr(body["left"]),
             _parse_field_expr(body["right"]),
         )
     if kind == "qpnop":
-        return QPNop(body["j"], body["i"], _json_int(body.get("n", 0), "qpnop n"))
+        body = keyed(body, "a qpnop body", {"j", "i"}, {"n"})
+        return QPNop(_json_str(body["j"], "qpnop j"), _json_str(body["i"], "qpnop i"),
+                     _json_int(body.get("n", 0), "qpnop n"))
     if kind == "lincomb":
         return LinComb(
             tuple((_json_poly(c, "lincomb coefficient"), _parse_field_expr(e))
@@ -426,43 +462,45 @@ def load_spec(document: str | dict) -> AlgebraSpec:
     """Load and validate an algebra-spec document (JSON text or dict).
 
     The central charge and every polynomial value are strings; weights,
-    derivative orders, `nprod` m and `qpnop` n are JSON integers.
+    derivative orders, `nprod` m and `qpnop` n are JSON integers.  A key the
+    loader does not read, at any level, and a second entry for one pairing,
+    structure constant, composite symbol or `c_lower` triple are refused.
     """
     if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SpecError(f"not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise SpecError("spec document must be a JSON object")
     try:
+        document = keyed(document, "the spec document",
+                         *_SPEC_KEYS["the spec document"])
         c = Fraction(_json_str(document["central_charge"], "central_charge"))
         gens = tuple(
-            GeneratorDecl(g["symbol"], _json_int(g["weight"], "generator weight"))
-            for g in document["generators"]
+            GeneratorDecl(_json_str(g["symbol"], "generator symbol"),
+                          _json_int(g["weight"], "generator weight"))
+            for g in _entries(document, "generators")
         )
         d = {}
-        for entry in document.get("d", []):
+        for entry in _entries(document, "d"):
             i, j = entry["i"], entry["j"]
-            key = (i, j) if i <= j else (j, i)
-            d[key] = _json_poly(entry["value"], "d value")
+            _put(d, (i, j) if i <= j else (j, i),
+                 _json_poly(entry["value"], "d value"), "pairing")
         constants = {}
-        for entry in document.get("structure_constants", []):
-            key = (entry["i"], entry["j"], entry["k"])
-            if key in constants:
-                raise SpecError(f"duplicate structure constant {key}")
-            constants[key] = _json_poly(entry["value"], "structure constant value")
+        for entry in _entries(document, "structure_constants"):
+            _put(constants, (entry["i"], entry["j"], entry["k"]),
+                 _json_poly(entry["value"], "structure constant value"),
+                 "structure constant")
         composites = {}
-        for entry in document.get("composite_fields", []):
+        for entry in _entries(document, "composite_fields"):
             sym = entry["symbol"]
-            composites[sym] = CompositeDecl(
+            _put(composites, sym, CompositeDecl(
                 sym, _json_int(entry["weight"], "composite weight"),
                 _parse_field_expr(entry["definition"])
-            )
+            ), "composite field")
         c_lower = {}
-        for entry in document.get("c_lower", []):
-            c_lower[(entry["i"], entry["j"], entry["k"])] = _json_poly(
-                entry["value"], "c_lower value")
+        for entry in _entries(document, "c_lower"):
+            _put(c_lower, (entry["i"], entry["j"], entry["k"]),
+                 _json_poly(entry["value"], "c_lower value"), "c_lower entry")
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

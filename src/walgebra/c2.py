@@ -6,17 +6,19 @@ the vacuum algebra, justified by one of six mechanically checkable rules:
 * ManifestMember     -- the leftmost mode is deep enough (math index <= -n,
                         n >= 2, so that C_n lies in C_2);
 * PrefixInvariance   -- nonpositive-math-index modes prefix an earlier claim;
-* SingularRewrite    -- the vector equals manifest/earlier material modulo
-                        the declared null vectors (exact state arithmetic);
+* SingularRewrite    -- the vector equals manifest material modulo the
+                        declared null vectors, cancelling formally;
 * WeightBoundedBracket -- a [W,W] commutator with no central term, whose
-                        declared channels all have weight <= 2h-1, hence
-                        land at math index <= -2;
+                        declared channels all land at math index <= -2,
+                        replayed exactly as states;
 * Reorder            -- nonpositive conformal modes moved across the W modes
                         of an earlier claim, every commutator fired on the
-                        way weight-bounded;
-* LinearCombination  -- exact combination of earlier claims plus manifest
-                        remainder.
+                        way free of central terms and prefixed-manifest;
+* LinearCombination  -- combination of earlier claims plus manifest
+                        remainder, cancelling formally.
 
+A rule names the earlier claims it rests on (its `base` or `parts`); replay,
+one pass in file order, accepts only steps it has already verified there.
 Certificates are self-contained: they carry the null-vector coefficient
 table, and verification uses only the algebra spec plus the certificate body.
 """
@@ -29,8 +31,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import get_args
 
-from .algebra import AlgebraSpec, Mode, bracket, convert_index
-from .engine import Engine, State
+from .algebra import AlgebraSpec, Mode, bracket, convert_index, keyed
+from .engine import State
 from .scalar import Poly, parse_poly, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
@@ -161,8 +163,6 @@ class MembershipClaim:
     id: int
     vector: Expression
     rule: Rule
-    uses: tuple[int, ...] = ()
-    depends_on: tuple[str, ...] = ()
     label: str = ""
 
 
@@ -171,12 +171,6 @@ class Certificate:
     table: SingularTable
     steps: list[MembershipClaim]
     targets: list[int]
-
-    def step(self, claim_id: int) -> MembershipClaim:
-        for s in self.steps:
-            if s.id == claim_id:
-                return s
-        raise KeyError(claim_id)
 
 
 @dataclass
@@ -191,7 +185,7 @@ class StepReport:
 
 
 def _cited(rule: Rule) -> tuple[int, ...]:
-    """The earlier claims a rule rests on, in order: the `uses` of its claim."""
+    """The earlier claims a rule rests on, in order."""
     if isinstance(rule, (PrefixInvarianceRule, ReorderRule)):
         return (rule.base,)
     if isinstance(rule, LinearCombinationRule):
@@ -199,11 +193,12 @@ def _cited(rule: Rule) -> tuple[int, ...]:
     return ()
 
 
-def _implied_vector(rule: Rule, cert: Certificate) -> Expression | None:
+def _implied_vector(rule: Rule, proved: dict[int, Expression]) -> Expression | None:
     """The vector a prefix, reorder or bracket rule states outright, from its
-    parameters and the claims it cites; None for the other rules."""
+    parameters and the proved vectors of the claims it cites; None for the
+    other rules."""
     if isinstance(rule, PrefixInvarianceRule):
-        return expr_prefix(rule.prefix, cert.step(rule.base).vector)
+        return expr_prefix(rule.prefix, proved[rule.base])
     if isinstance(rule, ReorderRule):
         return expression((1, rule.prefix + rule.block))
     if isinstance(rule, WeightBoundedBracketRule):
@@ -212,68 +207,65 @@ def _implied_vector(rule: Rule, cert: Certificate) -> Expression | None:
     return None
 
 
-def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
-                 remainder: Expression, engine: Engine) -> tuple[bool, str]:
-    """vector - sum coeff * known - remainder vanishes, formally or else as a
-    state, and every remainder term is prefixed-manifest."""
-    for _, seq in remainder:
-        if not prefixed_manifest(seq, 2, engine.spec):
-            return False, f"remainder term {seq} is not prefixed-manifest"
-    residual = expr_add(vector, expr_scale(remainder, -1))
+def _residual(vector: Expression, known: list[tuple[Poly | int, Expression]]
+              ) -> Expression:
+    """vector - sum coeff * known, as a formal expression."""
     for coeff, known_vector in known:
-        residual = expr_add(residual, expr_scale(known_vector, -coeff))
+        vector = expr_add(vector, expr_scale(known_vector, -coeff))
+    return vector
+
+
+def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
+                 remainder: Expression, spec: AlgebraSpec) -> tuple[bool, str]:
+    """vector - sum coeff * known - remainder cancels formally, and every
+    remainder term is prefixed-manifest."""
+    for _, seq in remainder:
+        if not prefixed_manifest(seq, 2, spec):
+            return False, f"remainder term {seq} is not prefixed-manifest"
+    residual = _residual(vector, [(1, remainder)] + known)
     if residual:
-        # formal cancellation failed; fall back to exact state arithmetic
-        total = engine.evaluate(residual)
-        if total:
-            return False, f"residual: {total.render()}"
+        return False, f"residual: {render_expression(residual)}"
     return True, ""
 
 
-def _commute_T_past_W(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
-                      spec: AlgebraSpec) -> Expression:
+def _reorder_failure(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
+                     spec: AlgebraSpec) -> str:
     """Rewrite the composition prefix+block as block+prefix plus bracket
-    terms, using only pairwise mode brackets.  Returns the bracket terms."""
+    terms by pairwise mode brackets.  Returns why that fails (a central term,
+    or a bracket term that is not prefixed-manifest), or "" if it does not."""
     done: list[tuple[Poly, tuple[Mode, ...]]] = []
     work = [(Poly.const(1), tuple(prefix) + tuple(block))]
-
-    def sort_key(m: Mode) -> int:
-        # W modes before T modes: move every T right past every W
-        return 0 if m.field != "T" else 1
-
     while work:
         coeff, seq = work.pop()
         for i in range(len(seq) - 1):
             x, y = seq[i], seq[i + 1]
-            if sort_key(x) > sort_key(y):
+            if x.field == "T" and y.field != "T":  # move every T right past every W
                 swapped = seq[:i] + (y, x) + seq[i + 2:]
                 work.append((coeff, swapped))
                 ops = bracket(x, y, spec)
                 if ops.central:
-                    raise CertificateError("unexpected central term in trace")
+                    return (f"[{x.render()}, {y.render()}] has central term "
+                            f"{render_poly(ops.central)}, which is not in C2")
                 for c2, mode in ops.terms:
                     work.append((coeff * c2, seq[:i] + (mode,) + seq[i + 2:]))
                 break
         else:
             done.append((coeff, seq))
-    target = tuple(block) + tuple(prefix)
-    trace = expr_add(tuple(done), expression((-1, target)))
-    if any(seq == target for _, seq in trace):
-        raise CertificateError("commutation trace lost the sorted word")
-    return trace
+    # the swaps alone give block+prefix once; every bracket term is shorter
+    for _, seq in expr_add(tuple(done), expression((-1, tuple(block) + tuple(prefix)))):
+        if not prefixed_manifest(seq, 2, spec):
+            return f"trace term {seq} is not prefixed-manifest"
+    return ""
 
 
-def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
-                ) -> tuple[bool, str]:
-    spec = engine.spec
+def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
+                table: SingularTable, spec: AlgebraSpec) -> tuple[bool, str]:
+    """Replay one step against the vectors of the steps verified before it."""
     rule = claim.rule
-    earlier = {s.id for s in cert.steps if s.id < claim.id}
-    if any(u not in earlier for u in claim.uses):
-        return False, "claim cites a step that is not strictly earlier"
-    if any(u not in claim.uses for u in _cited(rule)):
-        return False, "the rule rests on a claim that the step does not cite"
-    want = _implied_vector(rule, cert)
-    if want is not None and expr_add(claim.vector, expr_scale(want, -1)):
+    if any(claim_id not in proved for claim_id in _cited(rule)):
+        return False, "cites a claim that is not an earlier verified step"
+    want = _implied_vector(rule, proved)
+    if want is not None and _residual(claim.vector, [(1, want)]):
         return False, f"vector is not the one the {rule.name} rule states"
 
     if isinstance(rule, ManifestMemberRule):
@@ -291,24 +283,20 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         return True, ""
 
     if isinstance(rule, SingularRewriteRule):
-        nulls = [(c, null_vector_terms(a, b, cert.table)) for c, (a, b) in rule.nulls]
-        return _combination(claim.vector, nulls, rule.remainder, engine)
+        nulls = [(c, null_vector_terms(a, b, table)) for c, (a, b) in rule.nulls]
+        return _combination(claim.vector, nulls, rule.remainder, spec)
 
     if isinstance(rule, WeightBoundedBracketRule):
-        ha = spec.weight_of(rule.a.field)
-        hb = spec.weight_of(rule.b.field)
         msum = rule.a.n + rule.b.n
         for (i, j) in ((rule.a.field, rule.b.field), (rule.b.field, rule.a.field)):
             for k, _ in spec.channels(i, j):
-                hk = spec.weight_of(k)
-                if hk > ha + hb - 1:
-                    return False, f"channel {k} of weight {hk} violates the bound"
-                if convert_index(msum, hk, "phys_to_math") > -2:
+                if math_index(Mode(k, msum), spec) > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
         ops = bracket(rule.a, rule.b, spec)
         if ops.central:
             return False, f"central term {render_poly(ops.central)} is not in C2"
         # replay the channel expansion exactly
+        engine = spec.engine
         lhs = engine.evaluate(claim.vector)
         rhs = State()
         right_state = engine.normal_order(rule.right)
@@ -322,39 +310,36 @@ def _check_rule(claim: MembershipClaim, cert: Certificate, engine: Engine
         for m in rule.prefix:
             if math_index(m, spec) > 0 or m.field != "T":
                 return False, f"reorder prefix mode {m} not allowed"
-        if expr_add(cert.step(rule.base).vector,
-                    expr_scale(expression((1, rule.block + rule.prefix)), -1)):
+        reordered = expression((1, rule.block + rule.prefix))
+        if _residual(proved[rule.base], [(1, reordered)]):
             return False, "base claim does not hold the reordered composition"
-        for _, seq in _commute_T_past_W(rule.prefix, rule.block, spec):
-            if not prefixed_manifest(seq, 2, spec):
-                return False, f"trace term {seq} is not prefixed-manifest"
-        return True, ""
+        failure = _reorder_failure(rule.prefix, rule.block, spec)
+        return not failure, failure
 
     if isinstance(rule, LinearCombinationRule):
-        parts = [(c, cert.step(claim_id).vector) for c, claim_id in rule.parts]
-        return _combination(claim.vector, parts, rule.remainder, engine)
+        parts = [(c, proved[claim_id]) for c, claim_id in rule.parts]
+        return _combination(claim.vector, parts, rule.remainder, spec)
 
     return False, f"unknown rule {rule!r}"
 
 
 def verify_certificate(cert: Certificate, spec: AlgebraSpec
                        ) -> tuple[bool, list[StepReport]]:
-    """Replay every step; returns overall validity and per-step reports.
-    Verification stops at the first failing step."""
-    engine = spec.engine
+    """Replay every step in file order, each against the steps verified
+    before it; returns overall validity and per-step reports.  Verification
+    stops at the first failing step."""
+    proved: dict[int, Expression] = {}
     reports: list[StepReport] = []
-    seen: set[int] = set()
     for claim in cert.steps:
-        if claim.id in seen:
-            reports.append(StepReport(claim.id, False, claim.label,
-                                      "duplicate step id"))
-            return False, reports
-        seen.add(claim.id)
-        ok, detail = _check_rule(claim, cert, engine)
+        if claim.id in proved:
+            ok, detail = False, "duplicate step id"
+        else:
+            ok, detail = _check_rule(claim, proved, cert.table, spec)
         reports.append(StepReport(claim.id, ok, claim.label, detail))
         if not ok:
             return False, reports
-    missing = [t for t in cert.targets if t not in seen]
+        proved[claim.id] = claim.vector
+    missing = [t for t in cert.targets if t not in proved]
     if missing:
         reports.append(StepReport(-1, False, "targets",
                                   f"targets {missing} have no step"))
@@ -383,15 +368,15 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
             "the L_{-2}^3 coefficient of the null vector must be nonzero"
         )
     cert = Certificate(table, [], [])
+    proved: dict[int, Expression] = {}
 
-    def add(rule, vector=None, depends=(), label="", target=False):
-        """Append a claim citing what its rule rests on; the vector defaults
-        to the one the rule states."""
+    def add(rule, vector=None, label="", target=False):
+        """Append a claim; the vector defaults to the one the rule states."""
         claim_id = len(cert.steps) + 1
         if vector is None:
-            vector = _implied_vector(rule, cert)
-        cert.steps.append(MembershipClaim(claim_id, vector, rule, _cited(rule),
-                                          tuple(depends), label))
+            vector = _implied_vector(rule, proved)
+        proved[claim_id] = vector
+        cert.steps.append(MembershipClaim(claim_id, vector, rule, label))
         if target:
             cert.targets.append(claim_id)
         return claim_id
@@ -408,7 +393,6 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
         mixed_ids[(a, b)] = add(
             rewrite(quadratic, a, b),
             quadratic,
-            depends=("c5", "c6"),
             label=f"W{a}(-3) W{b}(-3) |0> in C2",
             target=True,
         )
@@ -461,7 +445,6 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
     shifted_id = add(
         rewrite(shifted, 1, 1),
         shifted,
-        depends=("c1", "c2", "c3", "c4"),
         label="(W1(-3)^2 - c1 L(-2)^3) |0> in C2",
     )
 
@@ -479,14 +462,12 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
              (Poly.const(-inv_c1), w2_shift)),
         ),
         expression((1, (_w(1), _w(1)) + l2cube)),
-        depends=("c1",),
         label="W1(-3)^2 L(-2)^3 |0> in C2",
     )
 
     # L^3 W1^2 = W1^2 L^3 + weight-bounded commutator trace
     cross2 = add(
         ReorderRule(l2cube, (_w(1), _w(1)), cross1),
-        depends=("c1",),
         label="L(-2)^3 W1(-3)^2 |0> in C2",
     )
 
@@ -509,7 +490,6 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
             ),
         ),
         expression((1, l2cube + l2cube)),
-        depends=("c1",),
         label="L(-2)^6 |0> in C2",
         target=True,
     )
@@ -579,37 +559,23 @@ _RULES = {rule.name: rule for rule in get_args(Rule)}
 _NULL_COEFFICIENTS = tuple(f.name for f in fields(SingularTable))
 
 
-def _schema(required, optional=()) -> tuple[frozenset, frozenset]:
-    return frozenset(required), frozenset(optional)
-
-
-# each JSON object of a certificate: its required keys and its optional ones
+# each JSON object of a certificate: its required keys, then its optional ones
 _KEYS = {
-    "the certificate": _schema({"null_coefficients", "steps", "targets"}),
-    "null_coefficients": _schema(_NULL_COEFFICIENTS),
-    "a step": _schema({"id", "claim", "rule", "params", "uses"},
-                      {"depends_on", "label"}),
-    "a claim": _schema({"vector", "space"}),
-    "a null": _schema({"coeff", "a", "b"}),
-    "a part": _schema({"coeff", "id"}),
-    **{f"{name} params": _schema(f.name for f in fields(rule))
+    "the certificate": ({"null_coefficients", "steps", "targets"},),
+    "null_coefficients": (set(_NULL_COEFFICIENTS),),
+    "a step": ({"id", "claim", "rule", "params"}, {"label"}),
+    "a claim": ({"vector", "space"},),
+    "a null": ({"coeff", "a", "b"},),
+    "a part": ({"coeff", "id"},),
+    **{f"{name} params": ({f.name for f in fields(rule)},)
        for name, rule in _RULES.items()},
 }
 
 
 def _keyed(doc, what: str) -> dict:
-    """The JSON object `what` of a certificate, with every required key, any
-    optional one and no other (see `_KEYS`)."""
-    if not isinstance(doc, dict):
-        raise CertificateError(f"{what} must be a JSON object, got {doc!r}")
-    required, optional = _KEYS[what]
-    if doc.keys() - optional != required:
-        unknown = doc.keys() - required - optional
-        if unknown:
-            raise CertificateError(f"unknown key(s) {sorted(map(str, unknown))} "
-                                   f"in {what}")
-        raise CertificateError(f"{what} lacks key(s) {sorted(required - doc.keys())}")
-    return doc
+    """The JSON object `what` of a certificate, with exactly the keys
+    `_KEYS[what]` allows."""
+    return keyed(doc, what, *_KEYS[what], error=CertificateError)
 
 
 def _param_to_json(key: str, value):
@@ -666,8 +632,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
                 "claim": {"vector": render_expression(s.vector), "space": "C2"},
                 "rule": s.rule.name,
                 "params": _rule_to_dict(s.rule),
-                "uses": list(s.uses),
-                "depends_on": list(s.depends_on),
                 "label": s.label,
             }
             for s in cert.steps
@@ -700,9 +664,6 @@ def certificate_from_dict(doc: dict) -> Certificate:
                     id=_typed(s["id"], int),
                     vector=parse_expression(s["claim"]["vector"]),
                     rule=_rule_from_dict(s["rule"], s["params"]),
-                    uses=tuple(_typed(u, int) for u in s["uses"]),
-                    depends_on=tuple(_typed(d, str) for d in
-                                     _typed(s.get("depends_on", []), list)),
                     label=_typed(s.get("label", ""), str),
                 )
             )

@@ -197,7 +197,7 @@ def test_criterion_8_c2_certificate():
 
     spec = load_triplet_p2_spec()
     cert = certify_triplet_p2()
-    labels = {cert.step(t).label for t in cert.targets}
+    labels = {s.label for s in cert.steps if s.id in cert.targets}
     assert "W1(-3)^3 |0> in C2" in labels
     assert "L(-2)^6 |0> in C2" in labels
     ok, _ = verify_certificate(cert, spec)

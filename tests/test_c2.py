@@ -5,13 +5,15 @@ from importlib import resources
 
 import pytest
 
-from walgebra.algebra import Mode, SpecError, load_spec
+from walgebra.algebra import (AlgebraSpec, GeneratorDecl, Mode, SpecError, bracket,
+                              load_spec)
 from walgebra.c2 import (
     Certificate,
     CertificateError,
     LinearCombinationRule,
     ManifestMemberRule,
     MembershipClaim,
+    ReorderRule,
     WeightBoundedBracketRule,
     certificate_from_dict,
     certificate_from_json,
@@ -95,7 +97,7 @@ def test_certificate_verifies(cert, spec):
 
 
 def test_certificate_targets(cert):
-    labels = {cert.step(t).label for t in cert.targets}
+    labels = {s.label for s in cert.steps if s.id in cert.targets}
     assert "W1(-3)^3 |0> in C2" in labels
     assert "W1(-3)^4 |0> in C2" in labels
     assert "W1(-3)^5 |0> in C2" in labels
@@ -107,19 +109,18 @@ def test_certificate_targets(cert):
 def test_cube_justification_chain(cert):
     """The cube claim rests on a singular rewrite, prefix invariance and a
     weight-bounded bracket."""
+    by_id = {s.id: s for s in cert.steps}
     cube = next(s for s in cert.steps if s.label == "W1(-3)^3 |0> in C2")
     seen = set()
     frontier = [cube]
     while frontier:
         step = frontier.pop()
         seen.add(type(step.rule).__name__)
-        for use in step.uses:
-            frontier.append(cert.step(use))
         if hasattr(step.rule, "parts"):
             for _, cid in step.rule.parts:
-                frontier.append(cert.step(cid))
+                frontier.append(by_id[cid])
         if hasattr(step.rule, "base"):
-            frontier.append(cert.step(step.rule.base))
+            frontier.append(by_id[step.rule.base])
     assert {"SingularRewriteRule", "PrefixInvarianceRule",
             "WeightBoundedBracketRule"} <= seen
 
@@ -164,8 +165,11 @@ BAD_CERTIFICATES = [
     ("claim_without_space",
      lambda cert: _edited(cert, lambda d: d["steps"][0]["claim"].pop("space"))),
     ("string_id", lambda cert: _edited(cert, lambda d: d["steps"][0].update(id="0"))),
+    # a rule names the claims it rests on; the old `depends_on` and `uses`
+    # step keys are no longer part of the format
     ("string_depends_on",
      lambda cert: _edited(cert, lambda d: d["steps"][0].update(depends_on="abc"))),
+    ("uses_key", lambda cert: _edited(cert, lambda d: d["steps"][3].update(uses=[1]))),
     ("bad_null_coefficient",
      lambda cert: _edited(cert, lambda d: d["null_coefficients"].update(c1="1/0"))),
     # the writer writes every coefficient as a string; a JSON number would
@@ -257,26 +261,43 @@ def test_corrupted_rule_parameter_fails(cert, spec, idx, field, term):
     assert reports[-1].id == step.id and not reports[-1].ok
 
 
-def test_uncited_rule_base_fails(cert, spec):
-    # a prefix, reorder or combination step that does not cite the claims
-    # its rule rests on is rejected, even though those claims are earlier
+def _citing(rule, claim_id):
+    """The rule with its first cited claim replaced by `claim_id`."""
+    if hasattr(rule, "base"):
+        return dataclasses.replace(rule, base=claim_id)
+    (coeff, _), *rest = rule.parts
+    return dataclasses.replace(rule, parts=((coeff, claim_id), *rest))
+
+
+def _citing_steps(cert):
+    return [idx for idx, step in enumerate(cert.steps)
+            if hasattr(step.rule, "base") or hasattr(step.rule, "parts")]
+
+
+def test_citation_of_itself_or_a_later_step_fails(cert, spec):
+    # a prefix, reorder or combination step may rest only on claims verified
+    # before it: citing itself or the step after it is rejected at that step
     text = certificate_to_json(cert)
-    cited = [idx for idx, step in enumerate(cert.steps) if step.uses]
+    cited = _citing_steps(cert)
     assert len(cited) == 10
     for idx in cited:
-        bad = certificate_from_json(text)
-        step = bad.steps[idx]
-        bad.steps[idx] = dataclasses.replace(step, uses=step.uses[1:])
-        ok, reports = verify_certificate(bad, spec)
-        assert not ok and reports[-1].id == step.id, step.id
+        for offset in (0, 1):
+            bad = certificate_from_json(text)
+            step = bad.steps[idx]
+            bad.steps[idx] = dataclasses.replace(
+                step, rule=_citing(step.rule, step.id + offset))
+            ok, reports = verify_certificate(bad, spec)
+            assert not ok and reports[-1].id == step.id, step.id
+            assert reports[-1].detail == ("cites a claim that is not an "
+                                          "earlier verified step")
 
 
 def test_ordering_violation_fails(cert, spec):
     bad = certificate_from_json(certificate_to_json(cert))
-    # make some later step cite a claim that does not exist yet
-    target = next(s for s in bad.steps if s.uses)
-    idx = bad.steps.index(target)
-    bad.steps[idx] = dataclasses.replace(target, uses=(10_000,))
+    # make some step cite a claim that does not exist
+    idx = _citing_steps(bad)[0]
+    bad.steps[idx] = dataclasses.replace(bad.steps[idx],
+                                         rule=_citing(bad.steps[idx].rule, 10_000))
     ok, reports = verify_certificate(bad, spec)
     assert not ok
 
@@ -299,7 +320,7 @@ def test_manifest_member_below_depth_two_fails(cert, spec, n):
     # in C_2; depth 0 names no space at all
     doc = json.loads(certificate_to_json(cert))
     doc["steps"] = [{"id": 1, "claim": {"vector": "(1) T(-2) |0>", "space": "C2"},
-                     "rule": "ManifestMember", "params": {"n": n}, "uses": []}]
+                     "rule": "ManifestMember", "params": {"n": n}}]
     doc["targets"] = [1]
     ok, reports = verify_certificate(certificate_from_dict(doc), spec)
     assert not ok
@@ -329,10 +350,6 @@ def test_corrupted_table_still_certifies(spec):
     cert = certify_triplet_p2(table=table)
     ok, _ = verify_certificate(cert, spec)
     assert ok
-    flagged = set()
-    for step in cert.steps:
-        flagged.update(step.depends_on)
-    assert flagged == {"c1", "c2", "c3", "c4", "c5", "c6"}
 
 
 def test_vanishing_key_coefficient_rejected():
@@ -404,14 +421,62 @@ def test_second_clean_replay_adds_no_memo_entries(cert):
 
 def test_replay_raising_part_way_leaves_engine_usable(cert):
     spec = load_triplet_p2_spec()
-    clean = verify_certificate(cert, load_triplet_p2_spec())
-    # the first combination step, with a term whose second mode belongs to an
-    # undeclared field: its residual fails to cancel formally and the engine
-    # raises while evaluating it, after the earlier steps filled the memo
+    clean = verify_certificate(cert, spec)
+    # the bracket step, applied to a word of an undeclared field: the engine
+    # raises in its exact replay, after a clean replay filled the memo
     idx = next(i for i, s in enumerate(cert.steps)
-               if isinstance(s.rule, LinearCombinationRule))
-    vec = cert.steps[idx].vector + ((Poly.const(1), (Mode("X", -4), W(1, -3))),)
+               if isinstance(s.rule, WeightBoundedBracketRule))
+    rule = dataclasses.replace(cert.steps[idx].rule, right=(Mode("X", -4),))
+    bad = _with_vector(cert, idx, expression((1, (rule.a, rule.b) + rule.right),
+                                             (-1, (rule.b, rule.a) + rule.right)))
+    bad.steps[idx] = dataclasses.replace(bad.steps[idx], rule=rule)
     with pytest.raises(SpecError, match="undeclared field 'X'"):
-        verify_certificate(_with_vector(cert, idx, vec), spec)
+        verify_certificate(bad, spec)
     assert spec.engine._memo
     assert verify_certificate(cert, spec) == clean
+    assert clean == verify_certificate(cert, load_triplet_p2_spec())
+
+
+# --- combinations cancel formally; reorders fail, never raise -------------------
+
+
+def test_combination_must_cancel_formally(spec):
+    # T(-2) W1(-5) |0> = W1(-5) T(-2) |0> + c W1(-7) |0> holds as states, but
+    # the claimed combination does not cancel as formal expressions
+    ops = bracket(T(-2), W(1, -5), spec)
+    assert ops.terms == ((Poly.const(1), W(1, -7)),) and not ops.central
+    (c, mode), = ops.terms
+    steps = [
+        MembershipClaim(1, expression((1, (W(1, -5), T(-2)))), ManifestMemberRule(2)),
+        MembershipClaim(2, expression((1, (T(-2), W(1, -5)))),
+                        LinearCombinationRule(((Poly.const(1), 1),),
+                                              expression((c, (mode,))))),
+    ]
+    claim = steps[1]
+    assert not spec.engine.evaluate(expr_add(
+        claim.vector, expr_scale(steps[0].vector + claim.rule.remainder, -1)))
+    ok, reports = verify_certificate(Certificate(SingularTable(), steps, [2]), spec)
+    assert not ok and [r.ok for r in reports] == [True, False]
+    assert reports[1].detail.startswith("residual: ")
+    assert "\n" not in reports[1].detail
+
+
+def test_reorder_across_a_central_term_fails():
+    # a second weight-2 generator X pairs with T, so moving T(-2) past X(2)
+    # fires a central term: the step fails with a one-line detail
+    spec = AlgebraSpec(
+        Fraction(-2), (GeneratorDecl("T", 2), GeneratorDecl("X", 2)),
+        d={("T", "T"): Poly.const(-1), ("T", "X"): Poly.const(1)},
+        constants={("T", "T", "T"): Poly.const(2), ("T", "X", "X"): Poly.const(2),
+                   ("X", "T", "X"): Poly.const(2)},
+    )
+    x5, x2 = Mode("X", -5), Mode("X", 2)
+    assert bracket(T(-2), x2, spec).central
+    steps = [
+        MembershipClaim(1, expression((1, (x5, x2, T(-2)))), ManifestMemberRule(2)),
+        MembershipClaim(2, expression((1, (T(-2), x5, x2))),
+                        ReorderRule((T(-2),), (x5, x2), 1)),
+    ]
+    ok, reports = verify_certificate(Certificate(SingularTable(), steps, [2]), spec)
+    assert not ok and [r.ok for r in reports] == [True, False]
+    assert "central term" in reports[1].detail and "\n" not in reports[1].detail

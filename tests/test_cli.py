@@ -122,10 +122,32 @@ T_REF = {"gen": "T"}
     _define_l4({"qpnop": {"j": "T", "i": "T", "n": False}}),
     lambda d: d["d"][0].update(value=-1),
     lambda d: d["structure_constants"][0].update(value=2),
+    # a second entry for one pairing, composite symbol or lowered constant
+    lambda d: d["d"].append(dict(d["d"][0])),
+    lambda d: d["d"].extend([{"i": "T", "j": "W1", "value": "0"},
+                             {"i": "W1", "j": "T", "value": "0"}]),
+    lambda d: d["composite_fields"].append(dict(d["composite_fields"][0])),
+    lambda d: d.update(c_lower=[{"i": "T", "j": "T", "k": "T", "value": "-2"}] * 2),
+    # a key the loader does not read, at any level
+    lambda d: d.update(c_lowr=[]),
+    lambda d: d["generators"][1].update(bogus=1),
+    lambda d: d["d"][0].update(bogus=1),
+    _define_l4({"qpnop": {"j": "T", "i": "T", "n": 0, "bogus": 1}}),
+    _define_l4({"deriv": {"base": T_REF, "order": 2, "bogus": 1}}),
+    # d_TT = 5 is c = 10, not the declared central charge -2
+    lambda d: d["d"][0].update(value="5"),
+    # a field symbol that is not a string
+    lambda d: d["generators"][1].update(symbol=["W1"]),
+    _define_l4({"deriv": {"base": {"gen": ["T"]}, "order": 2}}),
+    _define_l4({"qpnop": {"j": ["T"], "i": "T"}}),
 ], ids=["non_integer_weight", "malformed_polynomial", "number_central_charge",
         "float_weight", "bool_weight", "float_composite_weight",
         "float_deriv_order", "float_nprod_m", "bool_qpnop_n", "number_d_value",
-        "number_structure_constant"])
+        "number_structure_constant", "duplicate_d", "duplicate_d_swapped",
+        "duplicate_composite", "duplicate_c_lower", "unknown_top_level_key",
+        "unknown_generator_key", "unknown_d_key", "unknown_qpnop_key",
+        "unknown_deriv_key", "central_charge_not_twice_d_tt", "list_generator_symbol",
+        "list_gen_symbol", "list_qpnop_symbol"])
 def test_malformed_spec_exit_2(tmp_path, edit):
     doc = _triplet_spec_doc()
     edit(doc)
