@@ -11,6 +11,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import floor
 
 from .algebra import (Mode, SpecError, bracket, central_charge_p1, load_spec,
                       make_virasoro_spec)
@@ -47,17 +48,22 @@ def _load_spec_arg(path: str | None):
         return load_triplet_p2_spec()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return load_spec(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec {path}: {exc}") from exc
+    return load_spec(text)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _series_text(series: QSeries) -> str:
@@ -77,11 +83,15 @@ def _positive_p(args) -> int:
     return args.p
 
 
-def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
+def _checked_cutoff(cutoff: int) -> int:
     if cutoff < 0:
         raise InputError("--cutoff must be an integer >= 0")
     if cutoff > MAX_CUTOFF:
         raise InputError(f"--cutoff must be at most {MAX_CUTOFF}")
+    return cutoff
+
+
+def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
     if kind == "verma":
         d = 2 * p - 1
         return verma_character([2, d, d, d], central_charge_p1(p), cutoff)
@@ -127,7 +137,7 @@ def cmd_bracket(args) -> int:
 
 def cmd_character(args) -> int:
     p = _positive_p(args)
-    series = _character_series(args.kind, p, args.cutoff)
+    series = _character_series(args.kind, p, _checked_cutoff(args.cutoff))
     _emit(
         _series_json(series) if args.format == "json" else _series_text(series),
         args.out,
@@ -141,8 +151,13 @@ def cmd_char_diff(args) -> int:
         level = Fraction(args.level)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad level {args.level!r}") from exc
-    a = _character_series(args.left, p, args.cutoff)
-    b = _character_series(args.right, p, args.cutoff)
+    # Every character leads at its first coefficient and is exact through
+    # its cutoff, so the coefficient at level n needs the series only through
+    # q^n; a level above the cutoff still fails on a series cut at the
+    # stated cutoff.
+    cutoff = min(_checked_cutoff(args.cutoff), max(floor(level), 0))
+    a = _character_series(args.left, p, cutoff)
+    b = _character_series(args.right, p, cutoff)
     try:
         value = diff_at_level(a, b, level)
     except QSeriesError as exc:
@@ -230,76 +245,109 @@ def cmd_verify_singular(args) -> int:
     return 0 if ok else 1
 
 
+def _common(parser, cutoff=False, spec=False, pflag=False) -> None:
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--out", default=None, help="write output to a file")
+    if cutoff:
+        parser.add_argument("--cutoff", type=int, default=40)
+    if spec:
+        parser.add_argument("--spec", default=None,
+                            help="algebra spec JSON (default: built-in triplet p=2)")
+    if pflag:
+        parser.add_argument("--p", type=int, required=True)
+
+
+def _bracket_args(parser) -> None:
+    parser.add_argument("--left", required=True, help="mode, e.g. T:2")
+    parser.add_argument("--right", required=True, help="mode, e.g. W1:-3")
+    parser.add_argument("--virasoro", action="store_true",
+                        help="use the Virasoro-only spec")
+    parser.add_argument("--c", default=None,
+                        help="central charge for --virasoro (rational or symbol; "
+                        "default: the symbol c)")
+    _common(parser, spec=True)
+    parser.set_defaults(func=cmd_bracket)
+
+
+def _character_args(kind: str):
+    def configure(parser) -> None:
+        _common(parser, cutoff=True, pflag=True)
+        parser.set_defaults(func=cmd_character, kind=kind)
+    return configure
+
+
+def _char_diff_args(parser) -> None:
+    parser.add_argument("--left", choices=("verma", "triplet", "chi-tilde"),
+                        required=True)
+    parser.add_argument("--right", choices=("verma", "triplet", "chi-tilde"),
+                        required=True)
+    parser.add_argument("--level", required=True, help="rational level, e.g. 8 or 17/2")
+    _common(parser, cutoff=True, pflag=True)
+    parser.set_defaults(func=cmd_char_diff)
+
+
+def _derive_args(parser) -> None:
+    _common(parser, pflag=True)
+    parser.set_defaults(func=cmd_derive)
+
+
+def _certify_c2_args(parser) -> None:
+    _common(parser, spec=True)
+    parser.set_defaults(func=cmd_certify_c2)
+
+
+def _verify_singular_args(parser) -> None:
+    parser.add_argument("--solve-mode", action="store_true",
+                        help="solve for the symbolic structure constants")
+    _common(parser, spec=True)
+    parser.set_defaults(func=cmd_verify_singular)
+
+
+# The one command table: name -> (help line, configure(parser)).  Both the
+# full parser and a single command's parser are built from it.
+_COMMANDS = {
+    "bracket": ("mode commutator under an algebra spec", _bracket_args),
+    "character": ("triplet algebra character", _character_args("triplet")),
+    "verma-character": ("vacuum Verma module character", _character_args("verma")),
+    "char-diff": ("coefficient difference of two characters at a level",
+                  _char_diff_args),
+    "derive": ("run the coefficient derivation pipeline", _derive_args),
+    "certify-c2": ("emit and verify the p=2 C2 membership certificate",
+                   _certify_c2_args),
+    "verify-singular": ("check the level-6 singular vectors are annihilated",
+                        _verify_singular_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser."""
     parser = argparse.ArgumentParser(
         prog="walgebra",
         description="Exact W-algebra mode computations, characters, "
         "C2 certificates and the coefficient derivation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p_, cutoff=False, spec=False, pflag=False):
-        p_.add_argument("--format", choices=("text", "json"), default="text")
-        p_.add_argument("--out", default=None, help="write output to a file")
-        if cutoff:
-            p_.add_argument("--cutoff", type=int, default=40)
-        if spec:
-            p_.add_argument("--spec", default=None,
-                            help="algebra spec JSON (default: built-in triplet p=2)")
-        if pflag:
-            p_.add_argument("--p", type=int, required=True)
-
-    p_br = sub.add_parser("bracket", help="mode commutator under an algebra spec")
-    p_br.add_argument("--left", required=True, help="mode, e.g. T:2")
-    p_br.add_argument("--right", required=True, help="mode, e.g. W1:-3")
-    p_br.add_argument("--virasoro", action="store_true",
-                      help="use the Virasoro-only spec")
-    p_br.add_argument("--c", default=None,
-                      help="central charge for --virasoro (rational or symbol; "
-                      "default: the symbol c)")
-    common(p_br, spec=True)
-    p_br.set_defaults(func=cmd_bracket)
-
-    p_ch = sub.add_parser("character", help="triplet algebra character")
-    common(p_ch, cutoff=True, pflag=True)
-    p_ch.set_defaults(func=cmd_character, kind="triplet")
-
-    p_vc = sub.add_parser("verma-character", help="vacuum Verma module character")
-    common(p_vc, cutoff=True, pflag=True)
-    p_vc.set_defaults(func=cmd_character, kind="verma")
-
-    p_cd = sub.add_parser("char-diff",
-                          help="coefficient difference of two characters at a level")
-    p_cd.add_argument("--left", choices=("verma", "triplet", "chi-tilde"),
-                      required=True)
-    p_cd.add_argument("--right", choices=("verma", "triplet", "chi-tilde"),
-                      required=True)
-    p_cd.add_argument("--level", required=True, help="rational level, e.g. 8 or 17/2")
-    common(p_cd, cutoff=True, pflag=True)
-    p_cd.set_defaults(func=cmd_char_diff)
-
-    p_dv = sub.add_parser("derive", help="run the coefficient derivation pipeline")
-    common(p_dv, pflag=True)
-    p_dv.set_defaults(func=cmd_derive)
-
-    p_ct = sub.add_parser("certify-c2",
-                          help="emit and verify the p=2 C2 membership certificate")
-    common(p_ct, spec=True)
-    p_ct.set_defaults(func=cmd_certify_c2)
-
-    p_vs = sub.add_parser("verify-singular",
-                          help="check the level-6 singular vectors are annihilated")
-    p_vs.add_argument("--solve-mode", action="store_true",
-                      help="solve for the symbolic structure constants")
-    common(p_vs, spec=True)
-    p_vs.set_defaults(func=cmd_verify_singular)
-
+    for name, (help_line, configure) in _COMMANDS.items():
+        configure(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named command's parser alone, as the full parser's
+    subparser of the same name would.  Anything that parser leaves over,
+    and any first argument that is not a command, goes to the full parser,
+    which reports it at the top level."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"walgebra {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (InputError, SpecError, SolveError) as exc:

@@ -1,9 +1,19 @@
+import contextlib
+import io
+import itertools
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from walgebra import cli
+from walgebra.algebra import central_charge_p1
+from walgebra.cli import main
+from walgebra.qseries import (QSeriesError, chi_tilde, diff_at_level,
+                              triplet_character, verma_character)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -48,7 +58,7 @@ def test_determinism():
     assert a.returncode == b.returncode == 0
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli("derive", "--p", "0").returncode == 2
     assert run_cli("derive").returncode == 2
     assert run_cli("bracket", "--left", "junk", "--right", "T:2").returncode == 2
@@ -93,6 +103,13 @@ def test_usage_errors_exit_2():
                        "--right", "T:-2")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+    # an --out that cannot be written: a missing directory, a directory
+    for args in (("derive", "--p", "2", "--out", "/nonexistent/x"),
+                 ("character", "--p", "3", "--cutoff", "5", "--out", str(tmp_path))):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write")
         assert len(proc.stderr.splitlines()) == 1
 
 
@@ -215,6 +232,89 @@ def test_missing_spec_file_exit_2():
     proc = run_cli("certify-c2", "--spec", "/nonexistent/path.json")
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("certify-c2",),
+    ("verify-singular",),
+    ("bracket", "--left", "T:2", "--right", "T:-2"),
+], ids=["certify-c2", "verify-singular", "bracket"])
+def test_non_utf8_spec_exit_2(tmp_path, command):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    proc = run_cli(*command, "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot read spec {path}:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+def _main(argv):
+    """`main(argv)` in-process: (stdout, stderr, exit code)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return out.getvalue(), err.getvalue(), code
+
+
+# Help texts and usage errors as the CLI printed them when every call built
+# the full parser (captured in-process with COLUMNS=80; argparse's wording
+# belongs to the Python version recorded in the file).
+PARITY = json.loads((GOLDEN / "cli_parser_parity.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PARITY["cases"]))
+def test_parser_parity(name, monkeypatch):
+    if "%d.%d" % sys.version_info[:2] != PARITY["python"]:
+        pytest.skip(f"argparse wording of Python {PARITY['python']}")
+    monkeypatch.setenv("COLUMNS", "80")
+    case = PARITY["cases"][name]
+    assert _main(case["argv"]) == (case["stdout"], case["stderr"], case["exit"])
+
+
+CHARACTER_FUNCTIONS = {
+    "verma": lambda p, n: verma_character([2] + [2 * p - 1] * 3,
+                                          central_charge_p1(p), n),
+    "triplet": triplet_character,
+    "chi-tilde": chi_tilde,
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("left, right",
+                         list(itertools.permutations(CHARACTER_FUNCTIONS, 2)))
+def test_char_diff_matches_full_cutoff(p, left, right):
+    # the full series through --cutoff 40, as char-diff once computed them
+    a = CHARACTER_FUNCTIONS[left](p, 40)
+    b = CHARACTER_FUNCTIONS[right](p, 40)
+    for level in ("-1", "0", "6", str(2 * p + 2), str(4 * p - 2), "17/2", "40", "41"):
+        try:
+            want = (f"{diff_at_level(a, b, Fraction(level))}\n", "", 0)
+        except QSeriesError as exc:
+            want = ("", f"error: bad level {level!r}: {exc}\n", 2)
+        argv = ["char-diff", "--p", str(p), "--left", left, "--right", right,
+                "--level", level, "--cutoff", "40"]
+        assert _main(argv) == want, argv
+
+
+def test_char_diff_computes_only_through_its_level(monkeypatch):
+    asked = []
+    for name in ("verma_character", "triplet_character", "chi_tilde"):
+        original = getattr(cli, name)
+
+        def recording(*args, _original=original):
+            asked.append(args[-1])
+            return _original(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+    argv = ["char-diff", "--p", "2", "--left", "verma", "--right", "triplet",
+            "--level", "6", "--cutoff"]
+    assert _main(argv + ["20000"]) == ("9\n", "", 0)
+    assert asked and max(asked) <= 6
+    assert _main(argv + ["200"]) == ("9\n", "", 0)
 
 
 def test_char_diff_values():
