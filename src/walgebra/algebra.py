@@ -469,7 +469,9 @@ def load_spec(document: str | dict) -> AlgebraSpec:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a document nested deeper than the interpreter's recursion limit
+            # raises RecursionError from the decoder
             raise SpecError(f"not valid JSON: {exc}") from exc
     try:
         document = keyed(document, "the spec document",

@@ -31,9 +31,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import get_args
 
-from .algebra import AlgebraSpec, Mode, bracket, convert_index, keyed
+from .algebra import AlgebraSpec, Mode, convert_index, keyed
 from .engine import State
-from .scalar import Poly, parse_poly, render_poly
+from .scalar import Poly, exact, parse_poly, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 # expression: formal sum of mode compositions applied to the vacuum
@@ -63,7 +63,7 @@ def expr_add(a: Expression, b: Expression) -> Expression:
 
 def expr_scale(a: Expression, factor) -> Expression:
     f = factor if isinstance(factor, Poly) else Poly.const(factor)
-    return tuple((c * f, s) for c, s in a if c * f)
+    return tuple((cf, s) for c, s in a if (cf := c * f))
 
 
 def expr_prefix(prefix: tuple[Mode, ...], a: Expression) -> Expression:
@@ -209,10 +209,18 @@ def _implied_vector(rule: Rule, proved: dict[int, Expression]) -> Expression | N
 
 def _residual(vector: Expression, known: list[tuple[Poly | int, Expression]]
               ) -> Expression:
-    """vector - sum coeff * known, as a formal expression."""
-    for coeff, known_vector in known:
-        vector = expr_add(vector, expr_scale(known_vector, -coeff))
-    return vector
+    """vector - sum coeff * known, as a formal expression: every term is
+    summed into one table, which is sorted once.  The vector itself enters
+    as a known vector with coefficient -1."""
+    acc: dict[tuple[Mode, ...], Poly] = {}
+    for factor, terms in [(-1, vector)] + known:
+        neg = exact(-factor)
+        if neg != 1:
+            terms = [(c * neg, seq) for c, seq in terms]
+        for c, seq in terms:
+            prev = acc.get(seq)
+            acc[seq] = c if prev is None else prev + c
+    return tuple(sorted(((c, s) for s, c in acc.items() if c), key=lambda t: t[1]))
 
 
 def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
@@ -242,7 +250,7 @@ def _reorder_failure(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
             if x.field == "T" and y.field != "T":  # move every T right past every W
                 swapped = seq[:i] + (y, x) + seq[i + 2:]
                 work.append((coeff, swapped))
-                ops = bracket(x, y, spec)
+                ops = spec.engine.bracket(x, y)
                 if ops.central:
                     return (f"[{x.render()}, {y.render()}] has central term "
                             f"{render_poly(ops.central)}, which is not in C2")
@@ -292,18 +300,19 @@ def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
             for k, _ in spec.channels(i, j):
                 if math_index(Mode(k, msum), spec) > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
-        ops = bracket(rule.a, rule.b, spec)
+        engine = spec.engine
+        ops = engine.bracket(rule.a, rule.b)
         if ops.central:
             return False, f"central term {render_poly(ops.central)} is not in C2"
         # replay the channel expansion exactly
-        engine = spec.engine
         lhs = engine.evaluate(claim.vector)
         rhs = State()
         right_state = engine.normal_order(rule.right)
         for coeff, mode in ops.terms:
             rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
-        if lhs - rhs:
-            return False, f"bracket replay residual: {(lhs - rhs).render()}"
+        residual = lhs - rhs
+        if residual:
+            return False, f"bracket replay residual: {residual.render()}"
         return True, ""
 
     if isinstance(rule, ReorderRule):
@@ -526,11 +535,13 @@ def parse_expression(text: str) -> Expression:
         m = _TERM_RE.match(text, pos)
         if m is None:
             raise CertificateError(f"cannot parse expression {text!r} at {pos}")
+        try:
+            coeff = parse_poly(m.group(1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CertificateError(f"bad coefficient in expression {text!r}: "
+                                   f"{exc}") from exc
         out.append(
-            (
-                parse_poly(m.group(1)),
-                tuple(Mode(f, int(n)) for f, n in _MODE_RE.findall(m.group(2))),
-            )
+            (coeff, tuple(Mode(f, int(n)) for f, n in _MODE_RE.findall(m.group(2))))
         )
         pos = m.end()
         if pos == len(text):
@@ -678,6 +689,8 @@ def certificate_from_dict(doc: dict) -> Certificate:
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a document nested deeper than the interpreter's recursion limit
+        # raises RecursionError from the decoder
         raise CertificateError(f"not valid JSON: {exc}") from exc
     return certificate_from_dict(doc)

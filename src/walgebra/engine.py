@@ -22,6 +22,7 @@ from .algebra import (
     LinComb,
     Mode,
     Nprod,
+    OperatorSum,
     QPNop,
     SpecError,
     TopPower,
@@ -156,11 +157,12 @@ def project_with_audit(state: State, min_length: int) -> tuple[State, State]:
 class Engine:
     """Rewriting engine bound to one algebra spec.
 
-    Pure operations over immutable values; the internal memo table is an
-    invisible cache.  The library uses the engine owned by the spec
-    (`AlgebraSpec.engine`), so its memo lives as long as the spec does and is
-    shared by every computation on that spec; constructing an `Engine`
-    directly gives a fresh, empty memo.
+    Pure operations over immutable values; the internal memo tables (mode
+    actions, brackets, normal orders, quasi-primary products) are invisible
+    caches.  The library uses the engine owned by the spec
+    (`AlgebraSpec.engine`), so its memos live as long as the spec does and
+    are shared by every computation on that spec; constructing an `Engine`
+    directly gives fresh, empty memos.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -169,6 +171,11 @@ class Engine:
         # each coeff an int, a Fraction, or a Poly only when it has a symbol
         self._memo: dict[tuple[str | FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
+        # (mode, mode) -> their commutator
+        self._bracket_memo: dict[tuple[Mode, Mode], OperatorSum] = {}
+        # mode sequence -> its normal order on the vacuum; every suffix of a
+        # sequence normal-ordered so far has its entry
+        self._normal_memo: dict[Word, State] = {(): State.vacuum()}
 
     # --- mode application ----------------------------------------------------
 
@@ -184,20 +191,46 @@ class Engine:
         """
         return self._apply(expr, n, state)
 
+    def bracket(self, a: Mode, b: Mode) -> OperatorSum:
+        """The commutator [a, b] under the spec, computed once per ordered
+        pair of modes."""
+        key = (a, b)
+        hit = self._bracket_memo.get(key)
+        if hit is None:
+            hit = self._bracket_memo[key] = bracket(a, b, self.spec)
+        return hit
+
     def normal_order(self, word: Iterable[Mode]) -> State:
-        """Apply a mode sequence right-to-left to the vacuum."""
-        state = State.vacuum()
-        for mode in reversed(list(word)):
-            state = self.apply_mode(mode, state)
-            if not state:
-                break
+        """Apply a mode sequence right-to-left to the vacuum.
+
+        The longest suffix already normal-ordered is looked up, and each
+        longer suffix is built from it by one mode application and stored,
+        so every suffix is computed once; the loop is iterative, whatever
+        the length of the word.  A returned State is shared with the memo,
+        which is safe because no State method mutates its operand.
+        """
+        word = tuple(word)
+        memo = self._normal_memo
+        start = 0
+        while word[start:] not in memo:
+            start += 1
+        state = memo[word[start:]]
+        for i in range(start - 1, -1, -1):
+            state = self.apply_mode(word[i], state) if state else state
+            memo[word[i:]] = state
         return state
 
     def evaluate(self, terms: Iterable[tuple[Poly, Iterable[Mode]]]) -> State:
-        """Canonical State of a sum of coefficient * mode sequence |0>."""
-        total = State()
+        """Canonical State of a sum of coefficient * mode sequence |0>,
+        summed into one table."""
+        out: dict[Word, Poly] = {}
         for coeff, seq in terms:
-            total = total + self.normal_order(seq).scale(coeff)
+            f = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
+            if f:
+                for word, c in self.normal_order(seq)._t.items():
+                    _acc(out, word, c * f)
+        total = State.__new__(State)
+        total._t = out
         return total
 
     def _apply(self, field: str | FieldExpr, n: int, state: State) -> State:
@@ -245,7 +278,7 @@ class Engine:
                 for w, c in self._act(field, n, rest).items():
                     for w2, c2 in self._act(lead.field, lead.n, w).items():
                         _acc(result, w2, c * c2)
-                ops = bracket(mode, lead, spec)
+                ops = self.bracket(mode, lead)
                 for coeff, out_mode in ops.terms:
                     coeff = exact(coeff)
                     for w, c in self._act(out_mode.field, out_mode.n, rest).items():

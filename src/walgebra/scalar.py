@@ -334,14 +334,22 @@ def render_poly(p: Poly) -> str:
     return out
 
 
+PARSE_CACHE_SIZE = 1024
+
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*/+-])")
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_poly(text: str) -> Poly:
     """Parse sums of '*'-joined factors: rationals p/q, symbols, sym^k, I.
 
     Terms are joined by '+' or '-'; each is read into one exact number and
     one monomial, and the result is built as one Poly.
+
+    The last `PARSE_CACHE_SIZE` = 1024 distinct texts parsed are cached, so a
+    certificate that repeats a coefficient parses it once; every caller gets
+    the same `Poly`, which no method mutates.  A text that does not parse
+    raises each time it is given (errors are not cached).
     """
     tokens: list[str] = []
     pos = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .algebra import AlgebraSpec, Mode, load_spec
@@ -48,6 +49,7 @@ class SingularTable:
 
 
 DEFAULT_TABLE = SingularTable()
+NULL_TERMS_CACHE_SIZE = 256
 
 
 def load_triplet_p2_spec() -> AlgebraSpec:
@@ -60,46 +62,50 @@ def _w(a: int, n: int) -> Mode:
     return Mode(f"W{a}", n)
 
 
+def _t(n: int) -> Mode:
+    return Mode("T", n)
+
+
+@lru_cache(maxsize=NULL_TERMS_CACHE_SIZE)
 def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
                       ) -> tuple[tuple[Poly, tuple[Mode, ...]], ...]:
     """The table vector N^ab as (coefficient, mode sequence) terms; the one
-    place the table coefficients become vectors."""
+    place the table coefficients become vectors.  The terms of the last
+    `NULL_TERMS_CACHE_SIZE` = 256 (a, b, table) keys are cached."""
     t = table
-    T = lambda n: Mode("T", n)
     terms = [(Poly.const(1), (_w(a, -3), _w(b, -3)))]
     if a == b:
         terms += [
-            (Poly.const(-t.c1), (T(-2), T(-2), T(-2))),
-            (Poly.const(-t.c2), (T(-3), T(-3))),
-            (Poly.const(-t.c3), (T(-4), T(-2))),
-            (Poly.const(t.c4), (T(-6),)),
+            (Poly.const(-t.c1), (_t(-2), _t(-2), _t(-2))),
+            (Poly.const(-t.c2), (_t(-3), _t(-3))),
+            (Poly.const(-t.c3), (_t(-4), _t(-2))),
+            (Poly.const(t.c4), (_t(-6),)),
         ]
     for c in (1, 2, 3):
         eps = EPSILON.get((a, b, c))
         if eps:
             iota = Poly.sym("I") * eps
             terms += [
-                (iota * (-t.c5), (_w(c, -4), T(-2))),
+                (iota * (-t.c5), (_w(c, -4), _t(-2))),
                 (iota * t.c6, (_w(c, -6),)),
             ]
     return tuple(terms)
 
 
-def null_vector_state(a: int, b: int, engine: Engine,
-                      table: SingularTable = DEFAULT_TABLE) -> State:
-    """Canonical State of the table vector N^ab."""
-    return engine.evaluate(null_vector_terms(a, b, table))
-
-
 def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE
                         ) -> dict[tuple[int, int, int], State]:
-    """L_m N^ab for m in {1, 2} and all nine (a, b), as full States."""
+    """L_m N^ab for m in {1, 2} and all nine (a, b), as full States.
+
+    L_m N^ab is evaluated term by term as the sum of c * L_m seq |0> over the
+    terms (c, seq) of N^ab, so the engine memoizes each normal order once and
+    a new table only re-weights them."""
     out = {}
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            n_ab = null_vector_state(a, b, engine, table)
+            terms = null_vector_terms(a, b, table)
             for m in (1, 2):
-                out[(m, a, b)] = engine.apply_mode(Mode("T", m), n_ab)
+                lead = (_t(m),)
+                out[(m, a, b)] = engine.evaluate((c, lead + seq) for c, seq in terms)
     return out
 
 

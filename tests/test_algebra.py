@@ -227,3 +227,14 @@ def test_undeclared_field_is_a_spec_error():
     for lookup in (spec.weight_of, spec.composite_expr):
         with pytest.raises(SpecError, match="undeclared field 'W1'"):
             lookup("W1")
+
+
+# a document nested deeper than the interpreter's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_load_spec_refuses_a_deeply_nested_document():
+    with pytest.raises(SpecError, match="not valid JSON"):
+        load_spec(DEEP_JSON)
+    with pytest.raises(SpecError, match="not valid JSON"):
+        load_spec('{"central_charge": ' + DEEP_JSON + "}")

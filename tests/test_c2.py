@@ -1,10 +1,15 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from walgebra import algebra, c2
 from walgebra.algebra import (AlgebraSpec, GeneratorDecl, Mode, SpecError, bracket,
                               load_spec)
 from walgebra.c2 import (
@@ -28,9 +33,13 @@ from walgebra.c2 import (
     render_expression,
     verify_certificate,
 )
+from walgebra.c2 import _residual
 from walgebra.engine import Engine
-from walgebra.scalar import Poly
+from walgebra.scalar import Poly, parse_poly
 from walgebra.singular import SingularTable, load_triplet_p2_spec
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def T(n):
@@ -140,7 +149,10 @@ def test_parse_expression_is_strict(cert):
     for text in ("(1) W1(-3) W2(-3) |0> + GARBAGE (7) T(-9) junk",
                  "(1) W1(-3) W2(-3) |0> junk",
                  "(1) W1(-3) W2(-3) |0> +",
-                 "junk (1) W1(-3) W2(-3) |0>"):
+                 "junk (1) W1(-3) W2(-3) |0>",
+                 # a coefficient that does not parse is a CertificateError too
+                 "(1+) W1(-3) |0>",
+                 "(1/0) |0>"):
         with pytest.raises(CertificateError):
             parse_expression(text)
 
@@ -480,3 +492,169 @@ def test_reorder_across_a_central_term_fails():
     ok, reports = verify_certificate(Certificate(SingularTable(), steps, [2]), spec)
     assert not ok and [r.ok for r in reports] == [True, False]
     assert "central term" in reports[1].detail and "\n" not in reports[1].detail
+
+
+# --- one-pass residual, scaling once, and the expression text ---------------------
+
+# a small pool of modes, so that random expressions share words and cancel
+_MODES = [T(-2), T(-3), W(1, -3), W(2, -4), Mode("X_1", 5)]
+_SEQS = st.lists(st.sampled_from(_MODES), max_size=3).map(tuple)
+_SYMBOLS = st.sampled_from(["I", "u", "C2"])
+_NUMBERS = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+)
+_COEFFS = st.one_of(
+    _NUMBERS,
+    st.builds(lambda n, s: Poly.const(n) * Poly.sym(s), _NUMBERS, _SYMBOLS),
+    st.builds(lambda n, m, s: Poly.sym(s) * n + m, _NUMBERS, _NUMBERS, _SYMBOLS),
+)
+_EXPRESSIONS = st.lists(st.tuples(_COEFFS, _SEQS), max_size=5).map(
+    lambda terms: expression(*terms))
+
+
+def _old_expr_scale(a, factor):
+    """expr_scale as it was, multiplying each coefficient twice."""
+    f = factor if isinstance(factor, Poly) else Poly.const(factor)
+    return tuple((c * f, s) for c, s in a if c * f)
+
+
+def _chained_residual(vector, known):
+    """_residual as it was: one sorted expr_add per known vector."""
+    for coeff, known_vector in known:
+        vector = expr_add(vector, _old_expr_scale(known_vector, -coeff))
+    return vector
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector=_EXPRESSIONS,
+       known=st.lists(st.tuples(_COEFFS, _EXPRESSIONS), min_size=1, max_size=4),
+       cancel=st.sampled_from(["none", "vector", "pair"]))
+def test_residual_matches_chained_expr_add(vector, known, cancel):
+    if cancel == "vector":
+        # the vector is cited against itself: everything else is left over
+        known = known + [(1, vector)]
+    elif cancel == "pair":
+        # a known vector cited twice with opposite coefficients cancels out
+        coeff, known_vector = known[0]
+        known = known + [(-coeff, known_vector)]
+    assert _residual(vector, known) == _chained_residual(vector, known)
+    if cancel == "pair":
+        assert _residual(vector, known) == _residual(vector, known[1:-1])
+    assert _residual(vector, [(1, vector)]) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_EXPRESSIONS, factor=_COEFFS)
+def test_expr_scale_matches_old_and_multiplies_once(a, factor):
+    want = _old_expr_scale(a, factor)
+    calls = []
+    plain = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Poly, "__mul__", counted)
+        got = expr_scale(a, factor)
+    assert got == want
+    assert len(calls) == len(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_EXPRESSIONS)
+def test_expression_text_round_trip(e):
+    e = expr_add(e, ())  # one term per word, sorted, as a certificate holds it
+    assert parse_expression(render_expression(e)) == e
+
+
+_NEVER_VALID = "#$%&;?@[]{}~!"
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=_EXPRESSIONS, where=st.integers(0, 500), junk=st.sampled_from(_NEVER_VALID))
+def test_junk_expression_always_raises(e, where, junk):
+    # a character the expression grammar has no use for, put anywhere, is
+    # refused on every parse, cached coefficients or not
+    text = render_expression(expr_add(e, ()))
+    at = where % (len(text) + 1)
+    bad = text[:at] + junk + text[at:]
+    for clear in (True, False, False):
+        if clear:
+            parse_poly.cache_clear()
+        with pytest.raises(CertificateError):
+            parse_expression(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(alphabet="()|0>+-*/^ IuW1T23", max_size=30))
+def test_any_text_parses_or_raises_certificate_error(text):
+    # whatever the text, parse_expression returns an expression or raises
+    # CertificateError, never another exception, and does so again
+    for _ in range(2):
+        try:
+            parsed = parse_expression(text)
+        except CertificateError:
+            continue
+        assert parse_expression(render_expression(parsed)) == expr_add(parsed, ())
+
+
+# --- work done once: coefficient parsing and brackets ----------------------------
+
+def _coefficient_texts(doc: dict) -> list[str]:
+    """Every coefficient text of a certificate document, in load order."""
+    texts = []
+    for step in doc["steps"]:
+        texts += [m.group(1) for m in c2._TERM_RE.finditer(step["claim"]["vector"])]
+        params = step["params"]
+        if "remainder" in params:
+            texts += [m.group(1) for m in c2._TERM_RE.finditer(params["remainder"])]
+        for entry in params.get("nulls", []) + params.get("parts", []):
+            texts.append(entry["coeff"])
+    return texts
+
+
+def test_load_parses_each_coefficient_text_once():
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    texts = _coefficient_texts(json.loads(text))
+    assert len(texts) > len(set(texts))  # the certificate repeats coefficients
+    parse_poly.cache_clear()
+    certificate_from_json(text)
+    info = parse_poly.cache_info()
+    assert info.misses <= len(set(texts))
+    assert info.hits + info.misses == len(texts)
+
+
+def test_parse_errors_are_not_cached():
+    parse_poly.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            parse_poly("2+")
+    assert parse_poly.cache_info().currsize == 0
+
+
+def test_two_replays_bracket_each_pair_once(monkeypatch):
+    calls = {}
+    plain = algebra.bracket
+
+    def counted(a, b, spec):
+        calls[(a, b)] = calls.get((a, b), 0) + 1
+        return plain(a, b, spec)
+
+    # count the calls wherever walgebra imported the bracket by name
+    for name, module in list(sys.modules.items()):
+        if name.startswith("walgebra") and getattr(module, "bracket", None) is plain:
+            monkeypatch.setattr(module, "bracket", counted)
+    spec = load_triplet_p2_spec()  # a fresh spec owns a fresh engine
+    cert = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
+    for _ in range(2):
+        assert verify_certificate(cert, spec)[0]
+    assert calls and max(calls.values()) == 1
+
+
+def test_deeply_nested_certificate_is_a_certificate_error():
+    deep = "[" * 200_000 + "]" * 200_000
+    for text in (deep, '{"steps": ' + deep + "}"):
+        with pytest.raises(CertificateError, match="not valid JSON"):
+            certificate_from_json(text)

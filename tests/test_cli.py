@@ -176,6 +176,20 @@ def test_malformed_spec_exit_2(tmp_path, edit):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["certify-c2", "verify-singular", "bracket"])
+def test_deeply_nested_spec_exit_2(tmp_path, command):
+    # nested deeper than the recursion limit, the JSON decoder raises
+    # RecursionError; that is one error line and exit 2
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    extra = ["--left", "T:2", "--right", "T:-2"] if command == "bracket" else []
+    proc = run_cli(command, "--spec", str(path), *extra)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: not valid JSON:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 def test_solve_mode_without_unknowns_exit_2(tmp_path):
     # the solved constants substituted: solve mode has nothing to solve for
     solved = {"uT": "3", "uL": "4", "uW": "5*I", "-uW": "-5*I",

@@ -1,7 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walgebra.algebra import (
     Derivative,
@@ -372,3 +375,74 @@ def test_memo_keeps_symbolic_coefficients_as_poly():
     state_coeffs = [c for st in states for c in st.terms().values()]
     assert all(type(c) is Poly for c in state_coeffs)
     assert any("I" in c.symbols() for c in state_coeffs)
+
+
+# --- the bracket and normal-order memos -------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [load_triplet_p2_spec(), make_derivation_spec(3),
+                                  make_virasoro_spec("c")],
+                         ids=["triplet_p2", "derivation_p3", "virasoro"])
+def test_engine_bracket_matches_algebra_bracket(spec):
+    engine = Engine(spec)
+    symbols = [g.symbol for g in spec.generators]
+    for a in symbols:
+        for b in symbols:
+            for m in range(-7, 5):
+                for n in range(-7, 5):
+                    x, y = Mode(a, m), Mode(b, n)
+                    first = engine.bracket(x, y)
+                    assert first == bracket(x, y, spec)
+                    assert engine.bracket(x, y) is first
+
+
+def _fold(engine, word):
+    """normal_order as it was: the modes applied right to left to the vacuum."""
+    state = State.vacuum()
+    for mode in reversed(list(word)):
+        state = engine.apply_mode(mode, state)
+    return state
+
+
+_TRIPLET = load_triplet_p2_spec()
+_WORD_MODES = ([T(n) for n in range(-4, 3)] + [Mode("W1", n) for n in range(-4, 2)]
+               + [Mode("W2", n) for n in (-3, 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.lists(st.sampled_from(_WORD_MODES), max_size=4),
+                      min_size=1, max_size=4),
+       factor=st.sampled_from([Poly.const(3), Poly.sym("I"), Poly.sym("uT") + 1]))
+def test_memoized_normal_order_matches_fold(words, factor):
+    engine = _TRIPLET.engine  # one memo across every example, warming up
+    oracle = Engine(_TRIPLET)
+    for word in words:
+        want = _fold(oracle, word)
+        got = engine.normal_order(word)
+        assert got == want
+        # scaling, adding and subtracting a result build new States and
+        # leave the memoized one as it was
+        assert got.scale(factor) + got - got.scale(factor) == want
+        assert engine.evaluate([(factor, word), (-factor, word)]).is_zero()
+        assert engine.normal_order(iter(word)) == want
+
+
+def test_normal_order_applies_each_suffix_once():
+    engine = Engine(make_virasoro_spec(Fraction(-2)))
+    calls = []
+    plain = engine.apply_mode
+    engine.apply_mode = lambda mode, state: calls.append(mode) or plain(mode, state)
+    word = (T(-2), T(-3), T(-4))
+    engine.normal_order(word)
+    assert calls == [T(-4), T(-3), T(-2)]
+    engine.normal_order((T(-5),) + word[1:])
+    assert calls[3:] == [T(-5)]
+    engine.normal_order(word)
+    engine.normal_order(word[1:])
+    assert len(calls) == 4
+
+
+def test_normal_order_depth_does_not_grow_with_the_word():
+    engine = Engine(make_virasoro_spec(Fraction(-2)))
+    word = (T(-2),) * (sys.getrecursionlimit() + 100)
+    assert engine.normal_order(word) == State.from_word(word)

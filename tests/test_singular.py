@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walgebra import singular
 from walgebra.algebra import Mode
@@ -10,7 +12,7 @@ from walgebra.singular import (
     SingularTable,
     annihilation_states,
     load_triplet_p2_spec,
-    null_vector_state,
+    null_vector_terms,
     solve_structure_constants,
     substitute_constants,
     verify_singular_p2,
@@ -87,12 +89,12 @@ def test_solve_mode_with_corrupted_table_inconsistent(spec):
 
 def test_null_vectors_have_table_shape(numeric_spec):
     engine = Engine(numeric_spec)
-    n12 = null_vector_state(1, 2, engine)
+    n12 = engine.evaluate(null_vector_terms(1, 2))
     # mixed vector: the two-W word plus the epsilon tail; delta part absent
     assert n12.coeff((Mode("W1", -3), Mode("W2", -3))) == Poly.const(1)
     assert n12.coeff((Mode("W3", -4), Mode("T", -2))) == Poly.sym("I") * -2
     assert n12.coeff((Mode("W3", -6),)) == Poly.sym("I") * Fraction(5, 4)
-    n11 = null_vector_state(1, 1, engine)
+    n11 = engine.evaluate(null_vector_terms(1, 1))
     assert n11.coeff((Mode("T", -2),) * 3) == Poly.const(Fraction(-8, 9))
     assert n11.coeff((Mode("T", -6),)) == Poly.const(Fraction(16, 9))
 
@@ -129,3 +131,46 @@ def test_shared_memo_perturbation_matches_fresh_spec(spec, solved, numeric_spec,
     shared = verify_singular_p2(numeric_spec, table=bad)
     assert not shared[0]
     assert shared == verify_singular_p2(fresh, table=bad)
+
+
+# --- L_m N^ab term by term, against L_m applied to the evaluated N^ab -------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_TABLES = st.builds(SingularTable, c1=_RATIONALS, c2=_RATIONALS, c3=_RATIONALS,
+                    c4=_RATIONALS, c5=_RATIONALS, c6=_RATIONALS)
+
+
+def _annihilation_states_oracle(engine, table):
+    """annihilation_states as it was: N^ab evaluated whole, then L_m applied."""
+    out = {}
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            n_ab = engine.evaluate(null_vector_terms(a, b, table))
+            for m in (1, 2):
+                out[(m, a, b)] = engine.apply_mode(Mode("T", m), n_ab)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(table=_TABLES)
+def test_annihilation_states_match_whole_vector_oracle(spec, numeric_spec, table):
+    for on in (spec, numeric_spec):
+        want = _annihilation_states_oracle(Engine(on), table)
+        assert annihilation_states(on.engine, table) == want
+
+
+def test_second_table_adds_no_memo_entries(numeric_spec):
+    engine = numeric_spec.engine
+    assert verify_singular_p2(numeric_spec)[0]
+    sizes = len(engine._memo), len(engine._normal_memo)
+    bad = SingularTable().replace(c3=Fraction(3, 2), c6=Fraction(-1, 4))
+    assert not verify_singular_p2(numeric_spec, table=bad)[0]
+    assert (len(engine._memo), len(engine._normal_memo)) == sizes
+
+
+def test_null_vector_terms_are_cached_per_table():
+    table = SingularTable().replace(c2=Fraction(1, 3))
+    first = null_vector_terms(1, 1, table)
+    assert null_vector_terms(1, 1, SingularTable().replace(c2=Fraction(1, 3))) is first
+    assert null_vector_terms(1, 1) is not first
+    assert null_vector_terms.cache_info().maxsize == singular.NULL_TERMS_CACHE_SIZE
