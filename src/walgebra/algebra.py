@@ -7,6 +7,24 @@ phi(x) = sum_n phi_n x^(-n-h).  The mathematics convention is reachable
 through :func:`convert_index` with n_math = n_phys + h - 1.
 
 A mode phi_n annihilates the vacuum exactly when n >= -h + 1.
+
+Records
+-------
+Modes, field expressions, declarations and bracket results, like the
+derivation, solve and step reports elsewhere, are ``typing.NamedTuple``
+records: immutable, hashable and cheap to define when a module is
+imported.  They compare as tuples, so a record equals any tuple, or record
+of another type, with the same contents, and ``Identity()`` equals ``()``
+and is false.  Code that handles field expressions dispatches on
+``isinstance`` and never takes their truth value.
+
+The types that need dataclass behaviour stay dataclasses: ``AlgebraSpec``
+(validation in ``__post_init__``, a cached engine, refused attribute
+assignment), ``singular.SingularTable`` (normalisation in ``__post_init__``,
+``replace`` and ``fields``), the ``c2`` rules (``dataclasses.replace``, a
+JSON codec keyed by their fields, and equality that tells rule kinds apart),
+``c2.MembershipClaim`` (``dataclasses.replace``) and ``c2.Certificate``
+(mutable).
 """
 
 from __future__ import annotations
@@ -54,26 +72,22 @@ def convert_index(n: int, weight: int, direction: str) -> int:
 # --- field expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldRef:
+class FieldRef(NamedTuple):
     """A declared field: generator or registered composite."""
 
     symbol: str
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """The identity field (weight 0, only mode 0 acts, as the identity)."""
 
 
-@dataclass(frozen=True)
-class Derivative:
+class Derivative(NamedTuple):
     base: "FieldExpr"
     order: int
 
 
-@dataclass(frozen=True)
-class Nprod:
+class Nprod(NamedTuple):
     """Ordered bilinear normal product N^(m)(left, right).
 
     Modes: N^(m)(phi,psi)_n = sum_{k<m} phi_{n+k} psi_{-k}
@@ -85,8 +99,7 @@ class Nprod:
     right: "FieldExpr"
 
 
-@dataclass(frozen=True)
-class QPNop:
+class QPNop(NamedTuple):
     """Quasi-primary normal-ordered product of declared fields j, i with
     n derivatives on the second slot; expanded by the engine."""
 
@@ -95,13 +108,11 @@ class QPNop:
     n: int
 
 
-@dataclass(frozen=True)
-class LinComb:
+class LinComb(NamedTuple):
     parts: tuple[tuple[Poly, "FieldExpr"], ...]
 
 
-@dataclass(frozen=True)
-class TopPower:
+class TopPower(NamedTuple):
     """The `count`-fold normal-ordered power of the generator `base`, kept
     only at top length: its vacuum modes give the words of exactly `count`
     modes.
@@ -123,14 +134,12 @@ FieldExpr = Union[FieldRef, Identity, Derivative, Nprod, QPNop, LinComb, TopPowe
 # --- algebra specification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorDecl:
+class GeneratorDecl(NamedTuple):
     symbol: str
     weight: int
 
 
-@dataclass(frozen=True)
-class CompositeDecl:
+class CompositeDecl(NamedTuple):
     symbol: str
     weight: int
     definition: FieldExpr
@@ -205,6 +214,9 @@ class AlgebraSpec:
     # --- validation ---
 
     def validate(self) -> None:
+        if not self.generators:
+            raise SpecError("no generators: the first generator must be the "
+                            "weight-2 conformal field")
         seen = set()
         for g in self.generators:
             if g.weight <= 0:
@@ -308,8 +320,7 @@ def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     return exact(total)
 
 
-@dataclass(frozen=True)
-class OperatorSum:
+class OperatorSum(NamedTuple):
     """Result of a mode bracket: channel modes with coefficients plus a
     central scalar."""
 

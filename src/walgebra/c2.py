@@ -29,7 +29,7 @@ import json
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import get_args
+from typing import NamedTuple, get_args
 
 from .algebra import AlgebraSpec, Mode, convert_index, keyed
 from .engine import State
@@ -173,8 +173,7 @@ class Certificate:
     targets: list[int]
 
 
-@dataclass
-class StepReport:
+class StepReport(NamedTuple):
     id: int
     ok: bool
     label: str

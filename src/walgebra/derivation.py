@@ -20,8 +20,8 @@ the engine's recursion inside Python's default limit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import Mode, make_derivation_spec
 from .engine import State, project_with_audit
@@ -51,8 +51,7 @@ def _lword(parts: list[int]) -> tuple[Mode, ...]:
     return tuple(_T(-k) for k in sorted(parts, reverse=True))
 
 
-@dataclass
-class Monomials:
+class Monomials(NamedTuple):
     """The canonical words the pipeline tracks at length Delta-1."""
 
     delta: int
@@ -96,8 +95,7 @@ class Monomials:
         return _lword([3, 3, 3] + [2] * (self.delta - 4))
 
 
-@dataclass
-class DerivationReport:
+class DerivationReport(NamedTuple):
     p: int
     delta: int
     beta_ww: Poly
@@ -111,7 +109,7 @@ class DerivationReport:
     B_primary: Poly
     alpha_zero_consistent: bool
     difference: Poly
-    assumptions: list[str] = field(default_factory=list)
+    assumptions: list[str]
 
     def to_dict(self) -> dict:
         return {

@@ -168,7 +168,9 @@ class Engine:
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         # (generator symbol or field expression, n, word) -> {word: coeff},
-        # each coeff an int, a Fraction, or a Poly only when it has a symbol
+        # each coeff an int, a Fraction, or a Poly only when it has a symbol;
+        # field expressions are tuples, but no two kinds that reach the memo
+        # can have equal contents, so each kind keeps entries of its own
         self._memo: dict[tuple[str | FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
         # (mode, mode) -> their commutator

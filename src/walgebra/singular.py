@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .algebra import AlgebraSpec, Mode, load_spec
 from .engine import Engine, State
@@ -114,8 +115,7 @@ def _symbolic_constants(spec: AlgebraSpec) -> list[str]:
     return sorted({s for v in spec.constants.values() for s in v.symbols()} - {"I"})
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     consistent: bool
     assignment: dict[str, Poly]
     free: list[str]

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -238,3 +240,49 @@ def test_load_spec_refuses_a_deeply_nested_document():
         load_spec(DEEP_JSON)
     with pytest.raises(SpecError, match="not valid JSON"):
         load_spec('{"central_charge": ' + DEEP_JSON + "}")
+
+
+@pytest.mark.parametrize("generators", [[], {}], ids=["list", "object"])
+def test_load_spec_refuses_a_spec_without_generators(generators):
+    for doc in ({"central_charge": "-2", "generators": generators},
+                {**_valid_virasoro_doc(), "generators": generators}):
+        with pytest.raises(SpecError, match="no generators: the first generator "
+                                            "must be the weight-2 conformal field"):
+            load_spec(json.dumps(doc))
+
+
+# The types that need dataclass behaviour; every other record is a NamedTuple,
+# whose class costs far less than a dataclass to build on import.
+KEPT_DATACLASSES = {
+    "walgebra.algebra.AlgebraSpec",
+    "walgebra.singular.SingularTable",
+    "walgebra.c2.ManifestMemberRule",
+    "walgebra.c2.PrefixInvarianceRule",
+    "walgebra.c2.SingularRewriteRule",
+    "walgebra.c2.WeightBoundedBracketRule",
+    "walgebra.c2.ReorderRule",
+    "walgebra.c2.LinearCombinationRule",
+    "walgebra.c2.MembershipClaim",
+    "walgebra.c2.Certificate",
+}
+
+_LIST_DATACLASSES = """
+import dataclasses, json, sys
+import walgebra, walgebra.cli
+from walgebra.singular import load_triplet_p2_spec
+load_triplet_p2_spec()
+print(json.dumps(sorted(
+    f"{name}.{attr}"
+    for name, module in list(sys.modules.items()) if name.split(".")[0] == "walgebra"
+    for attr, value in vars(module).items()
+    if isinstance(value, type) and value.__module__ == name
+    and dataclasses.is_dataclass(value))))
+"""
+
+
+def test_only_the_listed_types_are_dataclasses():
+    # a cold interpreter, so that every module a CLI call imports is loaded
+    proc = subprocess.run([sys.executable, "-c", _LIST_DATACLASSES],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == KEPT_DATACLASSES

@@ -190,6 +190,28 @@ def test_deeply_nested_spec_exit_2(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("generators", [[], {}], ids=["list", "object"])
+@pytest.mark.parametrize("command", ["certify-c2", "verify-singular", "bracket"])
+def test_spec_without_generators_exit_2(tmp_path, command, generators):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"central_charge": "-2", "generators": generators}))
+    extra = ["--left", "T:2", "--right", "T:-2"] if command == "bracket" else []
+    proc = run_cli(command, "--spec", str(path), *extra)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: no generators: the first generator must be "
+                           "the weight-2 conformal field\n")
+    assert proc.stdout == ""
+
+
+def test_python_m_walgebra_runs_the_cli():
+    proc = subprocess.run(
+        [sys.executable, "-m", "walgebra", "derive", "--p", "2", "--format", "json"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "derive_p2.json").read_text()
+
+
 def test_solve_mode_without_unknowns_exit_2(tmp_path):
     # the solved constants substituted: solve mode has nothing to solve for
     solved = {"uT": "3", "uL": "4", "uW": "5*I", "-uW": "-5*I",

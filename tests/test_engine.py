@@ -1,20 +1,25 @@
 import random
 import sys
 from fractions import Fraction
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from walgebra import cli
 from walgebra.algebra import (
     Derivative,
+    FieldExpr,
     FieldRef,
     Identity,
     Mode,
     Nprod,
+    QPNop,
     SpecError,
     TopPower,
     bracket,
+    expr_weight,
     make_derivation_spec,
     make_virasoro_spec,
 )
@@ -91,6 +96,53 @@ def test_field_mode_examples(der2):
     s = der2.field_mode_apply(Identity(), 0, der2.normal_order([T(-2)]))
     assert s == State({(T(-2),): Poly.const(1)})
     assert der2.field_mode_apply(Identity(), -1, vac).is_zero()
+
+
+# one field expression of each kind that acts on the vacuum
+MEMO_KINDS = [Identity(), FieldRef("T"), Derivative(FieldRef("T"), 1),
+              TopPower("T", 1), QPNop("T", "T", 0)]
+
+
+def test_memo_keeps_field_expression_kinds_apart():
+    # field expressions are tuples, and a tuple equals any other with the
+    # same contents; each kind must still get memo entries of its own
+    spec = make_virasoro_spec("c")
+    vac = State.vacuum()
+    modes = range(-6, 1)
+    fresh = {(i, n): Engine(spec).field_mode_apply(expr, n, vac)
+             for i, expr in enumerate(MEMO_KINDS) for n in modes}
+    assert fresh[(0, 0)] == vac and fresh[(3, -2)] == State.from_word([T(-2)])
+    kinds = range(len(MEMO_KINDS))
+    for order in (kinds, reversed(kinds)):
+        shared = Engine(spec)
+        for i in order:
+            for n in modes:
+                got = shared.field_mode_apply(MEMO_KINDS[i], n, vac)
+                assert got == fresh[(i, n)], (MEMO_KINDS[i], n)
+
+
+def test_no_code_takes_the_truth_value_of_a_field_expression(monkeypatch, tmp_path):
+    # Identity() is an empty tuple, so it is false; every path that handles
+    # field expressions must dispatch on their type instead
+    def refuse(expr):
+        raise AssertionError(f"truth value of {expr!r} taken")
+
+    for kind in get_args(FieldExpr):
+        monkeypatch.setattr(kind, "__bool__", refuse, raising=False)
+    vir = Engine(make_virasoro_spec("c"))
+    exprs = [Identity(), Derivative(Identity(), 1), TopPower("T", 2),
+             QPNop("T", "T", 2), Nprod(0, Identity(), FieldRef("T"))]
+    exprs += [e for m in range(-3, 4) if (e := omega_mode_field(m)) is not None]
+    for expr in exprs:
+        expr_weight(expr, vir.spec)
+        for n in range(-6, 3):
+            vir.field_mode_apply(expr, n, State.vacuum())
+            if not isinstance(expr, TopPower):
+                vir.field_mode_apply(expr, n, vir.normal_order([T(-2)]))
+    out = str(tmp_path / "out")
+    for argv in (["derive", "--p", "3"], ["certify-c2"], ["verify-singular", "--solve-mode"],
+                 ["bracket", "--left", "W1:-3", "--right", "W2:-3"]):
+        assert cli.main([*argv, "--out", out]) == 0, argv
 
 
 def _outcome(apply, *args):
