@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
 from .scalar import Poly, binom_int, exact, parse_poly, render_poly
 
@@ -229,6 +229,16 @@ class AlgebraSpec:
                 raise SpecError(f"composite {c.symbol!r} shadows another field")
             if c.weight <= 0:
                 raise SpecError(f"composite {c.symbol!r} has weight {c.weight} <= 0")
+        # a composite names only generators and the composites listed before
+        # it, so evaluating its modes never comes back to it
+        earlier = set()
+        for c in self.composites.values():
+            for symbol in expr_symbols(c.definition):
+                if symbol in self.composites and symbol not in earlier:
+                    named = ("itself" if symbol == c.symbol
+                             else f"composite {symbol!r}, which is listed after it")
+                    raise SpecError(f"composite {c.symbol!r} names {named}")
+            earlier.add(c.symbol)
         for (i, j) in self.d:
             if j < i:
                 raise SpecError(f"pairing key ({i},{j}) not sorted")
@@ -336,7 +346,15 @@ class OperatorSum(NamedTuple):
 
 def bracket(a: Mode, b: Mode, spec: AlgebraSpec) -> OperatorSum:
     """Mode commutator [a, b] from the declared channels:
-    d_ij delta_{m+n,0} C(h_i+m-1, 2h_i-1) + sum_k C_ij^k p(m,n) (phi_k)_{m+n}."""
+    d_ij delta_{m+n,0} C(h_i+m-1, 2h_i-1) + sum_k C_ij^k p(m,n) (phi_k)_{m+n}.
+
+    Channels are declared for generators only, so a mode of a composite
+    field is refused rather than given a bracket of 0."""
+    for mode in (a, b):
+        if mode.field in spec.composites:
+            raise SpecError(f"{mode.render()} is a mode of the composite field "
+                            f"{mode.field!r}; brackets are declared between "
+                            "generator modes only")
     hi = spec.weight_of(a.field)
     hj = spec.weight_of(b.field)
     m, n = a.n, b.n
@@ -378,6 +396,24 @@ def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
     raise TypeError(f"not a field expression: {expr!r}")
 
 
+def expr_symbols(expr: FieldExpr) -> Iterator[str]:
+    """Every field symbol a field expression names."""
+    if isinstance(expr, FieldRef):
+        yield expr.symbol
+    elif isinstance(expr, Derivative):
+        yield from expr_symbols(expr.base)
+    elif isinstance(expr, Nprod):
+        yield from expr_symbols(expr.left)
+        yield from expr_symbols(expr.right)
+    elif isinstance(expr, QPNop):
+        yield from (expr.j, expr.i)
+    elif isinstance(expr, TopPower):
+        yield expr.base
+    elif isinstance(expr, LinComb):
+        for _, part in expr.parts:
+            yield from expr_symbols(part)
+
+
 # --- spec documents ----------------------------------------------------------
 
 
@@ -386,6 +422,14 @@ def _json_int(value, what: str) -> int:
     string or a boolean."""
     if type(value) is not int:
         raise SpecError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_count(value, what: str) -> int:
+    """A derivative order of a spec document: a JSON integer >= 0."""
+    value = _json_int(value, what)
+    if value < 0:
+        raise SpecError(f"{what} must be >= 0, got {value}")
     return value
 
 
@@ -449,7 +493,7 @@ def _parse_field_expr(doc) -> FieldExpr:
     if kind == "deriv":
         body = keyed(body, "a deriv body", {"base", "order"})
         return Derivative(_parse_field_expr(body["base"]),
-                          _json_int(body["order"], "deriv order"))
+                          _json_count(body["order"], "deriv order"))
     if kind == "nprod":
         body = keyed(body, "an nprod body", {"m", "left", "right"})
         return Nprod(
@@ -460,7 +504,7 @@ def _parse_field_expr(doc) -> FieldExpr:
     if kind == "qpnop":
         body = keyed(body, "a qpnop body", {"j", "i"}, {"n"})
         return QPNop(_json_str(body["j"], "qpnop j"), _json_str(body["i"], "qpnop i"),
-                     _json_int(body.get("n", 0), "qpnop n"))
+                     _json_count(body.get("n", 0), "qpnop n"))
     if kind == "lincomb":
         return LinComb(
             tuple((_json_poly(c, "lincomb coefficient"), _parse_field_expr(e))
@@ -469,21 +513,22 @@ def _parse_field_expr(doc) -> FieldExpr:
     raise SpecError(f"unknown field expression kind {kind!r}")
 
 
-def load_spec(document: str | dict) -> AlgebraSpec:
-    """Load and validate an algebra-spec document (JSON text or dict).
+def load_spec(text: str) -> AlgebraSpec:
+    """Load and validate an algebra-spec document from its JSON text.
 
     The central charge and every polynomial value are strings; weights,
-    derivative orders, `nprod` m and `qpnop` n are JSON integers.  A key the
-    loader does not read, at any level, and a second entry for one pairing,
-    structure constant, composite symbol or `c_lower` triple are refused.
+    derivative orders, `nprod` m and `qpnop` n are JSON integers, and a
+    derivative order or `qpnop` n is not negative.  A key the loader does
+    not read, at any level, and a second entry for one pairing, structure
+    constant, composite symbol or `c_lower` triple are refused.  A composite
+    names only generators and the composites listed before it.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            # a document nested deeper than the interpreter's recursion limit
-            # raises RecursionError from the decoder
-            raise SpecError(f"not valid JSON: {exc}") from exc
+    try:
+        document = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a document nested deeper than the interpreter's recursion limit
+        # raises RecursionError from the decoder
+        raise SpecError(f"not valid JSON: {exc}") from exc
     try:
         document = keyed(document, "the spec document",
                          *_SPEC_KEYS["the spec document"])

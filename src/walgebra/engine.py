@@ -246,17 +246,22 @@ class Engine:
         """The mode field_n on one canonical word, as {word: coeff}.
 
         A field reference is unwrapped, a composite symbol replaced by its
-        definition and a quasi-primary product by its expansion before the
+        definition (an alias, defined as a bare field reference, by the field
+        it names) and a quasi-primary product by its expansion before the
         lookup, so a generator mode has one memo entry, keyed by its symbol,
-        whichever entry point reached it.  Coefficients
-        are exact numbers until a symbol enters (see `scalar.exact`), so the
-        rewriting of constant coefficients never builds a Poly.
+        whichever entry point reached it.  Coefficients are exact numbers
+        until a symbol enters (see `scalar.exact`), so the rewriting of
+        constant coefficients never builds a Poly.
         """
         spec = self.spec
         if isinstance(field, FieldRef):
             field = field.symbol
-        if isinstance(field, str) and not spec.is_generator(field):
+        # a composite names only generators and earlier composites, so an
+        # alias chain ends
+        while isinstance(field, str) and not spec.is_generator(field):
             field = spec.composite_expr(field)
+            if isinstance(field, FieldRef):
+                field = field.symbol
         if isinstance(field, QPNop):
             field = self.qp_nop(field.j, field.i, field.n)
         key = (field, n, word)

@@ -1,28 +1,25 @@
 """Exact truncated q-series and the characters used for singular-vector counting.
 
 A series is sum_n a_n q^(offset + n) with a rational offset, stored as one
-dense list a_0 .. a_cutoff of the coefficients at integer steps above the
-offset; the list's length is the validity range.  A coefficient is stored
-as an `int` when it is integral and as a `Fraction` otherwise, so the
-characters, whose coefficients are all integers, are computed in plain
-`int` arithmetic.  phi = prod_{n>=1} (1 - q^n) comes from Euler's
-pentagonal theorem, and its inverse from the pentagonal recurrence; each
-1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is built from that one inversion
-by running differences, so phi is the only series a character inverts.
-A product is one big-integer product by Kronecker substitution: each
-factor's coefficients, scaled to integers by the lcm of their
-denominators, are packed as signed digits wide enough for every product
-coefficient, and the product's digits are read back exactly.  All
-arithmetic is exact and cutoff bookkeeping is conservative.
+dense list a_0 .. a_cutoff of the `int` coefficients at integer steps above
+the offset; the list's length is the validity range.  The characters are
+integer series, so all arithmetic is plain `int` arithmetic; only the
+offset, q^(-c/24), is a `Fraction`.  phi = prod_{n>=1} (1 - q^n) comes from
+Euler's pentagonal theorem, and its inverse from the pentagonal recurrence;
+each 1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is built from that one
+inversion by running differences, so phi is the only series a character
+inverts.  A product is one big-integer product by Kronecker substitution:
+each factor's coefficients are packed as signed digits wide enough for
+every product coefficient, and the product's digits are read back exactly.
+Cutoff bookkeeping is conservative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 
 from .algebra import central_charge_p1
-from .scalar import exact
 
 
 # The characters cost about 4.5x more per doubling of the cutoff (the
@@ -37,15 +34,16 @@ class QSeriesError(ValueError):
 
 
 class QSeries:
-    """Truncated formal series sum a_n q^(offset + n): `coeffs` lists a_0 ..
-    a_cutoff densely, so its length is the validity range (n counts integer
-    steps above the offset)."""
+    """Truncated formal series sum a_n q^(offset + n): `coeffs` lists the
+    integers a_0 .. a_cutoff densely, so its length is the validity range (n
+    counts integer steps above the offset)."""
 
     __slots__ = ("offset", "coeffs")
 
-    def __init__(self, offset: Fraction, coeffs: list[int | Fraction]):
+    def __init__(self, offset: Fraction, coeffs: list[int]):
         self.offset = Fraction(offset)
-        self.coeffs = [exact(c) for c in coeffs]
+        # a copy: callers such as _inverse_phi_truncs go on mutating theirs
+        self.coeffs = list(coeffs)
 
     # --- constructors ----------------------------------------------------------
 
@@ -87,8 +85,8 @@ class QSeries:
         # is too; it sits at twice the common offset
         offset, xs, ys = QSeries._aligned(self, other)
         count = len(xs)
-        xs, x_den = _scaled_digits(xs)
-        ys, y_den = _scaled_digits(ys)
+        xs = _trimmed(xs)
+        ys = _trimmed(ys)
         if not xs or not ys:
             return QSeries(2 * offset, [0] * count)
         # Kronecker substitution: evaluate both at q = 2^(8 width), multiply
@@ -96,19 +94,18 @@ class QSeries:
         width = (_digit_bits(max(map(abs, xs)), max(map(abs, ys)),
                              min(len(xs), len(ys))) + 7) // 8
         out = _unpack(_pack(xs, width) * _pack(ys, width), width, count)
-        den = x_den * y_den
-        if den != 1:
-            out = [Fraction(d, den) for d in out]
         return QSeries(2 * offset, out)
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; the constant lattice term must be nonzero."""
+        """Multiplicative inverse; the constant lattice term must be a unit,
+        +-1, for the inverse to have integer coefficients."""
         if not self.coeffs or not self.coeffs[0]:
             raise QSeriesError("series with vanishing constant term at its "
                                "offset cannot be inverted on the lattice")
-        a0 = self.coeffs[0]
-        # 1/a0 exactly: a unit stays an int, anything else is a Fraction
-        inv0 = a0 if a0 in (1, -1) else 1 / Fraction(a0)
+        inv0 = self.coeffs[0]
+        if inv0 not in (1, -1):
+            raise QSeriesError(f"constant term {inv0} is not +-1, so the "
+                               "inverse is not an integer series")
         terms = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
         inv = [inv0] + [0] * (len(self.coeffs) - 1)
         for n in range(1, len(inv)):
@@ -132,7 +129,7 @@ class QSeries:
                 return self.offset + n
         raise QSeriesError("series is zero through its cutoff")
 
-    def coeff_at_exponent(self, exponent: Fraction) -> int | Fraction:
+    def coeff_at_exponent(self, exponent: Fraction) -> int:
         n = Fraction(exponent) - self.offset
         if n.denominator != 1:
             raise QSeriesError(f"exponent {exponent} is off-lattice")
@@ -158,7 +155,7 @@ class QSeries:
             raise QSeriesError("agreement range exceeds validity")
         return xs[:count] == ys[:count]
 
-    def render_terms(self) -> list[tuple[str, int | Fraction]]:
+    def render_terms(self) -> list[tuple[str, int]]:
         """(exponent text, coefficient) for each nonzero term, in order.
 
         offset + n = (a + n b)/b stays in lowest terms for a reduced offset
@@ -179,14 +176,12 @@ class QSeries:
 # --- Kronecker substitution ---------------------------------------------------------
 
 
-def _scaled_digits(coeffs: list[int | Fraction]) -> tuple[list[int], int]:
-    """The coefficients without their trailing zeros, scaled to integers by
-    the lcm of their denominators, and that lcm."""
+def _trimmed(coeffs: list[int]) -> list[int]:
+    """The coefficients without their trailing zeros."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
-    den = lcm(*(c.denominator for c in coeffs[:n]))
-    return [c.numerator * (den // c.denominator) for c in coeffs[:n]], den
+    return coeffs[:n]
 
 
 def _digit_bits(x_max: int, y_max: int, overlap: int) -> int:
@@ -335,10 +330,10 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
     return total.shift(-c / 24)
 
 
-def coeff_at_level(series: QSeries, level: Fraction) -> int | Fraction:
+def coeff_at_level(series: QSeries, level: Fraction) -> int:
     """Coefficient at (leading vacuum exponent) + level."""
     return series.coeff_at_exponent(series.leading_exponent() + Fraction(level))
 
 
-def diff_at_level(a: QSeries, b: QSeries, level: Fraction) -> int | Fraction:
+def diff_at_level(a: QSeries, b: QSeries, level: Fraction) -> int:
     return coeff_at_level(a, level) - coeff_at_level(b, level)

@@ -420,10 +420,8 @@ def parse_poly(text: str) -> Poly:
 class SolveError(ValueError):
     """Linear system is inconsistent or underdetermined."""
 
-    def __init__(self, message: str, residual: Poly | None = None,
-                 free: list[str] | None = None):
+    def __init__(self, message: str, free: list[str] | None = None):
         super().__init__(message)
-        self.residual = residual
         self.free = free or []
 
 
@@ -507,5 +505,5 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
     for row in rows:
         rest = row.get(None)
         if rest:
-            raise SolveError(f"inconsistent system, residual {rest}", residual=rest)
+            raise SolveError(f"inconsistent system, residual {rest}")
     return {u: -row.get(None, Poly()) for u, row in pivots.items()}

@@ -117,7 +117,7 @@ def test_criterion_3_phi_identities():
         rhs = phi(60)
         for l in range(1, k):
             terms = [0] * 61
-            terms[0], terms[l] = Fraction(1), Fraction(-1)
+            terms[0], terms[l] = 1, -1
             rhs = rhs * QSeries(Fraction(0), terms).inverse()
         assert phi_trunc(k, 60) == rhs
     _report(3, "phi truncation identity to cutoff 60 for k in 2..7; "

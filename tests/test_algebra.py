@@ -8,6 +8,7 @@ import pytest
 
 from walgebra.algebra import (
     AlgebraSpec,
+    FieldRef,
     GeneratorDecl,
     Mode,
     SpecError,
@@ -20,6 +21,7 @@ from walgebra.algebra import (
     make_virasoro_spec,
     p_poly,
 )
+from walgebra.engine import State
 from walgebra.scalar import Poly
 from walgebra.singular import load_triplet_p2_spec, substitute_constants
 
@@ -101,9 +103,10 @@ def test_quasi_primary_sl2_rule():
     spec = load_triplet_p2_spec()
     for m in (-1, 0, 1):
         for n in range(-8, 3):
-            ops = bracket(T(m), Mode("L4", n), spec)
-            # no constants for (T, L4) are declared; the sl2 content is the
-            # channel polynomial itself
+            # no constants for (T, L4) are declared, so the bracket refuses
+            # the composite mode; the sl2 content is the channel polynomial
+            with pytest.raises(SpecError, match="composite field 'L4'"):
+                bracket(T(m), Mode("L4", n), spec)
             assert channel_poly(2, 4, 2, m, n) == 0
     # and the conformal channel reproduces the sl2 coefficient
     for m in (-1, 0, 1):
@@ -222,6 +225,38 @@ def test_spec_copies_the_mappings_it_is_built_from():
                        {("T", "T", "T"): Poly.const(2)})
     d[("T", "T")] = Poly.const(5)
     assert spec.pairing("T", "T") == Poly.const(1)
+
+
+def _virasoro_with_composites(*definitions):
+    doc = _valid_virasoro_doc()
+    doc["composite_fields"] = [{"symbol": symbol, "weight": 2, "definition": d}
+                               for symbol, d in definitions]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("definitions,message", [
+    ([("Y", {"deriv": {"base": {"gen": "Y"}, "order": 0}})],
+     "composite 'Y' names itself"),
+    ([("Y", {"gen": "Z"}), ("Z", {"gen": "T"})],
+     "composite 'Y' names composite 'Z', which is listed after it"),
+    ([("Y", {"lincomb": [["1", {"gen": "T"}], ["1", {"gen": "Y"}]]})],
+     "composite 'Y' names itself"),
+], ids=["itself", "later", "itself_in_a_lincomb"])
+def test_load_spec_refuses_a_composite_not_yet_defined(definitions, message):
+    # evaluating such a composite would never end
+    with pytest.raises(SpecError, match=message):
+        load_spec(_virasoro_with_composites(*definitions))
+
+
+def test_composite_alias_chain_evaluates_as_the_generator():
+    spec = load_spec(_virasoro_with_composites(("Z", {"gen": "T"}),
+                                               ("Y", {"gen": "Z"})))
+    engine = spec.engine
+    for state in (State.vacuum(), engine.normal_order([T(-2), T(-3)])):
+        for n in range(-4, 5):
+            want = engine.apply_mode(T(n), state)
+            assert engine.field_mode_apply(FieldRef("Y"), n, state) == want
+            assert engine.apply_mode(Mode("Y", n), state) == want
 
 
 def test_undeclared_field_is_a_spec_error():

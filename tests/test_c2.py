@@ -431,6 +431,19 @@ def test_second_clean_replay_adds_no_memo_entries(cert):
     assert len(spec.engine._memo) == size
 
 
+def test_bracket_step_on_a_composite_mode_is_a_spec_error(cert, spec):
+    # a composite has no declared channels, so its bracket with a generator
+    # is refused, as an undeclared field's is, rather than taken as 0
+    idx = next(i for i, s in enumerate(cert.steps)
+               if isinstance(s.rule, WeightBoundedBracketRule))
+    rule = dataclasses.replace(cert.steps[idx].rule, b=Mode("X1", -5))
+    bad = _with_vector(cert, idx, expression((1, (rule.a, rule.b) + rule.right),
+                                             (-1, (rule.b, rule.a) + rule.right)))
+    bad.steps[idx] = dataclasses.replace(bad.steps[idx], rule=rule)
+    with pytest.raises(SpecError, match="composite field 'X1'"):
+        verify_certificate(bad, spec)
+
+
 def test_replay_raising_part_way_leaves_engine_usable(cert):
     spec = load_triplet_p2_spec()
     clean = verify_certificate(cert, spec)

@@ -62,6 +62,11 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("derive", "--p", "0").returncode == 2
     assert run_cli("derive").returncode == 2
     assert run_cli("bracket", "--left", "junk", "--right", "T:2").returncode == 2
+    # a composite has no declared channels: its bracket is refused, not 0
+    proc = run_cli("bracket", "--left", "T:2", "--right", "X1:-5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: X1(-5) is a mode of the composite field")
+    assert len(proc.stderr.splitlines()) == 1
     assert run_cli("nonsense").returncode == 2
     assert run_cli("char-diff", "--p", "2", "--left", "verma", "--right",
                    "triplet", "--level", "x").returncode == 2
@@ -157,6 +162,14 @@ T_REF = {"gen": "T"}
     lambda d: d["generators"][1].update(symbol=["W1"]),
     _define_l4({"deriv": {"base": {"gen": ["T"]}, "order": 2}}),
     _define_l4({"qpnop": {"j": ["T"], "i": "T"}}),
+    # a negative qpnop n or derivative order, at a weight that matches it
+    lambda d: d["composite_fields"][0].update(
+        weight=3, definition={"qpnop": {"j": "T", "i": "T", "n": -1}}),
+    lambda d: d["composite_fields"][0].update(
+        weight=1, definition={"deriv": {"base": T_REF, "order": -1}}),
+    # a composite that names itself, or a composite listed after it
+    _define_l4({"deriv": {"base": {"gen": "L4"}, "order": 0}}),
+    lambda d: d["composite_fields"][0].update(weight=5, definition={"gen": "X1"}),
 ], ids=["non_integer_weight", "malformed_polynomial", "number_central_charge",
         "float_weight", "bool_weight", "float_composite_weight",
         "float_deriv_order", "float_nprod_m", "bool_qpnop_n", "number_d_value",
@@ -164,7 +177,8 @@ T_REF = {"gen": "T"}
         "duplicate_composite", "duplicate_c_lower", "unknown_top_level_key",
         "unknown_generator_key", "unknown_d_key", "unknown_qpnop_key",
         "unknown_deriv_key", "central_charge_not_twice_d_tt", "list_generator_symbol",
-        "list_gen_symbol", "list_qpnop_symbol"])
+        "list_gen_symbol", "list_qpnop_symbol", "negative_qpnop_n",
+        "negative_deriv_order", "self_naming_composite", "later_composite"])
 def test_malformed_spec_exit_2(tmp_path, edit):
     doc = _triplet_spec_doc()
     edit(doc)

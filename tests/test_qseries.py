@@ -38,7 +38,7 @@ def series(offset, terms, cutoff):
 def series_from_terms(terms, cutoff):
     coeffs = {}
     for e, c in terms:
-        coeffs[e] = coeffs.get(e, Fraction(0)) + Fraction(c)
+        coeffs[e] = coeffs.get(e, 0) + c
     return series(Fraction(0), coeffs, cutoff)
 
 
@@ -197,8 +197,8 @@ def test_cutoff_bookkeeping_is_conservative():
 def test_lattice_alignment():
     # series live on integer steps above their offset; offsets that differ by
     # an integer align, anything else is off-lattice
-    a = series(Fraction(1, 6), {0: Fraction(1)}, 8)
-    b = series(Fraction(-5, 6), {0: Fraction(1)}, 9)
+    a = series(Fraction(1, 6), {0: 1}, 8)
+    b = series(Fraction(-5, 6), {0: 1}, 9)
     s = a + b
     assert s.offset == Fraction(-5, 6)
     assert s.coeff_at_exponent(Fraction(-5, 6)) == 1
@@ -206,7 +206,7 @@ def test_lattice_alignment():
     with pytest.raises(QSeriesError):
         s.coeff_at_exponent(Fraction(1, 2))
     with pytest.raises(QSeriesError):
-        a + series(Fraction(0), {0: Fraction(1)}, 8)
+        a + series(Fraction(0), {0: 1}, 8)
 
 
 def test_agreement_range_rounds_down():
@@ -221,15 +221,13 @@ def test_agreement_range_rounds_down():
 
 
 def test_inverse_is_exact():
-    inv = series_from_terms([(0, 2), (1, -1)], 30).inverse()
-    for n in range(31):
-        c = inv.coeff_at_exponent(n)
-        assert type(c) is Fraction and c == Fraction(1, 2 ** (n + 1))
-    s = series_from_terms([(0, Fraction(3, 2)), (1, 1)], 30)
-    inv = s.inverse()
-    for n in range(31):
-        assert inv.coeff_at_exponent(n) == Fraction(2, 3) * Fraction(-2, 3) ** n
-    assert s * inv == QSeries.one(30)
+    # an integer series has an integer inverse only when a_0 is +-1; any
+    # other constant term is refused rather than inverted into fractions
+    for a0 in (2, -3, Fraction(3, 2)):
+        with pytest.raises(QSeriesError, match="not \\+-1"):
+            series(Fraction(0), {0: a0, 1: -1}, 30).inverse()
+    inv = series(Fraction(0), {0: -1, 1: 1}, 30).inverse()
+    assert inv.coeffs == [-1] * 31
 
 
 def test_character_coefficients_are_ints():
@@ -275,21 +273,14 @@ def test_verma_character_inverts_each_weight_once(monkeypatch):
     assert got.render_lines() == want.render_lines()
 
 
-exact_coeffs = st.one_of(
-    st.integers(min_value=-6, max_value=6),
-    st.builds(Fraction, st.integers(min_value=-6, max_value=6),
-              st.integers(min_value=1, max_value=5)),
-)
-
-
 @settings(max_examples=80, deadline=None)
-@given(exact_coeffs.filter(bool),
-       st.dictionaries(st.integers(min_value=1, max_value=15), exact_coeffs,
-                       max_size=5))
+@given(st.sampled_from([1, -1]),
+       st.dictionaries(st.integers(min_value=1, max_value=15),
+                       st.integers(min_value=-6, max_value=6), max_size=5))
 def test_inverse_round_trip(a0, rest):
     s = series(Fraction(0), {0: a0, **rest}, 15)
     inv = s.inverse()
-    assert all(type(c) in (int, Fraction) for c in inv.coeffs)
+    assert all(type(c) is int for c in inv.coeffs)
     assert s * inv == QSeries.one(15)
 
 
@@ -358,17 +349,12 @@ def schoolbook_product(x, y):
 def assert_same_series(got, want):
     assert got.offset == want.offset and len(got.coeffs) == len(want.coeffs)
     assert got.coeffs == want.coeffs
-    # an integral coefficient is an int, and only such a coefficient is
-    assert all((type(c) is int) == (Fraction(c).denominator == 1)
-               for c in got.coeffs)
+    assert all(type(c) is int for c in got.coeffs)
 
 
 big_ints = st.integers(min_value=-2 ** 256, max_value=2 ** 256)
 kernel_coeffs = st.one_of(
     st.just(0), big_ints, st.integers(min_value=-3, max_value=3),
-    st.builds(Fraction, big_ints, st.integers(min_value=1, max_value=10 ** 6)),
-    st.builds(Fraction, st.integers(min_value=-9, max_value=9),
-              st.integers(min_value=1, max_value=12)),
 )
 kernel_terms = st.one_of(
     st.dictionaries(st.integers(min_value=0, max_value=40), kernel_coeffs,

@@ -1,11 +1,13 @@
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walgebra import singular
-from walgebra.algebra import Mode
+from walgebra.algebra import Mode, load_spec
 from walgebra.engine import Engine
 from walgebra.scalar import Poly, SolveError
 from walgebra.singular import (
@@ -42,6 +44,24 @@ def test_solve_mode_reports_solution(spec):
     solved = solve_structure_constants(spec)
     assert solved.consistent
     assert set(solved.to_dict()["assignment"]) == {"uL", "uT", "uW", "uX"}
+
+
+@pytest.mark.parametrize("target,weight", [("L4", 4), ("T", 2)])
+def test_alias_composite_evaluates_as_the_field_it_names(solved, target, weight):
+    # the packaged spec with the [W, W] channels of `target` moved to Y,
+    # a composite defined as `target` itself
+    doc = json.loads(resources.files("walgebra.specs")
+                     .joinpath("triplet_p2.json").read_text())
+    doc["composite_fields"].append(
+        {"symbol": "Y", "weight": weight, "definition": {"gen": target}})
+    moved = [e for e in doc["structure_constants"]
+             if e["k"] == target and "T" not in (e["i"], e["j"])]
+    assert len(moved) == 3
+    for entry in moved:
+        entry["k"] = "Y"
+    report = solve_structure_constants(load_spec(json.dumps(doc)))
+    assert report.consistent
+    assert report.assignment == solved.assignment
 
 
 def test_solved_constants(solved):
