@@ -10,27 +10,29 @@ A mode phi_n annihilates the vacuum exactly when n >= -h + 1.
 
 Records
 -------
-Modes, field expressions, declarations and bracket results, like the
-derivation, solve and step reports elsewhere, are ``typing.NamedTuple``
-records: immutable, hashable and cheap to define when a module is
-imported.  They compare as tuples, so a record equals any tuple, or record
-of another type, with the same contents, and ``Identity()`` equals ``()``
-and is false.  Code that handles field expressions dispatches on
-``isinstance`` and never takes their truth value.
+No record type but one is a dataclass, whose generated methods used to be
+most of the cost of a cold import.  Modes, field expressions, declarations
+and bracket results, like the derivation, solve and step reports
+elsewhere, are ``typing.NamedTuple`` records: immutable and hashable.  They
+compare as tuples, so a record equals any tuple, or record of another type,
+with the same contents, and ``Identity()`` equals ``()`` and is false.
+Code that handles field expressions dispatches on ``isinstance`` and never
+takes their truth value.
 
-The types that need dataclass behaviour stay dataclasses: ``AlgebraSpec``
-(validation in ``__post_init__``, a cached engine, refused attribute
-assignment), ``singular.SingularTable`` (normalisation in ``__post_init__``,
-``replace`` and ``fields``), the ``c2`` rules (``dataclasses.replace``, a
-JSON codec keyed by their fields, and equality that tells rule kinds apart),
-``c2.MembershipClaim`` (``dataclasses.replace``) and ``c2.Certificate``
-(mutable).
+The types for which tuple equality would be wrong, or which must be mutable
+or normalise their fields, are classes written out by hand on
+:class:`Record`, which compares (type, fields): ``AlgebraSpec``
+(validation, read-only mappings, a cached engine), and the ``__slots__``
+classes ``singular.SingularTable`` (exact normalisation, ``replace``), the
+six ``c2`` rules (a JSON codec keyed by their fields, and equality that
+tells rule kinds apart) and the mutable ``c2.Certificate``.
+``c2.MembershipClaim`` stays a dataclass only because ``bench/worker.py``
+calls ``dataclasses.replace`` on a step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -145,26 +147,79 @@ class CompositeDecl(NamedTuple):
     definition: FieldExpr
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class Record:
+    """A record written out by hand: a subclass names its fields in
+    `_fields`, in the order `__init__` takes them.
+
+    A record equals a record of its own type with equal fields, never a
+    tuple or a record of another type.  It is mutable and unhashable unless
+    it is a :class:`FrozenRecord`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        """A new record of the same type with some fields changed."""
+        return type(self)(**dict(zip(self._fields, self._astuple()), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record: `__init__` sets each field through
+    `object.__setattr__`, after which assignment and deletion raise
+    AttributeError.  Equal records hash equal."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._astuple()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+class AlgebraSpec(FrozenRecord):
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
 
     A spec is immutable: its mappings are read-only copies of the ones it was
-    built from, so the rewriting engine it owns can never go stale.
+    built from, so the rewriting engine it owns can never go stale.  It keeps
+    an instance dict, where the engine is cached, so that `spec.engine` is a
+    plain attribute lookup after its first use.
     """
 
-    central_charge: Fraction
-    generators: tuple[GeneratorDecl, ...]
-    d: Mapping[tuple[str, str], Poly]
-    constants: Mapping[tuple[str, str, str], Poly]
-    composites: Mapping[str, CompositeDecl] = field(default_factory=dict)
-    c_lower: Mapping[tuple[str, str, str], Poly] = field(default_factory=dict)
+    _fields = ("central_charge", "generators", "d", "constants", "composites",
+               "c_lower")
 
-    def __post_init__(self):
+    def __init__(self, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
+                 d: Mapping[tuple[str, str], Poly],
+                 constants: Mapping[tuple[str, str, str], Poly],
+                 composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
+                 c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
         init = object.__setattr__
-        for name in ("d", "constants", "composites", "c_lower"):
-            init(self, name, MappingProxyType(dict(getattr(self, name))))
+        init(self, "central_charge", central_charge)
+        init(self, "generators", generators)
+        for name, mapping in (("d", d), ("constants", constants),
+                              ("composites", composites), ("c_lower", c_lower)):
+            init(self, name, MappingProxyType(dict(mapping)))
         init(self, "_rank", {g.symbol: i for i, g in enumerate(self.generators)})
         weights = {g.symbol: g.weight for g in self.generators}
         for c in self.composites.values():

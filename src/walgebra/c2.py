@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, get_args
 
-from .algebra import AlgebraSpec, Mode, convert_index, keyed
+from .algebra import AlgebraSpec, FrozenRecord, Mode, Record, convert_index, keyed
 from .engine import State
 from .scalar import Poly, exact, parse_poly, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
@@ -101,63 +101,82 @@ def prefixed_manifest(seq: tuple[Mode, ...], n: int, spec: AlgebraSpec) -> bool:
 # --- rules -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ManifestMemberRule:
-    n: int = 2
+# A rule's fields are its JSON params, written by field name.  Rules of two
+# kinds never compare equal, whatever their fields.
+_set = object.__setattr__
+
+
+class ManifestMemberRule(FrozenRecord):
+    __slots__ = _fields = ("n",)
     name = "ManifestMember"
 
+    def __init__(self, n: int = 2):
+        _set(self, "n", n)
 
-@dataclass(frozen=True)
-class PrefixInvarianceRule:
-    prefix: tuple[Mode, ...]
-    base: int
+
+class PrefixInvarianceRule(FrozenRecord):
+    __slots__ = _fields = ("prefix", "base")
     name = "PrefixInvariance"
 
+    def __init__(self, prefix: tuple[Mode, ...], base: int):
+        _set(self, "prefix", prefix)
+        _set(self, "base", base)
 
-@dataclass(frozen=True)
-class SingularRewriteRule:
+
+class SingularRewriteRule(FrozenRecord):
     # combination sum coeff * N^(a,b) subtracted from the claim vector
-    nulls: tuple[tuple[Poly, tuple[int, int]], ...]
-    remainder: Expression
+    __slots__ = _fields = ("nulls", "remainder")
     name = "SingularRewrite"
 
+    def __init__(self, nulls: tuple[tuple[Poly, tuple[int, int]], ...],
+                 remainder: Expression):
+        _set(self, "nulls", nulls)
+        _set(self, "remainder", remainder)
 
-@dataclass(frozen=True)
-class WeightBoundedBracketRule:
+
+class WeightBoundedBracketRule(FrozenRecord):
     """Single commutator [a, b] applied to `right`: every declared channel
     is weight-bounded, hence lands at manifest depth."""
 
-    a: Mode
-    b: Mode
-    right: tuple[Mode, ...]
+    __slots__ = _fields = ("a", "b", "right")
     name = "WeightBoundedBracket"
 
+    def __init__(self, a: Mode, b: Mode, right: tuple[Mode, ...]):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "right", right)
 
-@dataclass(frozen=True)
-class ReorderRule:
+
+class ReorderRule(FrozenRecord):
     """Move a block of nonpositive-math-index conformal modes across a block
     of W modes; every commutator fired on the way is weight-bounded and its
     term is manifestly deep.  The base claim holds the reordered composition.
 
     A replayed chain of WeightBoundedBracket steps."""
 
-    prefix: tuple[Mode, ...]
-    block: tuple[Mode, ...]
-    base: int
+    __slots__ = _fields = ("prefix", "block", "base")
     name = "Reorder"
 
+    def __init__(self, prefix: tuple[Mode, ...], block: tuple[Mode, ...], base: int):
+        _set(self, "prefix", prefix)
+        _set(self, "block", block)
+        _set(self, "base", base)
 
-@dataclass(frozen=True)
-class LinearCombinationRule:
-    parts: tuple[tuple[Poly, int], ...]
-    remainder: Expression = ()
+
+class LinearCombinationRule(FrozenRecord):
+    __slots__ = _fields = ("parts", "remainder")
     name = "LinearCombination"
+
+    def __init__(self, parts: tuple[tuple[Poly, int], ...], remainder: Expression = ()):
+        _set(self, "parts", parts)
+        _set(self, "remainder", remainder)
 
 
 Rule = (ManifestMemberRule | PrefixInvarianceRule | SingularRewriteRule
         | WeightBoundedBracketRule | ReorderRule | LinearCombinationRule)
 
 
+# a dataclass only because bench/worker.py calls dataclasses.replace on a step
 @dataclass(frozen=True)
 class MembershipClaim:
     id: int
@@ -166,11 +185,17 @@ class MembershipClaim:
     label: str = ""
 
 
-@dataclass
-class Certificate:
-    table: SingularTable
-    steps: list[MembershipClaim]
-    targets: list[int]
+class Certificate(Record):
+    """A certificate's null-vector table, its steps in file order and the ids
+    of its targets; mutable, so a step or the table can be swapped."""
+
+    __slots__ = _fields = ("table", "steps", "targets")
+
+    def __init__(self, table: SingularTable, steps: list[MembershipClaim],
+                 targets: list[int]):
+        self.table = table
+        self.steps = steps
+        self.targets = targets
 
 
 class StepReport(NamedTuple):
@@ -237,11 +262,25 @@ def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
 
 def _reorder_failure(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
                      spec: AlgebraSpec) -> str:
+    """Why the composition prefix+block cannot be rewritten as block+prefix
+    plus prefixed-manifest bracket terms, or "" if it can.  The verdict
+    depends only on the modes and the spec, so it is memoized on the spec's
+    engine, and each swap tree is walked once per spec."""
+    memo = spec.engine.reorder_memo
+    key = (tuple(prefix), tuple(block))
+    failure = memo.get(key)
+    if failure is None:
+        failure = memo[key] = _walk_reorder(*key, spec)
+    return failure
+
+
+def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
+                  spec: AlgebraSpec) -> str:
     """Rewrite the composition prefix+block as block+prefix plus bracket
     terms by pairwise mode brackets.  Returns why that fails (a central term,
     or a bracket term that is not prefixed-manifest), or "" if it does not."""
     done: list[tuple[Poly, tuple[Mode, ...]]] = []
-    work = [(Poly.const(1), tuple(prefix) + tuple(block))]
+    work = [(Poly.const(1), prefix + block)]
     while work:
         coeff, seq = work.pop()
         for i in range(len(seq) - 1):
@@ -259,7 +298,7 @@ def _reorder_failure(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
         else:
             done.append((coeff, seq))
     # the swaps alone give block+prefix once; every bracket term is shorter
-    for _, seq in expr_add(tuple(done), expression((-1, tuple(block) + tuple(prefix)))):
+    for _, seq in expr_add(tuple(done), expression((-1, block + prefix))):
         if not prefixed_manifest(seq, 2, spec):
             return f"trace term {seq} is not prefixed-manifest"
     return ""
@@ -564,9 +603,8 @@ def _typed(value, kind: type):
     return value
 
 
-# each rule's JSON params are its dataclass fields, written by field name
 _RULES = {rule.name: rule for rule in get_args(Rule)}
-_NULL_COEFFICIENTS = tuple(f.name for f in fields(SingularTable))
+_NULL_COEFFICIENTS = SingularTable._fields
 
 
 # each JSON object of a certificate: its required keys, then its optional ones
@@ -577,7 +615,7 @@ _KEYS = {
     "a claim": ({"vector", "space"},),
     "a null": ({"coeff", "a", "b"},),
     "a part": ({"coeff", "id"},),
-    **{f"{name} params": ({f.name for f in fields(rule)},)
+    **{f"{name} params": (set(rule._fields),)
        for name, rule in _RULES.items()},
 }
 
@@ -608,20 +646,19 @@ def _param_from_json(key: str, value):
     if key in ("a", "b"):
         return _mode_from_str(value)
     if key in ("prefix", "block", "right"):
-        return tuple(_mode_from_str(s) for s in value)
+        return tuple(_mode_from_str(s) for s in _typed(value, list))
     if key == "remainder":
         return parse_expression(value)
     if key == "nulls":
-        entries = [_keyed(e, "a null") for e in value]
+        entries = [_keyed(e, "a null") for e in _typed(value, list)]
         return tuple((parse_poly(e["coeff"]),
                       (_typed(e["a"], int), _typed(e["b"], int))) for e in entries)
-    entries = [_keyed(e, "a part") for e in value]
+    entries = [_keyed(e, "a part") for e in _typed(value, list)]
     return tuple((parse_poly(e["coeff"]), _typed(e["id"], int)) for e in entries)
 
 
 def _rule_to_dict(rule: Rule) -> dict:
-    return {f.name: _param_to_json(f.name, getattr(rule, f.name))
-            for f in fields(rule)}
+    return {key: _param_to_json(key, getattr(rule, key)) for key in rule._fields}
 
 
 def _rule_from_dict(name: str, params: dict) -> Rule:
@@ -664,7 +701,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
             for k, v in _keyed(doc["null_coefficients"], "null_coefficients").items()
         })
         steps = []
-        for s in doc["steps"]:
+        for s in _typed(doc["steps"], list):
             s = _keyed(s, "a step")
             space = _keyed(s["claim"], "a claim")["space"]
             if space != "C2":
@@ -677,7 +714,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
                     label=_typed(s.get("label", ""), str),
                 )
             )
-        targets = [_typed(t, int) for t in doc["targets"]]
+        targets = [_typed(t, int) for t in _typed(doc["targets"], list)]
     except CertificateError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:

@@ -158,11 +158,11 @@ class Engine:
     """Rewriting engine bound to one algebra spec.
 
     Pure operations over immutable values; the internal memo tables (mode
-    actions, brackets, normal orders, quasi-primary products) are invisible
-    caches.  The library uses the engine owned by the spec
-    (`AlgebraSpec.engine`), so its memos live as long as the spec does and
-    are shared by every computation on that spec; constructing an `Engine`
-    directly gives fresh, empty memos.
+    actions, brackets, normal orders, quasi-primary products, and the
+    verdicts of `c2`'s Reorder rule) are invisible caches.  The library uses
+    the engine owned by the spec (`AlgebraSpec.engine`), so its memos live as
+    long as the spec does and are shared by every computation on that spec;
+    constructing an `Engine` directly gives fresh, empty memos.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -178,6 +178,9 @@ class Engine:
         # mode sequence -> its normal order on the vacuum; every suffix of a
         # sequence normal-ordered so far has its entry
         self._normal_memo: dict[Word, State] = {(): State.vacuum()}
+        # (prefix, block) -> the verdict of c2's Reorder rule, filled by
+        # c2._reorder_failure; like a bracket it depends only on the spec
+        self.reorder_memo: dict[tuple[Word, Word], str] = {}
 
     # --- mode application ----------------------------------------------------
 

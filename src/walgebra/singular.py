@@ -9,14 +9,12 @@ the annihilation equations for them.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .algebra import AlgebraSpec, Mode, load_spec
+from .algebra import AlgebraSpec, FrozenRecord, Mode, load_spec
 from .engine import Engine, State
 from .scalar import Poly, SolveError, exact, render_poly, solve_linear
 
@@ -26,27 +24,25 @@ EPSILON = {
 }
 
 
-@dataclass(frozen=True)
-class SingularTable:
+class SingularTable(FrozenRecord):
     """Coefficients of the level-6 singular vectors
     N^ab = W^a_{-3} W^b_{-3} O - delta_ab (c1 L_{-2}^3 + c2 L_{-3}^2
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O
          + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O."""
 
-    c1: int | Fraction = Fraction(8, 9)
-    c2: int | Fraction = Fraction(19, 36)
-    c3: int | Fraction = Fraction(14, 9)
-    c4: int | Fraction = Fraction(16, 9)
-    c5: int | Fraction = 2
-    c6: int | Fraction = Fraction(5, 4)
+    __slots__ = _fields = ("c1", "c2", "c3", "c4", "c5", "c6")
 
-    def __post_init__(self):
+    def __init__(self, c1: int | Fraction = Fraction(8, 9),
+                 c2: int | Fraction = Fraction(19, 36),
+                 c3: int | Fraction = Fraction(14, 9),
+                 c4: int | Fraction = Fraction(16, 9),
+                 c5: int | Fraction = 2,
+                 c6: int | Fraction = Fraction(5, 4)):
         # stored exactly through scalar.exact: a float raises TypeError
-        for f in fields(self):
-            object.__setattr__(self, f.name, exact(getattr(self, f.name)))
+        for name, value in zip(self._fields, (c1, c2, c3, c4, c5, c6)):
+            object.__setattr__(self, name, exact(value))
 
-    def replace(self, **kw) -> "SingularTable":
-        return dataclasses.replace(self, **kw)
+    replace = FrozenRecord._replace
 
 
 DEFAULT_TABLE = SingularTable()

@@ -18,7 +18,9 @@ from walgebra.c2 import (
     LinearCombinationRule,
     ManifestMemberRule,
     MembershipClaim,
+    PrefixInvarianceRule,
     ReorderRule,
+    SingularRewriteRule,
     WeightBoundedBracketRule,
     certificate_from_dict,
     certificate_from_json,
@@ -36,7 +38,7 @@ from walgebra.c2 import (
 from walgebra.c2 import _residual
 from walgebra.engine import Engine
 from walgebra.scalar import Poly, parse_poly
-from walgebra.singular import SingularTable, load_triplet_p2_spec
+from walgebra.singular import SingularTable, load_triplet_p2_spec, null_vector_terms
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,6 +229,48 @@ def test_malformed_certificate_rejected(cert, make):
         certificate_from_dict(doc)
 
 
+# (step index, params key) of a list-typed key in the p = 2 certificate
+LIST_PARAMS = [(0, "nulls"), (7, "prefix"), (9, "right"), (10, "parts"),
+               (16, "prefix"), (16, "block")]
+
+
+@pytest.mark.parametrize("value", ["W1(-3)", True, 3, {"0": "W1(-3)"}],
+                         ids=["string", "bool", "int", "object"])
+@pytest.mark.parametrize("idx, key", LIST_PARAMS + [(None, "targets"), (None, "steps")],
+                         ids=[f"step{i + 1}-{k}" for i, k in LIST_PARAMS]
+                         + ["targets", "steps"])
+def test_list_keys_must_be_lists(cert, idx, key, value):
+    # a string was once read one character at a time ("bad mode 'W'"), and
+    # `true` gave a bare TypeError repr
+    doc = json.loads(certificate_to_json(cert))
+    (doc if idx is None else doc["steps"][idx]["params"])[key] = value
+    with pytest.raises(CertificateError, match=r"^expected list, got "):
+        certificate_from_dict(doc)
+
+
+def test_rule_kinds_with_equal_fields_differ():
+    combination, rewrite = LinearCombinationRule((), ()), SingularRewriteRule((), ())
+    assert combination != rewrite and not combination == rewrite
+    assert rewrite != combination and not rewrite == combination
+    assert combination != () and combination != ((), ())
+    prefix = (T(-2),)
+    again = PrefixInvarianceRule(prefix, 3)
+    assert again == PrefixInvarianceRule(base=3, prefix=(T(-2),))
+    assert not again != PrefixInvarianceRule((T(-2),), 3)
+    assert hash(again) == hash(PrefixInvarianceRule((T(-2),), 3))
+    assert again != ReorderRule(prefix, (), 3)
+    assert again._replace(base=4) == PrefixInvarianceRule(prefix, 4)
+
+
+def test_rules_refuse_assignment():
+    rule = ManifestMemberRule()
+    with pytest.raises(AttributeError):
+        rule.n = 3
+    with pytest.raises(AttributeError):
+        del rule.n
+    assert rule.n == 2
+
+
 def test_corrupt_any_step_fails(cert, spec):
     text = certificate_to_json(cert)
     for idx in range(len(cert.steps)):
@@ -266,7 +310,7 @@ def test_corrupted_rule_parameter_fails(cert, spec, idx, field, term):
     step = bad.steps[idx]
     items = list(getattr(step.rule, field))
     items[term] = (items[term][0] * 3, items[term][1])
-    rule = dataclasses.replace(step.rule, **{field: tuple(items)})
+    rule = step.rule._replace(**{field: tuple(items)})
     bad.steps[idx] = dataclasses.replace(step, rule=rule)
     ok, reports = verify_certificate(bad, spec)
     assert not ok
@@ -276,9 +320,9 @@ def test_corrupted_rule_parameter_fails(cert, spec, idx, field, term):
 def _citing(rule, claim_id):
     """The rule with its first cited claim replaced by `claim_id`."""
     if hasattr(rule, "base"):
-        return dataclasses.replace(rule, base=claim_id)
+        return rule._replace(base=claim_id)
     (coeff, _), *rest = rule.parts
-    return dataclasses.replace(rule, parts=((coeff, claim_id), *rest))
+    return rule._replace(parts=((coeff, claim_id), *rest))
 
 
 def _citing_steps(cert):
@@ -436,7 +480,7 @@ def test_bracket_step_on_a_composite_mode_is_a_spec_error(cert, spec):
     # is refused, as an undeclared field's is, rather than taken as 0
     idx = next(i for i, s in enumerate(cert.steps)
                if isinstance(s.rule, WeightBoundedBracketRule))
-    rule = dataclasses.replace(cert.steps[idx].rule, b=Mode("X1", -5))
+    rule = cert.steps[idx].rule._replace(b=Mode("X1", -5))
     bad = _with_vector(cert, idx, expression((1, (rule.a, rule.b) + rule.right),
                                              (-1, (rule.b, rule.a) + rule.right)))
     bad.steps[idx] = dataclasses.replace(bad.steps[idx], rule=rule)
@@ -451,7 +495,7 @@ def test_replay_raising_part_way_leaves_engine_usable(cert):
     # raises in its exact replay, after a clean replay filled the memo
     idx = next(i for i, s in enumerate(cert.steps)
                if isinstance(s.rule, WeightBoundedBracketRule))
-    rule = dataclasses.replace(cert.steps[idx].rule, right=(Mode("X", -4),))
+    rule = cert.steps[idx].rule._replace(right=(Mode("X", -4),))
     bad = _with_vector(cert, idx, expression((1, (rule.a, rule.b) + rule.right),
                                              (-1, (rule.b, rule.a) + rule.right)))
     bad.steps[idx] = dataclasses.replace(bad.steps[idx], rule=rule)
@@ -664,6 +708,34 @@ def test_two_replays_bracket_each_pair_once(monkeypatch):
     for _ in range(2):
         assert verify_certificate(cert, spec)[0]
     assert calls and max(calls.values()) == 1
+
+
+def test_second_replay_walks_no_reorder_swap_tree(monkeypatch):
+    # the verdict of the Reorder step (17) is memoized on the spec's engine,
+    # so a second replay fires none of its T-past-W brackets
+    spec = load_triplet_p2_spec()
+    cert = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
+    assert isinstance(cert.steps[16].rule, ReorderRule)
+    calls = []
+    plain = spec.engine.bracket
+    monkeypatch.setattr(spec.engine, "bracket",
+                        lambda a, b: calls.append((a, b)) or plain(a, b))
+    assert verify_certificate(cert, spec)[0]
+    assert any(a.field == "T" for a, _ in calls)
+    calls.clear()
+    assert verify_certificate(cert, spec)[0]
+    assert calls and not any(a.field == "T" for a, _ in calls)
+
+
+def test_a_reloaded_certificate_hits_the_null_terms_cache():
+    # each load builds a new table, equal to the last one and hashing equal
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    spec = load_triplet_p2_spec()
+    assert verify_certificate(certificate_from_json(text), spec)[0]
+    again = certificate_from_json(text)
+    misses = null_vector_terms.cache_info().misses
+    assert verify_certificate(again, spec)[0]
+    assert null_vector_terms.cache_info().misses == misses
 
 
 def test_deeply_nested_certificate_is_a_certificate_error():

@@ -134,6 +134,18 @@ def test_table_values_are_exact():
     assert type(table.c1) is int and table.c1 == 2
     assert table.c2 == Fraction(1, 3) and table.c3 == Fraction(14, 9)
     assert type(SingularTable().c5) is int
+    table = SingularTable(c1=Fraction(8, 1))
+    assert type(table.c1) is int and table.c1 == 8
+    with pytest.raises(TypeError):
+        SingularTable(0.5)
+
+
+def test_tables_compare_and_hash_by_value():
+    table = SingularTable().replace(c2=Fraction(1, 3))
+    same = SingularTable(c2=Fraction(2, 6))
+    assert table == same and hash(table) == hash(same)
+    assert table != SingularTable()
+    assert table != table._astuple()
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 5), Fraction(-1, 5)])
