@@ -29,11 +29,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, get_args
 
 from .algebra import AlgebraSpec, FrozenRecord, Mode, Record, convert_index, keyed
 from .engine import State
-from .scalar import Poly, exact, parse_poly, render_poly
+from .scalar import PARSE_CACHE_SIZE, Poly, exact, parse_poly, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 # expression: formal sum of mode compositions applied to the vacuum
@@ -260,20 +261,6 @@ def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
     return True, ""
 
 
-def _reorder_failure(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
-                     spec: AlgebraSpec) -> str:
-    """Why the composition prefix+block cannot be rewritten as block+prefix
-    plus prefixed-manifest bracket terms, or "" if it can.  The verdict
-    depends only on the modes and the spec, so it is memoized on the spec's
-    engine, and each swap tree is walked once per spec."""
-    memo = spec.engine.reorder_memo
-    key = (tuple(prefix), tuple(block))
-    failure = memo.get(key)
-    if failure is None:
-        failure = memo[key] = _walk_reorder(*key, spec)
-    return failure
-
-
 def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
                   spec: AlgebraSpec) -> str:
     """Rewrite the composition prefix+block as block+prefix plus bracket
@@ -306,7 +293,11 @@ def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
 
 def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
                 table: SingularTable, spec: AlgebraSpec) -> tuple[bool, str]:
-    """Replay one step against the vectors of the steps verified before it."""
+    """Replay one step against the vectors of the steps verified before it.
+
+    `verify_certificate` memoizes the verdict under a key of everything read
+    here besides the spec, so whatever this starts to read must join that
+    key."""
     rule = claim.rule
     if any(claim_id not in proved for claim_id in _cited(rule)):
         return False, "cites a claim that is not an earlier verified step"
@@ -360,7 +351,7 @@ def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
         reordered = expression((1, rule.block + rule.prefix))
         if _residual(proved[rule.base], [(1, reordered)]):
             return False, "base claim does not hold the reordered composition"
-        failure = _reorder_failure(rule.prefix, rule.block, spec)
+        failure = _walk_reorder(rule.prefix, rule.block, spec)
         return not failure, failure
 
     if isinstance(rule, LinearCombinationRule):
@@ -374,14 +365,27 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
                        ) -> tuple[bool, list[StepReport]]:
     """Replay every step in file order, each against the steps verified
     before it; returns overall validity and per-step reports.  Verification
-    stops at the first failing step."""
+    stops at the first failing step.
+
+    A step's verdict depends only on the spec and on what `_check_rule`
+    reads: the rule, the claim vector, the vectors of the steps the rule
+    cites (in `_cited` order) and, for a SingularRewrite, the table.  It is
+    memoized on the spec's engine under that key, so a later replay on the
+    same spec checks only the steps whose key it has not seen."""
+    memo = spec.engine.verdict_memo
     proved: dict[int, Expression] = {}
     reports: list[StepReport] = []
     for claim in cert.steps:
         if claim.id in proved:
             ok, detail = False, "duplicate step id"
         else:
-            ok, detail = _check_rule(claim, proved, cert.table, spec)
+            rule = claim.rule
+            key = (rule, claim.vector, tuple(proved.get(i) for i in _cited(rule)),
+                   cert.table if isinstance(rule, SingularRewriteRule) else None)
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = _check_rule(claim, proved, cert.table, spec)
+            ok, detail = verdict
         reports.append(StepReport(claim.id, ok, claim.label, detail))
         if not ok:
             return False, reports
@@ -562,7 +566,15 @@ def render_expression(a: Expression) -> str:
     return " + ".join(bits)
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_expression(text: str) -> Expression:
+    """The expression a `render_expression` text states.
+
+    Like `scalar.parse_poly`, the last `PARSE_CACHE_SIZE` distinct texts
+    parsed are cached, so a certificate loaded again parses each vector and
+    remainder once; every caller gets the same tuple.  A text that does not
+    parse raises CertificateError each time it is given (errors are not
+    cached)."""
     text = text.strip()
     if text == "0":
         return ()
@@ -591,7 +603,7 @@ def parse_expression(text: str) -> Expression:
 
 
 def _mode_from_str(s: str) -> Mode:
-    m = _MODE_RE.fullmatch(s.strip())
+    m = _MODE_RE.fullmatch(_typed(s, str).strip())
     if not m:
         raise CertificateError(f"bad mode {s!r}")
     return Mode(m.group(1), int(m.group(2)))
@@ -648,13 +660,14 @@ def _param_from_json(key: str, value):
     if key in ("prefix", "block", "right"):
         return tuple(_mode_from_str(s) for s in _typed(value, list))
     if key == "remainder":
-        return parse_expression(value)
+        return parse_expression(_typed(value, str))
     if key == "nulls":
         entries = [_keyed(e, "a null") for e in _typed(value, list)]
-        return tuple((parse_poly(e["coeff"]),
+        return tuple((parse_poly(_typed(e["coeff"], str)),
                       (_typed(e["a"], int), _typed(e["b"], int))) for e in entries)
     entries = [_keyed(e, "a part") for e in _typed(value, list)]
-    return tuple((parse_poly(e["coeff"]), _typed(e["id"], int)) for e in entries)
+    return tuple((parse_poly(_typed(e["coeff"], str)), _typed(e["id"], int))
+                 for e in entries)
 
 
 def _rule_to_dict(rule: Rule) -> dict:
@@ -662,7 +675,7 @@ def _rule_to_dict(rule: Rule) -> dict:
 
 
 def _rule_from_dict(name: str, params: dict) -> Rule:
-    if name not in _RULES:
+    if _typed(name, str) not in _RULES:
         raise CertificateError(f"unknown rule name {name!r}")
     params = _keyed(params, f"{name} params")
     return _RULES[name](**{k: _param_from_json(k, v) for k, v in params.items()})
@@ -709,7 +722,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
             steps.append(
                 MembershipClaim(
                     id=_typed(s["id"], int),
-                    vector=parse_expression(s["claim"]["vector"]),
+                    vector=parse_expression(_typed(s["claim"]["vector"], str)),
                     rule=_rule_from_dict(s["rule"], s["params"]),
                     label=_typed(s.get("label", ""), str),
                 )

@@ -248,6 +248,32 @@ def test_list_keys_must_be_lists(cert, idx, key, value):
         certificate_from_dict(doc)
 
 
+# (step index, path within the step) of each string-valued key of the
+# p = 2 certificate
+STRING_KEYS = [(0, ("claim", "vector")), (0, ("rule",)), (0, ("params", "remainder")),
+               (9, ("params", "a")), (9, ("params", "b")),
+               (16, ("params", "prefix", 0)), (16, ("params", "block", 0)),
+               (9, ("params", "right", 0)), (0, ("params", "nulls", 0, "coeff")),
+               (10, ("params", "parts", 0, "coeff"))]
+
+
+@pytest.mark.parametrize("value", [5, ["x"], None], ids=["int", "list", "null"])
+@pytest.mark.parametrize("idx, path", STRING_KEYS,
+                         ids=[f"step{i + 1}-" + "-".join(map(str, path))
+                              for i, path in STRING_KEYS])
+def test_string_keys_must_be_strings(cert, idx, path, value):
+    # a number once gave a bare AttributeError repr and a list an
+    # "unhashable type" one; the memoized parser hashes its argument first
+    doc = json.loads(certificate_to_json(cert))
+    owner = doc["steps"][idx]
+    for key in path[:-1]:
+        owner = owner[key]
+    assert isinstance(owner[path[-1]], str)
+    owner[path[-1]] = value
+    with pytest.raises(CertificateError, match=r"^expected str, got "):
+        certificate_from_dict(doc)
+
+
 def test_rule_kinds_with_equal_fields_differ():
     combination, rewrite = LinearCombinationRule((), ()), SingularRewriteRule((), ())
     assert combination != rewrite and not combination == rewrite
@@ -448,22 +474,64 @@ def _with_vector(cert, idx, vector):
 @pytest.fixture(scope="module")
 def shared_spec(cert):
     spec = load_triplet_p2_spec()
+    golden = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
+    assert verify_certificate(golden, spec)[0]
     assert verify_certificate(cert, spec)[0]
     return spec
 
 
-@pytest.mark.parametrize("idx", range(len(certify_triplet_p2().steps)))
-def test_shared_memo_corruptions_match_fresh_spec(cert, shared_spec, idx):
-    # the memo a spec's engine keeps from earlier replays changes no verdict
-    # and no report
+def _swapped_mixed_quadratics(cert):
+    """Steps 1 and 2 trade their claims and keep their ids: each claim still
+    holds, but step 9 now cites a different vector under id 1."""
+    steps = list(cert.steps)
+    one, two = steps[0], steps[1]
+    steps[0] = dataclasses.replace(one, vector=two.vector, rule=two.rule, label=two.label)
+    steps[1] = dataclasses.replace(two, vector=one.vector, rule=one.rule, label=one.label)
+    return Certificate(cert.table, steps, list(cert.targets))
+
+
+def _perturbed_null_coefficient(cert):
+    """The table with c2 moved by 1/5: every SingularRewrite step is checked
+    against other null vectors, and the one that rests on N^11 fails."""
+    table = cert.table.replace(c2=cert.table.c2 + Fraction(1, 5))
+    return Certificate(table, list(cert.steps), list(cert.targets))
+
+
+# certificates whose changed steps keep the key of a clean step in all but
+# one of its parts: a cited vector, or the table
+VERDICT_KEY_VARIANTS = {"swapped_mixed_quadratics": _swapped_mixed_quadratics,
+                        "perturbed_null_coefficient": _perturbed_null_coefficient}
+
+
+def _corruptions(cert, case):
+    """The certificates one case of the shared-memo test replays: each
+    multiplier applied to one term of the step at index `case`, or the named
+    variant."""
+    if case in VERDICT_KEY_VARIANTS:
+        return [VERDICT_KEY_VARIANTS[case](cert)]
+    out = []
     for k, factor in enumerate(MULTIPLIERS):
-        vec = list(cert.steps[idx].vector)
+        vec = list(cert.steps[case].vector)
         t = k % len(vec)
         vec[t] = (vec[t][0] * factor, vec[t][1])
-        bad = _with_vector(cert, idx, vec)
+        out.append(_with_vector(cert, case, vec))
+    return out
+
+
+@pytest.mark.parametrize("case", [*range(len(certify_triplet_p2().steps)),
+                                  *VERDICT_KEY_VARIANTS])
+def test_shared_memo_corruptions_match_fresh_spec(cert, shared_spec, case):
+    # the memo a spec's engine keeps from earlier replays changes no verdict
+    # and no report
+    memo = shared_spec.engine.verdict_memo
+    for bad in _corruptions(cert, case):
+        size = len(memo)
         shared = verify_certificate(bad, shared_spec)
         assert not shared[0]
         assert shared == verify_certificate(bad, load_triplet_p2_spec())
+        if case in VERDICT_KEY_VARIANTS:
+            # the warm replay did reuse verdicts of the clean replay
+            assert len(memo) - size < len(shared[1])
 
 
 def test_second_clean_replay_adds_no_memo_entries(cert):
@@ -471,8 +539,36 @@ def test_second_clean_replay_adds_no_memo_entries(cert):
     first = verify_certificate(cert, spec)
     size = len(spec.engine._memo)
     assert first[0] and size
+    assert len(spec.engine.verdict_memo) == len(cert.steps)
     assert verify_certificate(cert, spec) == first
     assert len(spec.engine._memo) == size
+    assert len(spec.engine.verdict_memo) == len(cert.steps)
+
+
+def test_replay_rechecks_only_the_steps_that_changed(monkeypatch):
+    checked = []
+    plain = c2._check_rule
+    monkeypatch.setattr(c2, "_check_rule", lambda claim, *rest: (
+        checked.append(claim.id) or plain(claim, *rest)))
+    spec = load_triplet_p2_spec()
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    cert = certificate_from_json(text)
+    assert verify_certificate(cert, spec)[0]
+    assert checked == [step.id for step in cert.steps]
+    # the same certificate, loaded again: no step is checked again
+    checked.clear()
+    assert verify_certificate(certificate_from_json(text), spec)[0]
+    assert checked == []
+    # a corrupted step is checked, and it fails
+    checked.clear()
+    vec = list(cert.steps[10].vector)
+    vec[0] = (vec[0][0] * 3, vec[0][1])
+    ok, reports = verify_certificate(_with_vector(cert, 10, vec), spec)
+    assert not ok and checked == [reports[-1].id] == [cert.steps[10].id]
+    # a claim that moved to another id is checked again only where it is cited
+    checked.clear()
+    ok, reports = verify_certificate(_swapped_mixed_quadratics(cert), spec)
+    assert not ok and checked == [reports[-1].id] == [9]
 
 
 def test_bracket_step_on_a_composite_mode_is_a_spec_error(cert, spec):
@@ -677,18 +773,30 @@ def test_load_parses_each_coefficient_text_once():
     texts = _coefficient_texts(json.loads(text))
     assert len(texts) > len(set(texts))  # the certificate repeats coefficients
     parse_poly.cache_clear()
+    parse_expression.cache_clear()
     certificate_from_json(text)
     info = parse_poly.cache_info()
     assert info.misses <= len(set(texts))
     assert info.hits + info.misses == len(texts)
+    # a second load parses no expression and no coefficient text again
+    expressions = parse_expression.cache_info()
+    certificate_from_json(text)
+    assert parse_poly.cache_info().misses == info.misses
+    assert parse_expression.cache_info().misses == expressions.misses
 
 
 def test_parse_errors_are_not_cached():
     parse_poly.cache_clear()
+    parse_expression.cache_clear()
     for _ in range(3):
         with pytest.raises(ValueError):
             parse_poly("2+")
     assert parse_poly.cache_info().currsize == 0
+    for _ in range(3):
+        for text in ("(2+) W1(-3) |0>", "(1) W1(-3) |0> junk"):
+            with pytest.raises(CertificateError):
+                parse_expression(text)
+    assert parse_expression.cache_info().currsize == 0
 
 
 def test_two_replays_bracket_each_pair_once(monkeypatch):
@@ -711,8 +819,9 @@ def test_two_replays_bracket_each_pair_once(monkeypatch):
 
 
 def test_second_replay_walks_no_reorder_swap_tree(monkeypatch):
-    # the verdict of the Reorder step (17) is memoized on the spec's engine,
-    # so a second replay fires none of its T-past-W brackets
+    # every step's verdict is memoized on the spec's engine, so a second
+    # replay fires no bracket at all: none of the Reorder step's (17) T-past-W
+    # brackets, and not the WeightBoundedBracket step's (10)
     spec = load_triplet_p2_spec()
     cert = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
     assert isinstance(cert.steps[16].rule, ReorderRule)
@@ -724,7 +833,7 @@ def test_second_replay_walks_no_reorder_swap_tree(monkeypatch):
     assert any(a.field == "T" for a, _ in calls)
     calls.clear()
     assert verify_certificate(cert, spec)[0]
-    assert calls and not any(a.field == "T" for a, _ in calls)
+    assert not calls
 
 
 def test_a_reloaded_certificate_hits_the_null_terms_cache():
