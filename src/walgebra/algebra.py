@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
-from .scalar import Poly, binom_int, exact, parse_poly, render_poly
+from .scalar import IMAG, Poly, binom_int, exact, parse_poly, render_poly
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -637,7 +637,7 @@ def make_virasoro_spec(c: Fraction | str | Poly = "c") -> AlgebraSpec:
     """Virasoro-only algebra: one weight-2 generator T with C_TT^T = 2 and
     d_TT = c/2.  A non-numeric string keeps the central charge symbolic
     (it then enters computations only through d_TT) and must be an
-    identifier."""
+    identifier other than the imaginary unit I."""
     if isinstance(c, str):
         try:
             c = Fraction(c)
@@ -647,6 +647,9 @@ def make_virasoro_spec(c: Fraction | str | Poly = "c") -> AlgebraSpec:
             if not (c.isascii() and c.isidentifier()):
                 raise SpecError(f"central charge {c!r} is neither a rational "
                                 "nor an identifier") from None
+            if c == IMAG:
+                raise SpecError(f"central charge {c!r} is the reserved "
+                                "imaginary unit") from None
     if isinstance(c, str):
         cc = Fraction(0)
         d = {("T", "T"): Poly.sym(c) / 2}

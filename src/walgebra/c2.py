@@ -34,11 +34,13 @@ from typing import NamedTuple, get_args
 
 from .algebra import AlgebraSpec, FrozenRecord, Mode, Record, convert_index, keyed
 from .engine import State
-from .scalar import PARSE_CACHE_SIZE, Poly, exact, parse_poly, render_poly
+from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
-# expression: formal sum of mode compositions applied to the vacuum
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
+"""A formal sum of (coefficient, mode sequence) terms, each sequence applied
+to the vacuum.  `expression` builds every one in its normal form: one nonzero
+term per sequence, sorted by sequence."""
 
 
 class CertificateError(ValueError):
@@ -46,20 +48,18 @@ class CertificateError(ValueError):
 
 
 def expression(*terms) -> Expression:
-    out = []
+    """The sum of `(coefficient, mode sequence)` terms in normal form: the
+    coefficients of each sequence summed, zero terms dropped and the rest
+    sorted by sequence, the order `render_expression` writes.  A coefficient
+    is a Poly or an exact number.  The one routine that sums formal terms, so
+    two expressions that state the same formal sum are equal tuples."""
+    acc: dict[tuple[Mode, ...], Poly] = {}
     for coeff, seq in terms:
         c = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-        if c:
-            out.append((c, tuple(seq)))
-    return tuple(out)
-
-
-def expr_add(a: Expression, b: Expression) -> Expression:
-    acc: dict[tuple[Mode, ...], Poly] = {}
-    for coeff, seq in a + b:
-        acc[seq] = acc.get(seq, Poly.zero()) + coeff
-    return tuple(sorted(((c, s) for s, c in acc.items() if c),
-                        key=lambda t: t[1]))
+        seq = tuple(seq)
+        prev = acc.get(seq)
+        acc[seq] = c if prev is None else prev + c
+    return tuple(sorted(((c, s) for s, c in acc.items() if c), key=lambda t: t[1]))
 
 
 def expr_scale(a: Expression, factor) -> Expression:
@@ -232,22 +232,6 @@ def _implied_vector(rule: Rule, proved: dict[int, Expression]) -> Expression | N
     return None
 
 
-def _residual(vector: Expression, known: list[tuple[Poly | int, Expression]]
-              ) -> Expression:
-    """vector - sum coeff * known, as a formal expression: every term is
-    summed into one table, which is sorted once.  The vector itself enters
-    as a known vector with coefficient -1."""
-    acc: dict[tuple[Mode, ...], Poly] = {}
-    for factor, terms in [(-1, vector)] + known:
-        neg = exact(-factor)
-        if neg != 1:
-            terms = [(c * neg, seq) for c, seq in terms]
-        for c, seq in terms:
-            prev = acc.get(seq)
-            acc[seq] = c if prev is None else prev + c
-    return tuple(sorted(((c, s) for s, c in acc.items() if c), key=lambda t: t[1]))
-
-
 def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
                  remainder: Expression, spec: AlgebraSpec) -> tuple[bool, str]:
     """vector - sum coeff * known - remainder cancels formally, and every
@@ -255,7 +239,9 @@ def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
     for _, seq in remainder:
         if not prefixed_manifest(seq, 2, spec):
             return False, f"remainder term {seq} is not prefixed-manifest"
-    residual = _residual(vector, [(1, remainder)] + known)
+    residual = expression(*vector, *expr_scale(remainder, -1),
+                          *(term for coeff, terms in known
+                            for term in expr_scale(terms, -coeff)))
     if residual:
         return False, f"residual: {render_expression(residual)}"
     return True, ""
@@ -285,7 +271,7 @@ def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
         else:
             done.append((coeff, seq))
     # the swaps alone give block+prefix once; every bracket term is shorter
-    for _, seq in expr_add(tuple(done), expression((-1, block + prefix))):
+    for _, seq in expression(*done, (-1, block + prefix)):
         if not prefixed_manifest(seq, 2, spec):
             return f"trace term {seq} is not prefixed-manifest"
     return ""
@@ -302,7 +288,7 @@ def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
     if any(claim_id not in proved for claim_id in _cited(rule)):
         return False, "cites a claim that is not an earlier verified step"
     want = _implied_vector(rule, proved)
-    if want is not None and _residual(claim.vector, [(1, want)]):
+    if want is not None and claim.vector != want:
         return False, f"vector is not the one the {rule.name} rule states"
 
     if isinstance(rule, ManifestMemberRule):
@@ -348,8 +334,7 @@ def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
         for m in rule.prefix:
             if math_index(m, spec) > 0 or m.field != "T":
                 return False, f"reorder prefix mode {m} not allowed"
-        reordered = expression((1, rule.block + rule.prefix))
-        if _residual(proved[rule.base], [(1, reordered)]):
+        if proved[rule.base] != expression((1, rule.block + rule.prefix)):
             return False, "base claim does not hold the reordered composition"
         failure = _walk_reorder(rule.prefix, rule.block, spec)
         return not failure, failure
@@ -434,7 +419,7 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
 
     def rewrite(vector: Expression, a: int, b: int) -> SingularRewriteRule:
         """vector = N^ab + what remains of vector once N^ab is subtracted."""
-        remainder = expr_add(vector, expr_scale(null_vector_terms(a, b, table), -1))
+        remainder = expression(*vector, *expr_scale(null_vector_terms(a, b, table), -1))
         return SingularRewriteRule(((Poly.const(1), (a, b)),), remainder)
 
     # mixed quadratics W^a W^b O for a != b

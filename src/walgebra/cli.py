@@ -11,7 +11,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import floor
 
 from .algebra import (Mode, SpecError, bracket, central_charge_p1, load_spec,
                       make_virasoro_spec)
@@ -20,7 +19,6 @@ from .derivation import MAX_P, alpha_nonzero_report
 from .qseries import (
     MAX_CUTOFF,
     QSeries,
-    QSeriesError,
     chi_tilde,
     diff_at_level,
     triplet_character,
@@ -151,17 +149,20 @@ def cmd_char_diff(args) -> int:
         level = Fraction(args.level)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad level {args.level!r}") from exc
-    # Every character leads at its first coefficient and is exact through
-    # its cutoff, so the coefficient at level n needs the series only through
-    # q^n; a level above the cutoff still fails on a series cut at the
-    # stated cutoff.
-    cutoff = min(_checked_cutoff(args.cutoff), max(floor(level), 0))
-    a = _character_series(args.left, p, cutoff)
-    b = _character_series(args.right, p, cutoff)
-    try:
-        value = diff_at_level(a, b, level)
-    except QSeriesError as exc:
-        raise InputError(f"bad level {args.level!r}: {exc}") from exc
+    # Every character leads at q^(-c/24) with coefficient 1 and is exact
+    # through its cutoff, so a level off the integers or above the cutoff is
+    # refused before either series is computed, and the coefficient at an
+    # integer level n needs each series only through q^n.
+    cutoff = _checked_cutoff(args.cutoff)
+    if level.denominator != 1 or level > cutoff:
+        exponent = -central_charge_p1(p) / 24 + level
+        why = ("is off-lattice" if level.denominator != 1
+               else f"beyond validity (cutoff index {cutoff})")
+        raise InputError(f"bad level {args.level!r}: exponent {exponent} {why}")
+    through = max(int(level), 0)
+    a = _character_series(args.left, p, through)
+    b = _character_series(args.right, p, through)
+    value = diff_at_level(a, b, level)
     if args.format == "json":
         doc = {
             "p": p,

@@ -224,12 +224,10 @@ class Derivation:
         g = solve_linear([equation], ["_G"])["_G"]
         return g.substitute({"B": B})
 
-    def descend_and_solve_xi(
-        self, beta: Poly, gamma: Poly
-    ) -> tuple[State, tuple[Poly, Poly, Poly]]:
+    def descend_and_solve_xi(self, beta: Poly, gamma: Poly) -> tuple[Poly, Poly, Poly]:
         """Lower the ansatz one level with L_{-1} and match the length-(d-1)
-        monomials against the quasi-primary product's correction channels,
-        yielding the three aggregate coefficients xi."""
+        monomials against the quasi-primary product's correction channels;
+        returns the three aggregate coefficients xi."""
         d = self.delta
         eng = self.spec.engine
         mono = self.mono
@@ -273,7 +271,7 @@ class Derivation:
             if mono.l333_l2 is not None
             else Poly.zero()
         )
-        return proj, (xi1, xi2, xi3)
+        return xi1, xi2, xi3
 
     def solve_B_primary(self, xi: tuple[Poly, Poly, Poly]) -> Poly:
         """Impose that L_2 also kills the lowered vector at length Delta-1.
@@ -304,7 +302,7 @@ class Derivation:
         gsum = self.gamma_sum(B)
         beta = beta_ww + B
         gamma = gamma_ww + gsum
-        _, xi = self.descend_and_solve_xi(beta, gamma)
+        xi = self.descend_and_solve_xi(beta, gamma)
         B_primary = self.solve_B_primary(xi)
         difference = B_quasi - B_primary
         consistent = difference.is_zero()

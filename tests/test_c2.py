@@ -26,7 +26,6 @@ from walgebra.c2 import (
     certificate_from_json,
     certificate_to_json,
     certify_triplet_p2,
-    expr_add,
     expr_scale,
     expression,
     manifest_member,
@@ -35,7 +34,6 @@ from walgebra.c2 import (
     render_expression,
     verify_certificate,
 )
-from walgebra.c2 import _residual
 from walgebra.engine import Engine
 from walgebra.scalar import Poly, parse_poly
 from walgebra.singular import SingularTable, load_triplet_p2_spec, null_vector_terms
@@ -144,10 +142,46 @@ def test_round_trip(cert, spec):
     assert certificate_to_json(again) == text
 
 
+def test_a_certificate_equals_its_json_round_trip(monkeypatch):
+    # built and loaded hold each vector in the one normal form, so they are
+    # equal, and a replay of the loaded form on a spec that verified the
+    # built one checks no step again
+    built = certify_triplet_p2()
+    loaded = certificate_from_json(certificate_to_json(built))
+    assert loaded == built
+    spec = load_triplet_p2_spec()
+    assert verify_certificate(built, spec)[0]
+    checked = []
+    plain = c2._check_rule
+    monkeypatch.setattr(c2, "_check_rule", lambda claim, *rest: (
+        checked.append(claim.id) or plain(claim, *rest)))
+    assert verify_certificate(loaded, spec)[0]
+    assert checked == []
+
+
+def test_a_repeated_sequence_loads_as_its_sorted_sum():
+    ww, l3 = (W(1, -3), W(1, -3)), (T(-2), T(-2), T(-2))
+    text = ("(1/2) W1(-3) W1(-3) |0> + (-8/9) T(-2) T(-2) T(-2) |0> "
+            "+ (1/2) W1(-3) W1(-3) |0>")
+    assert parse_expression(text) == ((Poly.const(Fraction(-8, 9)), l3),
+                                      (Poly.const(1), ww))
+    assert parse_expression("(1) T(-2) |0> + (-1) T(-2) |0>") == ()
+    # in a certificate, step 14 so written loads as the step its golden
+    # text states
+    golden = (GOLDEN / "certificate_p2.json").read_text()
+    doc = json.loads(golden)
+    assert doc["steps"][13]["claim"]["vector"] == render_expression(
+        parse_expression(text))
+    doc["steps"][13]["claim"]["vector"] = text
+    loaded = certificate_from_dict(doc)
+    assert loaded == certificate_from_json(golden)
+    assert verify_certificate(loaded, load_triplet_p2_spec())[0]
+
+
 def test_parse_expression_is_strict(cert):
     for step in cert.steps:
         parsed = parse_expression(render_expression(step.vector))
-        assert not expr_add(parsed, expr_scale(step.vector, -1))
+        assert not expression(*parsed, *expr_scale(step.vector, -1))
     for text in ("(1) W1(-3) W2(-3) |0> + GARBAGE (7) T(-9) junk",
                  "(1) W1(-3) W2(-3) |0> junk",
                  "(1) W1(-3) W2(-3) |0> +",
@@ -618,8 +652,8 @@ def test_combination_must_cancel_formally(spec):
                                               expression((c, (mode,))))),
     ]
     claim = steps[1]
-    assert not spec.engine.evaluate(expr_add(
-        claim.vector, expr_scale(steps[0].vector + claim.rule.remainder, -1)))
+    assert not spec.engine.evaluate(expression(
+        *claim.vector, *expr_scale(steps[0].vector + claim.rule.remainder, -1)))
     ok, reports = verify_certificate(Certificate(SingularTable(), steps, [2]), spec)
     assert not ok and [r.ok for r in reports] == [True, False]
     assert reports[1].detail.startswith("residual: ")
@@ -647,7 +681,7 @@ def test_reorder_across_a_central_term_fails():
     assert "central term" in reports[1].detail and "\n" not in reports[1].detail
 
 
-# --- one-pass residual, scaling once, and the expression text ---------------------
+# --- the normal form, scaling once, and the expression text ----------------------
 
 # a small pool of modes, so that random expressions share words and cancel
 _MODES = [T(-2), T(-3), W(1, -3), W(2, -4), Mode("X_1", 5)]
@@ -672,29 +706,50 @@ def _old_expr_scale(a, factor):
     return tuple((c * f, s) for c, s in a if c * f)
 
 
-def _chained_residual(vector, known):
-    """_residual as it was: one sorted expr_add per known vector."""
-    for coeff, known_vector in known:
-        vector = expr_add(vector, _old_expr_scale(known_vector, -coeff))
-    return vector
+def _dict_sum(terms):
+    """The oracle: each sequence's coefficients summed in a dict, the zero
+    sums dropped, sorted by sequence."""
+    acc = {}
+    for coeff, seq in terms:
+        acc[seq] = acc.get(seq, Poly.zero()) + coeff
+    return tuple((acc[seq], seq) for seq in sorted(acc) if acc[seq])
+
+
+def _residual_terms(vector, known):
+    """The terms of vector - sum coeff * known, unsummed, as a combination
+    step lists them."""
+    return [*vector, *(term for coeff, terms in known
+                       for term in expr_scale(terms, -coeff))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector=_EXPRESSIONS,
        known=st.lists(st.tuples(_COEFFS, _EXPRESSIONS), min_size=1, max_size=4),
-       cancel=st.sampled_from(["none", "vector", "pair"]))
-def test_residual_matches_chained_expr_add(vector, known, cancel):
+       cancel=st.sampled_from(["none", "vector", "pair"]),
+       raw=st.lists(st.tuples(_COEFFS, _SEQS), max_size=5),
+       rnd=st.randoms(use_true_random=False))
+def test_expression_is_the_sorted_dict_sum(vector, known, cancel, raw, rnd):
     if cancel == "vector":
-        # the vector is cited against itself: everything else is left over
+        # the vector is cited against itself: only the rest is left over
         known = known + [(1, vector)]
     elif cancel == "pair":
         # a known vector cited twice with opposite coefficients cancels out
         coeff, known_vector = known[0]
         known = known + [(-coeff, known_vector)]
-    assert _residual(vector, known) == _chained_residual(vector, known)
-    if cancel == "pair":
-        assert _residual(vector, known) == _residual(vector, known[1:-1])
-    assert _residual(vector, [(1, vector)]) == ()
+    got = expression(*_residual_terms(vector, known))
+    if cancel == "vector":
+        assert got == expression(*_residual_terms((), known[:-1]))
+    elif cancel == "pair":
+        assert got == expression(*_residual_terms(vector, known[1:-1]))
+    assert expression(*_residual_terms(vector, [(1, vector)])) == ()
+    # the residual's terms plus raw ones, numbers among their coefficients:
+    # in any order they sum to the oracle's result, which is its own sum
+    terms = _residual_terms(vector, known) + raw
+    want = _dict_sum(terms)
+    assert expression(*terms) == want
+    rnd.shuffle(terms)
+    assert expression(*terms) == want
+    assert expression(*want) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -718,7 +773,6 @@ def test_expr_scale_matches_old_and_multiplies_once(a, factor):
 @settings(max_examples=150, deadline=None)
 @given(e=_EXPRESSIONS)
 def test_expression_text_round_trip(e):
-    e = expr_add(e, ())  # one term per word, sorted, as a certificate holds it
     assert parse_expression(render_expression(e)) == e
 
 
@@ -730,7 +784,7 @@ _NEVER_VALID = "#$%&;?@[]{}~!"
 def test_junk_expression_always_raises(e, where, junk):
     # a character the expression grammar has no use for, put anywhere, is
     # refused on every parse, cached coefficients or not
-    text = render_expression(expr_add(e, ()))
+    text = render_expression(e)
     at = where % (len(text) + 1)
     bad = text[:at] + junk + text[at:]
     for clear in (True, False, False):
@@ -750,7 +804,7 @@ def test_any_text_parses_or_raises_certificate_error(text):
             parsed = parse_expression(text)
         except CertificateError:
             continue
-        assert parse_expression(render_expression(parsed)) == expr_add(parsed, ())
+        assert parse_expression(render_expression(parsed)) == parsed
 
 
 # --- work done once: coefficient parsing and brackets ----------------------------

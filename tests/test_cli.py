@@ -101,12 +101,13 @@ def test_usage_errors_exit_2(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
-    # a Virasoro central charge with a zero denominator, or neither a
-    # rational nor an identifier
-    for c in ("1/0", "1/0x"):
+    # a Virasoro central charge with a zero denominator, neither a rational
+    # nor an identifier, or the reserved imaginary unit I (once taken as a
+    # symbol, so that c was silently i)
+    for c in ("1/0", "1/0x", "I"):
         proc = run_cli("bracket", "--virasoro", "--c", c, "--left", "T:2",
                        "--right", "T:-2")
-        assert proc.returncode == 2
+        assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
     # an --out that cannot be written: a missing directory, a directory
@@ -365,6 +366,26 @@ def test_char_diff_computes_only_through_its_level(monkeypatch):
     assert _main(argv + ["20000"]) == ("9\n", "", 0)
     assert asked and max(asked) <= 6
     assert _main(argv + ["200"]) == ("9\n", "", 0)
+
+
+@pytest.mark.parametrize("p, level, cutoff, message", [
+    ("2", "1000000", "20000",
+     "exponent 12000001/12 beyond validity (cutoff index 20000)"),
+    ("3", "41", "40", "exponent 991/24 beyond validity (cutoff index 40)"),
+    ("2", "1/2", "50", "exponent 7/12 is off-lattice"),
+    ("3", "5/2", "20000", "exponent 67/24 is off-lattice"),
+])
+def test_char_diff_refuses_a_level_before_computing(monkeypatch, p, level,
+                                                    cutoff, message):
+    # the Verma character alone took about a minute at cutoff 20000, only
+    # for the level to be refused after it
+    def refuse(*args):
+        raise AssertionError("a character series was computed")
+
+    monkeypatch.setattr(cli, "_character_series", refuse)
+    argv = ["char-diff", "--p", p, "--left", "verma", "--right", "chi-tilde",
+            "--level", level, "--cutoff", cutoff]
+    assert _main(argv) == ("", f"error: bad level {level!r}: {message}\n", 2)
 
 
 def test_char_diff_values():
