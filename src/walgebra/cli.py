@@ -2,15 +2,22 @@
 
 Exit codes: 0 success, 1 a verified assertion failed, 2 usage or input error.
 All numeric output is exact (rationals as p/q); output is deterministic.
+
+Arguments are parsed on one of two paths, both built from the one option
+table `_COMMANDS`.  A call in its plain form (a command, then exact option
+names each given once, each with a value that is nonempty and does not start
+with "-") is parsed from the table alone and never imports argparse.  Any
+other call, including every help request and usage error, goes to argparse,
+which accepts abbreviations and --opt=value and words the help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra import (Mode, SpecError, bracket, central_charge_p1, load_spec,
                       make_virasoro_spec)
@@ -101,11 +108,11 @@ def _character_series(kind: str, p: int, cutoff: int) -> QSeries:
 
 
 def cmd_bracket(args) -> int:
-    if args.spec and args.virasoro:
+    if args.spec is not None and args.virasoro:
         raise InputError("--spec and --virasoro exclude each other")
     if args.c is not None and not args.virasoro:
         raise InputError("--c sets the central charge of --virasoro only")
-    if args.spec:
+    if args.spec is not None:
         spec = _load_spec_arg(args.spec)
     elif args.virasoro:
         spec = make_virasoro_spec("c" if args.c is None else args.c)
@@ -246,101 +253,134 @@ def cmd_verify_singular(args) -> int:
     return 0 if ok else 1
 
 
-def _common(parser, cutoff=False, spec=False, pflag=False) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--out", default=None, help="write output to a file")
-    if cutoff:
-        parser.add_argument("--cutoff", type=int, default=40)
-    if spec:
-        parser.add_argument("--spec", default=None,
-                            help="algebra spec JSON (default: built-in triplet p=2)")
-    if pflag:
-        parser.add_argument("--p", type=int, required=True)
+# The option table.  Each option is (flag, kind, default, required, help): a
+# kind is int, str, a tuple of choices, or None for a store-true flag.
+_FORMAT = ("--format", ("text", "json"), "text", False, None)
+_OUT = ("--out", str, None, False, "write output to a file")
+_CUTOFF = ("--cutoff", int, 40, False, None)
+_SPEC = ("--spec", str, None, False,
+         "algebra spec JSON (default: built-in triplet p=2)")
+_P = ("--p", int, None, True, None)
+_CHARACTERS = ("verma", "triplet", "chi-tilde")
 
-
-def _bracket_args(parser) -> None:
-    parser.add_argument("--left", required=True, help="mode, e.g. T:2")
-    parser.add_argument("--right", required=True, help="mode, e.g. W1:-3")
-    parser.add_argument("--virasoro", action="store_true",
-                        help="use the Virasoro-only spec")
-    parser.add_argument("--c", default=None,
-                        help="central charge for --virasoro (rational or symbol; "
-                        "default: the symbol c)")
-    _common(parser, spec=True)
-    parser.set_defaults(func=cmd_bracket)
-
-
-def _character_args(kind: str):
-    def configure(parser) -> None:
-        _common(parser, cutoff=True, pflag=True)
-        parser.set_defaults(func=cmd_character, kind=kind)
-    return configure
-
-
-def _char_diff_args(parser) -> None:
-    parser.add_argument("--left", choices=("verma", "triplet", "chi-tilde"),
-                        required=True)
-    parser.add_argument("--right", choices=("verma", "triplet", "chi-tilde"),
-                        required=True)
-    parser.add_argument("--level", required=True, help="rational level, e.g. 8 or 17/2")
-    _common(parser, cutoff=True, pflag=True)
-    parser.set_defaults(func=cmd_char_diff)
-
-
-def _derive_args(parser) -> None:
-    _common(parser, pflag=True)
-    parser.set_defaults(func=cmd_derive)
-
-
-def _certify_c2_args(parser) -> None:
-    _common(parser, spec=True)
-    parser.set_defaults(func=cmd_certify_c2)
-
-
-def _verify_singular_args(parser) -> None:
-    parser.add_argument("--solve-mode", action="store_true",
-                        help="solve for the symbolic structure constants")
-    _common(parser, spec=True)
-    parser.set_defaults(func=cmd_verify_singular)
-
-
-# The one command table: name -> (help line, configure(parser)).  Both the
-# full parser and a single command's parser are built from it.
+# The one command table: name -> (help line, namespace extras, options in
+# argparse's order).  The argparse parsers and the table parser are both
+# built from it.
 _COMMANDS = {
-    "bracket": ("mode commutator under an algebra spec", _bracket_args),
-    "character": ("triplet algebra character", _character_args("triplet")),
-    "verma-character": ("vacuum Verma module character", _character_args("verma")),
+    "bracket": ("mode commutator under an algebra spec", {"func": cmd_bracket}, (
+        ("--left", str, None, True, "mode, e.g. T:2"),
+        ("--right", str, None, True, "mode, e.g. W1:-3"),
+        ("--virasoro", None, False, False, "use the Virasoro-only spec"),
+        ("--c", str, None, False, "central charge for --virasoro (rational or "
+         "symbol; default: the symbol c)"),
+        _FORMAT, _OUT, _SPEC)),
+    "character": ("triplet algebra character",
+                  {"func": cmd_character, "kind": "triplet"},
+                  (_FORMAT, _OUT, _CUTOFF, _P)),
+    "verma-character": ("vacuum Verma module character",
+                        {"func": cmd_character, "kind": "verma"},
+                        (_FORMAT, _OUT, _CUTOFF, _P)),
     "char-diff": ("coefficient difference of two characters at a level",
-                  _char_diff_args),
-    "derive": ("run the coefficient derivation pipeline", _derive_args),
+                  {"func": cmd_char_diff}, (
+        ("--left", _CHARACTERS, None, True, None),
+        ("--right", _CHARACTERS, None, True, None),
+        ("--level", str, None, True, "rational level, e.g. 8 or 17/2"),
+        _FORMAT, _OUT, _CUTOFF, _P)),
+    "derive": ("run the coefficient derivation pipeline", {"func": cmd_derive},
+               (_FORMAT, _OUT, _P)),
     "certify-c2": ("emit and verify the p=2 C2 membership certificate",
-                   _certify_c2_args),
+                   {"func": cmd_certify_c2}, (_FORMAT, _OUT, _SPEC)),
     "verify-singular": ("check the level-6 singular vectors are annihilated",
-                        _verify_singular_args),
+                        {"func": cmd_verify_singular}, (
+        ("--solve-mode", None, False, False,
+         "solve for the symbolic structure constants"),
+        _FORMAT, _OUT, _SPEC)),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser: every command as a subparser."""
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv in its plain form: a command,
+    then exact option names, each at most once, a store-true flag bare and
+    every other option followed by a nonempty value that does not start with
+    "-", and every required option present.  None for any other argv, which
+    only argparse parses (abbreviations, --opt=value, repeats, -h, negative
+    or empty values, extra tokens, missing or invalid values)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, extras, options = _COMMANDS[argv[0]]
+    kinds = {option[0]: option[1] for option in options}
+    given: dict = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in kinds or token in given:
+            return None
+        kind = kinds[token]
+        if kind is None:
+            given[token] = True
+            continue
+        value = next(tokens, "")
+        if not value or value[0] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        given[token] = value
+    values = dict(extras)
+    for flag, _, default, required, _ in options:
+        if required and flag not in given:
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values)
+
+
+def _add_options(parser, name: str) -> None:
+    """Give an argparse parser the options of one command's table row."""
+    _, extras, options = _COMMANDS[name]
+    for flag, kind, default, required, help_text in options:
+        if kind is None:
+            parser.add_argument(flag, action="store_true", help=help_text)
+        elif isinstance(kind, tuple):
+            parser.add_argument(flag, choices=kind, default=default,
+                                required=required, help=help_text)
+        else:
+            parser.add_argument(flag, type=kind, default=default,
+                                required=required, help=help_text)
+    parser.set_defaults(**extras)
+
+
+def build_parser():
+    """The full argparse parser: every command as a subparser."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="walgebra",
         description="Exact W-algebra mode computations, characters, "
         "C2 certificates and the coefficient derivation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, configure) in _COMMANDS.items():
-        configure(sub.add_parser(name, help=help_line))
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named command's parser alone, as the full parser's
-    subparser of the same name would.  Anything that parser leaves over,
-    and any first argument that is not a command, goes to the full parser,
-    which reports it at the top level."""
+def _parse_args(argv: list[str]):
+    """Parse argv from the table when it is in its plain form.  Otherwise
+    parse it with the named command's argparse parser alone, as the full
+    parser's subparser of the same name would; anything that parser leaves
+    over, and any first argument that is not a command, goes to the full
+    parser, which reports it at the top level."""
+    args = _table_args(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in _COMMANDS:
+        import argparse
+
         parser = argparse.ArgumentParser(prog=f"walgebra {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
+        _add_options(parser, argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return args

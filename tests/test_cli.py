@@ -2,12 +2,17 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walgebra import cli
 from walgebra.algebra import central_charge_p1
@@ -267,7 +272,9 @@ def test_undeclared_field_exit_2(tmp_path, command):
     ("--c", "1"),
     ("--spec", "SPEC", "--virasoro"),
     ("--spec", "SPEC", "--c", "1"),
-], ids=["c_without_virasoro", "spec_and_virasoro", "spec_and_c"])
+    ("--spec", "", "--virasoro"),
+], ids=["c_without_virasoro", "spec_and_virasoro", "spec_and_c",
+        "empty_spec_and_virasoro"])
 def test_bracket_rejects_ignored_flags(tmp_path, flags):
     path = tmp_path / "virasoro.json"
     path.write_text(json.dumps(VIRASORO_DOC))
@@ -300,6 +307,20 @@ def test_non_utf8_spec_exit_2(tmp_path, command):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ("certify-c2",),
+    ("verify-singular",),
+    ("bracket", "--left", "T:2", "--right", "T:-2"),
+], ids=["certify-c2", "verify-singular", "bracket"])
+def test_empty_spec_exit_2(command):
+    # an empty --spec names no file; it is not the packaged spec
+    proc = run_cli(*command, "--spec", "")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read spec :")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
 def _main(argv):
     """`main(argv)` in-process: (stdout, stderr, exit code)."""
     out, err = io.StringIO(), io.StringIO()
@@ -324,6 +345,166 @@ def test_parser_parity(name, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     case = PARITY["cases"][name]
     assert _main(case["argv"]) == (case["stdout"], case["stderr"], case["exit"])
+
+
+# Values the table parser takes for an option of each kind, and values that
+# only argparse parses (or refuses).  "OUT" is a file in the working
+# directory; no spec file named here exists.
+PLAIN_VALUES = {int: ("2", "3", "0", "5", "+4", " 7"),
+                str: ("T:2", "W1:-3", "8", "17/2", "no-such-spec.json", "OUT")}
+OTHER_VALUES = ("", "-1", "-x", "-", "--", "-h", "--help")
+NOT_A_VALUE = {int: ("x", "2.5", "1e3"), str: ()}
+STRAY_TOKENS = ("extra", "-h", "--help", "--", "--bogus", "-1", "")
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, plain): a command line from a token grammar, and whether it is
+    in the plain form the table parser takes."""
+    if draw(st.integers(0, 19)) == 0:
+        first = draw(st.sampled_from(("nonsense", "-h", "--help", "--format")))
+        return [first] + draw(st.lists(st.sampled_from(STRAY_TOKENS), max_size=2)), False
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[name][2]
+    flags = [option[0] for option in options]
+
+    def value(kind, plain=True):
+        if plain:
+            pool = kind if isinstance(kind, tuple) else PLAIN_VALUES[kind]
+        else:
+            pool = OTHER_VALUES + (("bogus",) if isinstance(kind, tuple)
+                                   else NOT_A_VALUE[kind])
+        return draw(st.sampled_from(pool))
+
+    def pair(option, plain=True):
+        flag, kind = option[:2]
+        return [flag] if kind is None else [flag, value(kind, plain)]
+
+    # stray tokens, and the options of every other command
+    stray = STRAY_TOKENS + tuple(sorted({o[0] for _, _, opts in cli._COMMANDS.values()
+                                         for o in opts} - set(flags)))
+    # a required option is left out one time in ten
+    chunks = [pair(o) for o in options
+              if draw(st.integers(0, 9) if o[3] else st.booleans())]
+    plain = all(o[0] in {c[0] for c in chunks} for o in options if o[3])
+    for _ in range(draw(st.integers(0, 2))):
+        plain = False
+        option = draw(st.sampled_from(options))
+        flag, kind = option[:2]
+        prefixes = [flag[:k] for k in range(3, len(flag)) if flag[:k] not in flags]
+        how = draw(st.sampled_from(("abbreviation", "equals", "repeat", "value",
+                                    "missing value", "stray")))
+        if how == "abbreviation" and prefixes:
+            chunks.append([draw(st.sampled_from(prefixes))] + pair(option)[1:])
+        elif how == "equals" and kind is not None:
+            chunks.append([f"{flag}={value(kind)}"])
+        elif how == "repeat" and chunks:
+            chunks.append(draw(st.sampled_from(chunks)))
+        elif how == "value" and kind is not None:
+            chunks.append(pair(option, plain=False))
+        elif how == "missing value" and kind is not None:
+            chunks = draw(st.permutations(chunks)) + [[flag]]
+            return [name] + [t for c in chunks for t in c], False
+        else:
+            chunks.append([draw(st.sampled_from(stray))])
+    chunks = draw(st.permutations(chunks))
+    return [name] + [t for c in chunks for t in c], plain
+
+
+def _argparse_args(argv):
+    """vars() of the named command's own argparse parser's result; the exit
+    code when it stops, or the tokens it leaves over."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog=f"walgebra {argv[0]}")
+    cli._add_options(parser, argv[0])
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args, rest = parser.parse_known_args(argv[1:])
+    except SystemExit as exc:
+        return exc.code
+    return vars(args) if not rest else rest
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_table_parser_matches_argparse(line):
+    argv, plain = line
+    args = cli._table_args(argv)
+    assert (args is not None) == plain, argv
+    if args is not None:
+        assert vars(args) == _argparse_args(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command_lines())
+def test_main_is_the_same_without_the_table_parser(line):
+    argv, _ = line
+    outputs = []
+    here = os.getcwd()
+    for table_args in (cli._table_args, lambda argv: None):
+        with tempfile.TemporaryDirectory() as work, \
+                mock.patch.object(cli, "_table_args", table_args):
+            os.chdir(work)
+            try:
+                result = _main(argv)
+            finally:
+                os.chdir(here)
+            files = {p.name: p.read_text() for p in Path(work).iterdir()}
+        outputs.append((result, files))
+    assert outputs[0] == outputs[1]
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+COLD_CALL = """
+import contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+from walgebra import cli
+out, err, codes = io.StringIO(), io.StringIO(), []
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    for argv in {argvs!r}:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps({{"stdout": out.getvalue(), "stderr": err.getvalue(), "codes": codes,
+                  "modules": [m for m in ("argparse", "gettext", "locale")
+                              if m in sys.modules]}}))
+"""
+
+
+def _cold_call(*argvs):
+    proc = subprocess.run([sys.executable, "-I", "-c",
+                           COLD_CALL.format(src=str(SRC), argvs=list(argvs))],
+                          capture_output=True, text=True,
+                          env={**os.environ, "COLUMNS": "80"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_plain_calls_never_import_argparse(tmp_path):
+    out = ["--out", str(tmp_path / "out")]
+    result = _cold_call(
+        ["bracket", "--virasoro", "--left", "T:2", "--right", "T:-2", *out],
+        ["character", "--p", "2", "--cutoff", "8", *out],
+        ["verma-character", "--p", "2", "--cutoff", "8", *out],
+        ["char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
+         "--level", "8", "--format", "json", *out],
+        ["derive", "--p", "2", *out],
+        ["certify-c2", "--format", "json", *out],
+        ["verify-singular", "--solve-mode", *out])
+    assert result["codes"] == [0] * 7, result["stderr"]
+    assert result["modules"] == []
+
+
+@pytest.mark.parametrize("name", ["derive_help", "derive_bad_p"])
+def test_help_and_usage_errors_import_argparse(name):
+    case = PARITY["cases"][name]
+    result = _cold_call(case["argv"])
+    assert "argparse" in result["modules"]
+    assert result["codes"] == [case["exit"]]
+    if "%d.%d" % sys.version_info[:2] == PARITY["python"]:
+        assert (result["stdout"], result["stderr"]) == (case["stdout"], case["stderr"])
 
 
 CHARACTER_FUNCTIONS = {
