@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
-from .scalar import IMAG, Poly, binom_int, exact, parse_poly, render_poly
+from .scalar import IMAG, Poly, binom_int, exact, parse_poly, parse_rational, render_poly
 
 if TYPE_CHECKING:
     from .engine import Engine
@@ -496,8 +496,24 @@ def _json_str(value, what: str) -> str:
     return value
 
 
+def _json_parsed(parse, value, what: str):
+    """`parse` applied to the string field `value`; its ValueError is refused
+    as a SpecError that names `what`."""
+    text = _json_str(value, what)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise SpecError(f"{what}: {exc}") from None
+
+
 def _json_poly(value, what: str) -> Poly:
-    return parse_poly(_json_str(value, what))
+    return _json_parsed(parse_poly, value, what)
+
+
+def _json_symbols(entry: dict, keys: str, what: str) -> tuple[str, ...]:
+    """The field symbols under the one-letter `keys` of a `what` entry, each
+    a string: the spec compares, sorts and hashes them."""
+    return tuple(_json_str(entry[key], f"{what} {key}") for key in keys)
 
 
 def keyed(doc, what: str, required: set, optional: set = frozenset(),
@@ -587,7 +603,7 @@ def load_spec(text: str) -> AlgebraSpec:
     try:
         document = keyed(document, "the spec document",
                          *_SPEC_KEYS["the spec document"])
-        c = Fraction(_json_str(document["central_charge"], "central_charge"))
+        c = _json_parsed(parse_rational, document["central_charge"], "central_charge")
         gens = tuple(
             GeneratorDecl(_json_str(g["symbol"], "generator symbol"),
                           _json_int(g["weight"], "generator weight"))
@@ -595,24 +611,24 @@ def load_spec(text: str) -> AlgebraSpec:
         )
         d = {}
         for entry in _entries(document, "d"):
-            i, j = entry["i"], entry["j"]
+            i, j = _json_symbols(entry, "ij", "d")
             _put(d, (i, j) if i <= j else (j, i),
                  _json_poly(entry["value"], "d value"), "pairing")
         constants = {}
         for entry in _entries(document, "structure_constants"):
-            _put(constants, (entry["i"], entry["j"], entry["k"]),
+            _put(constants, _json_symbols(entry, "ijk", "structure_constants"),
                  _json_poly(entry["value"], "structure constant value"),
                  "structure constant")
         composites = {}
         for entry in _entries(document, "composite_fields"):
-            sym = entry["symbol"]
+            sym = _json_str(entry["symbol"], "composite symbol")
             _put(composites, sym, CompositeDecl(
                 sym, _json_int(entry["weight"], "composite weight"),
                 _parse_field_expr(entry["definition"])
             ), "composite field")
         c_lower = {}
         for entry in _entries(document, "c_lower"):
-            _put(c_lower, (entry["i"], entry["j"], entry["k"]),
+            _put(c_lower, _json_symbols(entry, "ijk", "c_lower"),
                  _json_poly(entry["value"], "c_lower value"), "c_lower entry")
     except SpecError:
         raise

@@ -34,7 +34,7 @@ from typing import NamedTuple, get_args
 
 from .algebra import AlgebraSpec, FrozenRecord, Mode, Record, convert_index, keyed
 from .engine import State
-from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, render_poly
+from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -572,7 +572,7 @@ def parse_expression(text: str) -> Expression:
             raise CertificateError(f"cannot parse expression {text!r} at {pos}")
         try:
             coeff = parse_poly(m.group(1))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise CertificateError(f"bad coefficient in expression {text!r}: "
                                    f"{exc}") from exc
         out.append(
@@ -598,6 +598,16 @@ def _typed(value, kind: type):
     if type(value) is not kind:
         raise CertificateError(f"expected {kind.__name__}, got {value!r}")
     return value
+
+
+def _parsed(parse, value, what: str):
+    """`parse` applied to the string `value`; its ValueError is refused as a
+    CertificateError that names `what`."""
+    text = _typed(value, str)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CertificateError(f"{what}: {exc}") from None
 
 
 _RULES = {rule.name: rule for rule in get_args(Rule)}
@@ -648,10 +658,10 @@ def _param_from_json(key: str, value):
         return parse_expression(_typed(value, str))
     if key == "nulls":
         entries = [_keyed(e, "a null") for e in _typed(value, list)]
-        return tuple((parse_poly(_typed(e["coeff"], str)),
+        return tuple((_parsed(parse_poly, e["coeff"], "a null coeff"),
                       (_typed(e["a"], int), _typed(e["b"], int))) for e in entries)
     entries = [_keyed(e, "a part") for e in _typed(value, list)]
-    return tuple((parse_poly(_typed(e["coeff"], str)), _typed(e["id"], int))
+    return tuple((_parsed(parse_poly, e["coeff"], "a part coeff"), _typed(e["id"], int))
                  for e in entries)
 
 
@@ -695,7 +705,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         doc = _keyed(doc, "the certificate")
         table = SingularTable(**{
-            k: Fraction(_typed(v, str))
+            k: _parsed(parse_rational, v, f"null coefficient {k}")
             for k, v in _keyed(doc["null_coefficients"], "null_coefficients").items()
         })
         steps = []

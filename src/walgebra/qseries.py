@@ -5,19 +5,24 @@ dense list a_0 .. a_cutoff of the `int` coefficients at integer steps above
 the offset; the list's length is the validity range.  The characters are
 integer series, so all arithmetic is plain `int` arithmetic; only the
 offset, q^(-c/24), is a `Fraction`.  phi = prod_{n>=1} (1 - q^n) comes from
-Euler's pentagonal theorem, and its inverse from the pentagonal recurrence;
-each 1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is built from that one
-inversion by running differences, so phi is the only series a character
-inverts.  A product is one big-integer product by Kronecker substitution:
-each factor's coefficients are packed as signed digits wide enough for
-every product coefficient, and the product's digits are read back exactly.
-Cutoff bookkeeping is conservative.
+Euler's pentagonal theorem.  Division by a series with constant term +-1 is
+one exact recurrence, `_divide`, whose sum over the divisor's terms is
+gathered per distinct coefficient value at C speed; an inverse is division
+of 1.  The triplet character divides its theta bracket by phi and forms no
+1/phi.  The Verma and quotient characters invert phi once and build each
+1/phi_k = (1/phi) prod_{n<k} (1 - q^n) from it by running differences, so
+phi is the only series a character divides by.  A product is one
+big-integer product by Kronecker substitution: each factor's coefficients
+are packed as signed digits wide enough for every product coefficient, and
+the product's digits are read back exactly.  Cutoff bookkeeping is
+conservative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from operator import itemgetter, sub
 
 from .algebra import central_charge_p1
 
@@ -106,16 +111,7 @@ class QSeries:
         if inv0 not in (1, -1):
             raise QSeriesError(f"constant term {inv0} is not +-1, so the "
                                "inverse is not an integer series")
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if k and c]
-        inv = [inv0] + [0] * (len(self.coeffs) - 1)
-        for n in range(1, len(inv)):
-            acc = 0
-            for k, c in terms:
-                if k > n:
-                    break
-                acc += c * inv[n - k]
-            inv[n] = -acc * inv0
-        return QSeries(-self.offset, inv)
+        return QSeries(-self.offset, _divide([1], self.coeffs))
 
     def shift(self, exponent: Fraction) -> "QSeries":
         """Multiply by q^exponent (exact offset shift)."""
@@ -221,6 +217,43 @@ def _unpack(value: int, width: int, count: int) -> list[int]:
             for i in range(0, size, width)]
 
 
+# --- exact division ------------------------------------------------------------------
+
+
+def _divide(numer: list[int], den: list[int]) -> list[int]:
+    """The integers X_0 .. X_{len(den) - 1} with den * X = numer through
+    q^(len(den) - 1); den_0 must be +-1.
+
+    X_n = d_0 (numer_n - sum_{k>=1} den_k X_{n-k}), as 1/d_0 = d_0.  The sum
+    is gathered per distinct nonzero value v of den_k: one itemgetter picks
+    every X_{n-k} with den_k = v from the output so far as out[-k], since
+    len(out) == n, so a step is a few C-level gathers and sums.  A value's
+    getter is rebuilt only when n reaches a new nonzero exponent of den."""
+    count = len(den)
+    numer = numer[:count] + [0] * (count - len(numer))
+    negate = den[0] == -1
+    exponents = [k for k in range(1, count) if den[k]]
+    indices: dict[int, list[int]] = {}
+    # value -> (getter, whether it gathers more than one index): itemgetter
+    # with one index returns the item itself, not a 1-tuple
+    gathers: dict[int, tuple] = {}
+    out: list[int] = []
+    start = 0
+    for stop in exponents + [count]:
+        for n in range(start, stop):
+            acc = numer[n]
+            for v, (get, several) in gathers.items():
+                acc -= v * (sum(get(out)) if several else get(out))
+            out.append(-acc if negate else acc)
+        if stop < count:
+            v = den[stop]
+            ks = indices.setdefault(v, [])
+            ks.append(-stop)
+            gathers[v] = (itemgetter(*ks), len(ks) > 1)
+            start = stop
+    return out
+
+
 # --- phi products ------------------------------------------------------------------
 
 
@@ -258,8 +291,7 @@ def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
     n = 1
     for k in sorted(set(ks)):
         while n < min(k, cutoff + 1):
-            for e in range(cutoff, n - 1, -1):
-                coeffs[e] -= coeffs[e - n]
+            coeffs[n:] = map(sub, coeffs[n:], coeffs[:cutoff + 1 - n])
             n += 1
         out[k] = QSeries(Fraction(0), coeffs)
     return out
@@ -310,8 +342,8 @@ def triplet_character(p: int, cutoff: int) -> QSeries:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
     bracket = triplet_theta_bracket(p, cutoff)
-    series = phi(cutoff).inverse() * bracket
-    return series.shift(-c / 24)
+    series = _divide(bracket.coeffs, phi(cutoff).coeffs)
+    return QSeries(-c / 24, series)
 
 
 def chi_tilde(p: int, cutoff: int) -> QSeries:

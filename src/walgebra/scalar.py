@@ -334,6 +334,15 @@ def render_poly(p: Poly) -> str:
     return out
 
 
+def parse_rational(text: str) -> Fraction:
+    """`Fraction(text)`, with a zero denominator refused as the ValueError
+    parse_poly raises for one, not as a ZeroDivisionError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 PARSE_CACHE_SIZE = 1024
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*/+-])")
@@ -385,6 +394,8 @@ def parse_poly(text: str) -> Poly:
                     den = tokens[i + 1] if i + 1 < n else ""
                     if not den.isdigit():
                         raise ValueError(f"bad rational in {text!r}")
+                    if not int(den):
+                        raise ValueError(f"zero denominator in {text!r}")
                     coeff *= Fraction(int(tok), int(den))
                     i += 2
                 else:

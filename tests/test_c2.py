@@ -308,6 +308,23 @@ def test_string_keys_must_be_strings(cert, idx, path, value):
         certificate_from_dict(doc)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["null_coefficients"].update(c3="1/0"),
+     "null coefficient c3: zero denominator in '1/0'"),
+    (lambda d: d["steps"][0]["params"]["nulls"][0].update(coeff="1/0"),
+     "a null coeff: zero denominator in '1/0'"),
+    (lambda d: d["steps"][0]["claim"].update(vector="(1/0) W1(-3) |0>"),
+     "bad coefficient in expression '(1/0) W1(-3) |0>': zero denominator in '1/0'"),
+], ids=["null_coefficient", "null_coeff", "claim_coefficient"])
+def test_zero_denominator_in_certificate_names_the_text(cert, edit, message):
+    # once "malformed certificate: ZeroDivisionError('Fraction(1, 0)')"
+    doc = json.loads(certificate_to_json(cert))
+    edit(doc)
+    with pytest.raises(CertificateError) as info:
+        certificate_from_dict(doc)
+    assert str(info.value) == message
+
+
 def test_rule_kinds_with_equal_fields_differ():
     combination, rewrite = LinearCombinationRule((), ()), SingularRewriteRule((), ())
     assert combination != rewrite and not combination == rewrite

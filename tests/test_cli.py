@@ -196,6 +196,59 @@ def test_malformed_spec_exit_2(tmp_path, edit):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def _bracket_spec_error(tmp_path, doc):
+    """The one stderr line of `bracket --spec` on `doc`, which must exit 2."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli("bracket", "--spec", str(path), "--left", "T:2", "--right", "T:-2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Error(" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("value", [True, 5, None], ids=["bool", "int", "null"])
+def test_non_string_channel_symbol_exit_2(tmp_path, value):
+    # the channels of (W1, W1) were once sorted by k before validation, so a
+    # non-string k raised a TypeError traceback with exit 1
+    doc = _triplet_spec_doc()
+    entries = [e for e in doc["structure_constants"]
+               if e["i"] == "W1" and e["j"] == "W1"]
+    for entry in entries[:2]:
+        entry["k"], k = value, entry["k"]
+        assert _bracket_spec_error(tmp_path, doc) == \
+            f"error: structure_constants k must be a string, got {value!r}\n"
+        entry["k"] = k
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("d i", lambda d: d["d"][1].update(i=3)),
+    ("d j", lambda d: d["d"][1].update(j=[1])),
+    ("structure_constants i", lambda d: d["structure_constants"][0].update(i=1.5)),
+    ("c_lower j", lambda d: d.update(
+        c_lower=[{"i": "T", "j": 2, "k": "T", "value": "-2"}])),
+    ("composite symbol", lambda d: d["composite_fields"][0].update(symbol=7)),
+], ids=["int_d_i", "list_d_j", "float_constant_i", "int_c_lower_j",
+        "int_composite_symbol"])
+def test_non_string_symbol_names_key_and_value(tmp_path, key, edit):
+    doc = _triplet_spec_doc()
+    edit(doc)
+    stderr = _bracket_spec_error(tmp_path, doc)
+    assert stderr.startswith(f"error: {key} must be a string, got ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["d"][1].update(value="1/0"), "d value: zero denominator in '1/0'"),
+    (lambda d: d.update(central_charge="1/0"),
+     "central_charge: zero denominator in '1/0'"),
+], ids=["d_value", "central_charge"])
+def test_zero_denominator_in_spec_exit_2(tmp_path, edit, message):
+    # once the bare repr "malformed spec document: ZeroDivisionError(...)"
+    doc = _triplet_spec_doc()
+    edit(doc)
+    assert _bracket_spec_error(tmp_path, doc) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["certify-c2", "verify-singular", "bracket"])
 def test_deeply_nested_spec_exit_2(tmp_path, command):
     # nested deeper than the recursion limit, the JSON decoder raises

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from walgebra import qseries
@@ -415,3 +415,63 @@ def test_inverse_phi_truncs_count_restricted_partitions():
         assert len(inv.coeffs) == 400 + 1
         assert [inv.coeff_at_exponent(n) for n in range(401)] == \
             partitions_min_part(400, k)
+
+
+def test_triplet_character_p2_is_the_symplectic_fermion_formula():
+    # at p = 2, c = -2: the character is q^(1/12) (1/2)[prod (1 + q^n)^2 +
+    # prod (1 - q^n)^2], an oracle that never divides by phi
+    n_max = 400
+
+    def square_of_product(sign):
+        product = [1] + [0] * n_max
+        for part in range(1, n_max + 1):
+            for n in range(n_max, part - 1, -1):
+                product[n] += sign * product[n - part]
+        return [sum(product[i] * product[n - i] for i in range(n + 1))
+                for n in range(n_max + 1)]
+
+    plus, minus = square_of_product(1), square_of_product(-1)
+    ch = triplet_character(2, n_max)
+    assert ch.offset == Fraction(1, 12)
+    assert all((a + b) % 2 == 0 for a, b in zip(plus, minus))
+    assert ch.coeffs == [(a + b) // 2 for a, b in zip(plus, minus)]
+
+
+def long_division(numer, den):
+    """Schoolbook long division through len(den) terms: each quotient term
+    is taken off the remainder before the next one is read."""
+    count = len(den)
+    rest = (list(numer) + [0] * count)[:count]
+    out = []
+    for n in range(count):
+        x = rest[n] * den[0]
+        out.append(x)
+        for k in range(1, count - n):
+            rest[n + k] -= den[k] * x
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, -1]),
+       st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), max_size=60),
+       st.lists(st.integers(), max_size=60))
+@example(1, [0, 0, 5], [1, 2, 3, 4, 5])
+@example(-1, [0, -2, 0, 0, 0], [3])
+@example(1, [], [])
+@example(-1, [], [4, 5])
+def test_divide_is_long_division(d0, tail, numer):
+    # a value that occurs at one exponent is gathered by an itemgetter with
+    # one index, which returns the item itself rather than a 1-tuple
+    den = [d0] + tail
+    got = qseries._divide(numer, den)
+    assert got == long_division(numer, den)
+    assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 600, 2000])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+def test_triplet_character_is_inverse_phi_times_theta(p, cutoff):
+    want = (phi(cutoff).inverse() * triplet_theta_bracket(p, cutoff)
+            ).shift(-central_charge_p1(p) / 24)
+    got = triplet_character(p, cutoff)
+    assert got.offset == want.offset and got.coeffs == want.coeffs

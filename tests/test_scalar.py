@@ -12,6 +12,7 @@ from walgebra.scalar import (
     SolveError,
     binom_int,
     parse_poly,
+    parse_rational,
     render_poly,
     solve_linear,
 )
@@ -203,13 +204,24 @@ def test_parse_examples():
     ("x^-1", ValueError),
     ("x/2", ValueError),
     ("1/", ValueError),
-    ("1/0", ZeroDivisionError),
+    ("1/0", ValueError),
     ("", ValueError),
     ("   ", ValueError),
 ])
 def test_parse_rejects(text, error):
     with pytest.raises(error):
         parse_poly(text)
+
+
+def test_zero_denominator_is_a_value_error_that_names_the_text():
+    # not Fraction's ZeroDivisionError('Fraction(1, 0)'), which loaders
+    # once printed as a bare repr
+    for parse in (parse_poly, parse_rational):
+        with pytest.raises(ValueError, match=r"^zero denominator in '1/0'$"):
+            parse("1/0")
+    with pytest.raises(ValueError, match=r"^zero denominator in 'x \+ 3/0'$"):
+        parse_poly("x + 3/0")
+    assert parse_rational("-8/12") == Fraction(-2, 3)
 
 
 def test_solve_single_equation():
