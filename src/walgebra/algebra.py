@@ -506,6 +506,14 @@ def _json_parsed(parse, value, what: str):
         raise SpecError(f"{what}: {exc}") from None
 
 
+def _json_list(value, what: str) -> list:
+    """A list-valued part of a spec document: a JSON array, or an empty
+    object, which lists nothing as an empty array does."""
+    if not isinstance(value, list) and value != {}:
+        raise SpecError(f"{what} must be a JSON array, got {value!r}")
+    return list(value)
+
+
 def _json_poly(value, what: str) -> Poly:
     return _json_parsed(parse_poly, value, what)
 
@@ -546,7 +554,8 @@ _SPEC_KEYS = {
 def _entries(document: dict, key: str) -> list[dict]:
     """The objects listed under `key` of a spec document, each with exactly
     the keys `_SPEC_KEYS[key]` allows."""
-    return [keyed(e, f"a {key} entry", *_SPEC_KEYS[key]) for e in document.get(key, [])]
+    return [keyed(e, f"a {key} entry", *_SPEC_KEYS[key])
+            for e in _json_list(document.get(key, []), key)]
 
 
 def _put(table: dict, key, value, what: str) -> None:
@@ -577,10 +586,14 @@ def _parse_field_expr(doc) -> FieldExpr:
         return QPNop(_json_str(body["j"], "qpnop j"), _json_str(body["i"], "qpnop i"),
                      _json_count(body.get("n", 0), "qpnop n"))
     if kind == "lincomb":
-        return LinComb(
-            tuple((_json_poly(c, "lincomb coefficient"), _parse_field_expr(e))
-                  for c, e in body)
-        )
+        terms = []
+        for term in _json_list(body, "a lincomb body"):
+            if not isinstance(term, list) or len(term) != 2:
+                raise SpecError("a lincomb term must be a [coefficient, "
+                                f"expression] pair, got {term!r}")
+            terms.append((_json_poly(term[0], "lincomb coefficient"),
+                          _parse_field_expr(term[1])))
+        return LinComb(tuple(terms))
     raise SpecError(f"unknown field expression kind {kind!r}")
 
 

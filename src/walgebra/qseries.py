@@ -8,29 +8,29 @@ offset, q^(-c/24), is a `Fraction`.  phi = prod_{n>=1} (1 - q^n) comes from
 Euler's pentagonal theorem.  Division by a series with constant term +-1 is
 one exact recurrence, `_divide`, whose sum over the divisor's terms is
 gathered per distinct coefficient value at C speed; an inverse is division
-of 1.  The triplet character divides its theta bracket by phi and forms no
-1/phi.  The Verma and quotient characters invert phi once and build each
-1/phi_k = (1/phi) prod_{n<k} (1 - q^n) from it by running differences, so
-phi is the only series a character divides by.  A product is one
-big-integer product by Kronecker substitution: each factor's coefficients
-are packed as signed digits wide enough for every product coefficient, and
-the product's digits are read back exactly.  Cutoff bookkeeping is
+of 1.  The triplet character divides its theta bracket by phi.  The Verma
+and quotient characters are built from 1/phi_k = (1/phi) prod_{n<k} (1 - q^n):
+one division by phi per factor, and each (1 - q^n) one running difference
+done in place, so no character multiplies two series.  A product runs one
+C-level row per nonzero term of its sparser factor.  Cutoff bookkeeping is
 conservative.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import floor
-from operator import itemgetter, sub
+from operator import add, itemgetter, mul, sub
 
 from .algebra import central_charge_p1
 
 
-# The characters cost about 4.5x more per doubling of the cutoff (the
-# Kronecker products grow in length and in digit width).  At 20000 the
-# slowest one, the p = 2 Verma character, took 58 s and 74 MB in-process
-# (Python 3.11.7, 2 vCPU); far larger cutoffs would not finish.
+# The largest cutoff taken from untrusted input.  A character divides by phi,
+# which has about 1.6 sqrt(cutoff) nonzero terms, so its cost grows about 3x
+# per doubling of the cutoff.  At 20000 the p = 2 Verma and quotient
+# characters took 0.6-1.3 s each, at 21-25 MB peak RSS, in-process (Python
+# 3.11.7, 2 vCPU).
 MAX_CUTOFF = 20000
 
 
@@ -47,7 +47,7 @@ class QSeries:
 
     def __init__(self, offset: Fraction, coeffs: list[int]):
         self.offset = Fraction(offset)
-        # a copy: callers such as _inverse_phi_truncs go on mutating theirs
+        # a copy: the caller's list stays its own to mutate
         self.coeffs = list(coeffs)
 
     # --- constructors ----------------------------------------------------------
@@ -90,15 +90,13 @@ class QSeries:
         # is too; it sits at twice the common offset
         offset, xs, ys = QSeries._aligned(self, other)
         count = len(xs)
-        xs = _trimmed(xs)
-        ys = _trimmed(ys)
-        if not xs or not ys:
-            return QSeries(2 * offset, [0] * count)
-        # Kronecker substitution: evaluate both at q = 2^(8 width), multiply
-        # once, read the product's coefficients back as digits
-        width = (_digit_bits(max(map(abs, xs)), max(map(abs, ys)),
-                             min(len(xs), len(ys))) + 7) // 8
-        out = _unpack(_pack(xs, width) * _pack(ys, width), width, count)
+        if xs.count(0) < ys.count(0):
+            xs, ys = ys, xs
+        # one C-level row per nonzero term x q^i of the sparser factor
+        out = [0] * count
+        for i, x in enumerate(xs):
+            if x:
+                out[i:] = map(add, out[i:], map(mul, ys[:count - i], repeat(x)))
         return QSeries(2 * offset, out)
 
     def inverse(self) -> "QSeries":
@@ -169,54 +167,6 @@ class QSeries:
         return f"QSeries<{', '.join(lines[:6])}{', ...' if len(lines) > 6 else ''}>"
 
 
-# --- Kronecker substitution ---------------------------------------------------------
-
-
-def _trimmed(coeffs: list[int]) -> list[int]:
-    """The coefficients without their trailing zeros."""
-    n = len(coeffs)
-    while n and not coeffs[n - 1]:
-        n -= 1
-    return coeffs[:n]
-
-
-def _digit_bits(x_max: int, y_max: int, overlap: int) -> int:
-    """Bits of a signed digit that holds every coefficient of a product.
-
-    A product coefficient sums at most `overlap` = min(len x, len y) terms
-    x_i y_j, so its size is below 2^(bits(x_max) + bits(y_max) +
-    bits(overlap)); one more bit for the sign makes the digit range
-    [-2^(w-1), 2^(w-1)) hold it exactly, and the operands' digits too."""
-    return x_max.bit_length() + y_max.bit_length() + overlap.bit_length() + 1
-
-
-def _ones(count: int, width: int) -> int:
-    """sum_{i < count} 2^(8 width i): one unit in each of `count` digits."""
-    return int.from_bytes((b"\x01" + bytes(width - 1)) * count, "little")
-
-
-def _pack(digits: list[int], width: int) -> int:
-    """sum_i d_i 2^(8 width i) for signed digits |d_i| < 2^(8 width - 1): each
-    digit is written biased by 2^(8 width - 1), and the biases are taken off
-    the packed integer at once."""
-    bias = 1 << (8 * width - 1)
-    packed = b"".join((d + bias).to_bytes(width, "little") for d in digits)
-    return int.from_bytes(packed, "little") - bias * _ones(len(digits), width)
-
-
-def _unpack(value: int, width: int, count: int) -> list[int]:
-    """The low `count` signed digits of value = sum_i d_i 2^(8 width i),
-    |d_i| < 2^(8 width - 1).  With the bias added to each of them the low
-    digits are unsigned and borrow nothing from the digits above, which
-    the mask drops."""
-    bias = 1 << (8 * width - 1)
-    size = width * count
-    low = (value + bias * _ones(count, width)) & ((1 << (8 * size)) - 1)
-    raw = low.to_bytes(size, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - bias
-            for i in range(0, size, width)]
-
-
 # --- exact division ------------------------------------------------------------------
 
 
@@ -281,20 +231,17 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
     return QSeries(Fraction(0), coeffs)
 
 
-def _inverse_phi_truncs(ks: list[int], cutoff: int) -> dict[int, QSeries]:
-    """1/phi_k for each k in `ks`, exactly through q^cutoff, from one
-    inversion of phi: 1/phi_k = (1/phi) prod_{n<k} (1 - q^n).  The factors
-    are applied for n = 1, 2, ... in turn, each as a running difference, and
-    1/phi_k is read off once every n < k has been applied."""
-    coeffs = phi(cutoff).inverse().coeffs
-    out = {}
-    n = 1
-    for k in sorted(set(ks)):
-        while n < min(k, cutoff + 1):
-            coeffs[n:] = map(sub, coeffs[n:], coeffs[:cutoff + 1 - n])
-            n += 1
-        out[k] = QSeries(Fraction(0), coeffs)
-    return out
+def _over_phi_truncs(numer: list[int], ks: list[int], cutoff: int) -> QSeries:
+    """numer / prod_{k in ks} phi_k, exactly through q^cutoff; `ks` is not
+    empty.  Each 1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is one division by
+    phi and, for each n < k, one running difference done in place."""
+    den = phi(cutoff).coeffs
+    out = numer
+    for k in ks:
+        out = _divide(out, den)
+        for n in range(1, min(k, cutoff + 1)):
+            out[n:] = map(sub, out[n:], out[:cutoff + 1 - n])
+    return QSeries(Fraction(0), out)
 
 
 # --- characters ----------------------------------------------------------------------
@@ -311,12 +258,7 @@ def verma_character(weights: list[int], c: Fraction, cutoff: int) -> QSeries:
         raise QSeriesError("weights must include the conformal weight 2")
     if ws[0] < 1:
         raise QSeriesError(f"bad weight {ws[0]}")
-    rest = list(ws)
-    rest.remove(2)
-    inverse = _inverse_phi_truncs(ws, cutoff)
-    out = inverse[2]
-    for h in rest:
-        out = out * inverse[h]
+    out = _over_phi_truncs([1], ws, cutoff)
     return out.shift(-Fraction(c) / 24)
 
 
@@ -352,13 +294,10 @@ def chi_tilde(p: int, cutoff: int) -> QSeries:
     if p < 2:
         raise QSeriesError("p must be >= 2")
     c = central_charge_p1(p)
-    inverse = _inverse_phi_truncs([1, 2, 2 * p - 1], cutoff)
-    first = inverse[2]
-    numer = QSeries(Fraction(0), ([1, 0, 0, -1] + [0] * cutoff)[:cutoff + 1])
-    phi_w_inv = inverse[2 * p - 1]
-    second = (numer * inverse[1] * phi_w_inv * phi_w_inv)
-    second = second.scale(3).shift(Fraction(2 * p - 1))
-    total = first + second
+    w = 2 * p - 1
+    first = _over_phi_truncs([1], [2], cutoff)
+    second = _over_phi_truncs([1, 0, 0, -1], [1, w, w], cutoff)
+    total = first + second.scale(3).shift(Fraction(w))
     return total.shift(-c / 24)
 
 

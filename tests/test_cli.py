@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from walgebra import cli
 from walgebra.algebra import central_charge_p1
 from walgebra.cli import main
-from walgebra.qseries import (QSeriesError, chi_tilde, diff_at_level,
+from walgebra.qseries import (MAX_CUTOFF, QSeriesError, chi_tilde, diff_at_level,
                               triplet_character, verma_character)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,6 +61,21 @@ def test_determinism():
     b = run_cli("derive", "--p", "2", "--format", "json")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+def test_char_diff_is_served_at_the_cutoff_bound(capsys):
+    # the largest cutoff the CLI accepts is computed, not only the ones above
+    # it refused: the p = 2 Verma and quotient characters through q^20000
+    bound = str(MAX_CUTOFF)
+    assert main(["char-diff", "--p", "2", "--left", "verma", "--right",
+                 "chi-tilde", "--level", bound, "--cutoff", bound]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert out == f"{int(out)}\n"
+    c = central_charge_p1(2)
+    full = verma_character([2, 3, 3, 3], c, MAX_CUTOFF)
+    short = verma_character([2, 3, 3, 3], c, 600)
+    assert full.offset == short.offset and full.coeffs[:601] == short.coeffs
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -221,20 +236,37 @@ def test_non_string_channel_symbol_exit_2(tmp_path, value):
         entry["k"] = k
 
 
-@pytest.mark.parametrize("key, edit", [
-    ("d i", lambda d: d["d"][1].update(i=3)),
-    ("d j", lambda d: d["d"][1].update(j=[1])),
-    ("structure_constants i", lambda d: d["structure_constants"][0].update(i=1.5)),
-    ("c_lower j", lambda d: d.update(
+STRING, ARRAY, PAIR = "a string", "a JSON array", "a [coefficient, expression] pair"
+
+
+@pytest.mark.parametrize("key, kind, edit", [
+    ("d i", STRING, lambda d: d["d"][1].update(i=3)),
+    ("d j", STRING, lambda d: d["d"][1].update(j=[1])),
+    ("structure_constants i", STRING,
+     lambda d: d["structure_constants"][0].update(i=1.5)),
+    ("c_lower j", STRING, lambda d: d.update(
         c_lower=[{"i": "T", "j": 2, "k": "T", "value": "-2"}])),
-    ("composite symbol", lambda d: d["composite_fields"][0].update(symbol=7)),
+    ("composite symbol", STRING, lambda d: d["composite_fields"][0].update(symbol=7)),
+    # a list-valued part of another JSON type, once the bare repr
+    # "malformed spec document: TypeError(...)" or "ValueError(...)"
+    ("generators", ARRAY, lambda d: d.update(generators=5)),
+    ("d", ARRAY, lambda d: d.update(d=5)),
+    ("structure_constants", ARRAY, lambda d: d.update(structure_constants="T")),
+    ("composite_fields", ARRAY,
+     lambda d: d.update(composite_fields={"symbol": "L4"})),
+    ("c_lower", ARRAY, lambda d: d.update(c_lower=None)),
+    ("a lincomb body", ARRAY, _define_l4({"lincomb": 5})),
+    ("a lincomb term", PAIR, _define_l4({"lincomb": [["1", T_REF, 2]]})),
+    ("a lincomb term", PAIR, _define_l4({"lincomb": [5]})),
 ], ids=["int_d_i", "list_d_j", "float_constant_i", "int_c_lower_j",
-        "int_composite_symbol"])
-def test_non_string_symbol_names_key_and_value(tmp_path, key, edit):
+        "int_composite_symbol", "int_generators", "int_d",
+        "string_structure_constants", "object_composite_fields", "null_c_lower",
+        "int_lincomb_body", "triple_lincomb_term", "int_lincomb_term"])
+def test_non_string_symbol_names_key_and_value(tmp_path, key, kind, edit):
     doc = _triplet_spec_doc()
     edit(doc)
     stderr = _bracket_spec_error(tmp_path, doc)
-    assert stderr.startswith(f"error: {key} must be a string, got ")
+    assert stderr.startswith(f"error: {key} must be {kind}, got ")
 
 
 @pytest.mark.parametrize("edit, message", [

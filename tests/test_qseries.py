@@ -255,22 +255,32 @@ def test_characters_agree_under_truncation(p):
 
 def test_verma_character_inverts_each_weight_once(monkeypatch):
     c = central_charge_p1(5)
-    want = (phi_trunc(2, 80).inverse() * phi_trunc(9, 80).inverse()
-            * phi_trunc(9, 80).inverse() * phi_trunc(9, 80).inverse()
-            ).shift(-c / 24)
-    calls = []
-    plain = QSeries.inverse
+    inverse = {k: phi_trunc(k, 80).inverse() for k in (1, 2, 9)}
+    verma = (inverse[2] * inverse[9] * inverse[9] * inverse[9]).shift(-c / 24)
+    triplet = (inverse[1] * triplet_theta_bracket(5, 80)).shift(-c / 24)
+    numer = series(Fraction(0), {0: 1, 3: -1}, 80)
+    chi = (inverse[2] + (numer * inverse[1] * inverse[9] * inverse[9]
+                         ).scale(3).shift(9)).shift(-c / 24)
+    divisions = []
+    plain = qseries._divide
 
-    def counted(self):
-        calls.append(self)
-        return plain(self)
+    def counted(numer, den):
+        divisions.append(den)
+        return plain(numer, den)
 
-    monkeypatch.setattr(QSeries, "inverse", counted)
-    got = verma_character([2, 9, 9, 9], c, 80)
-    # phi is inverted once; 1/phi_2 and 1/phi_9 are built from it
-    assert calls == [phi(80)]
-    assert got.offset == want.offset and got.coeffs == want.coeffs
-    assert got.render_lines() == want.render_lines()
+    def refused(*args):
+        raise AssertionError("a character multiplied or inverted a series")
+
+    monkeypatch.setattr(qseries, "_divide", counted)
+    monkeypatch.setattr(QSeries, "__mul__", refused)
+    monkeypatch.setattr(QSeries, "inverse", refused)
+    got_verma = verma_character([2, 9, 9, 9], c, 80)
+    # one division by phi per weight, and no product or inverse
+    assert divisions == [phi(80).coeffs] * 4
+    for got, want in ((got_verma, verma), (triplet_character(5, 80), triplet),
+                      (chi_tilde(5, 80), chi)):
+        assert got.offset == want.offset and got.coeffs == want.coeffs
+        assert got.render_lines() == want.render_lines()
 
 
 @settings(max_examples=80, deadline=None)
@@ -367,10 +377,17 @@ kernel_terms = st.one_of(
 @given(st.fractions(max_denominator=12), st.integers(min_value=-5, max_value=5),
        st.integers(min_value=-5, max_value=5), kernel_terms, kernel_terms,
        st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=30))
+@example(Fraction(0), 0, 0, dict(enumerate(range(1, 31))), {0: 2, 7: -3}, 30, 30)
+@example(Fraction(1, 3), 2, -1, {n: (-1) ** n * 2 ** 200 for n in range(25)},
+         {3: 5}, 24, 30)
+@example(Fraction(-1, 2), -3, 0, {n: n - 5 for n in range(31)}, {0: 1, 30: 1}, 30, 28)
 def test_product_is_the_schoolbook_product(base, i, j, xs, ys, x_cut, y_cut):
+    # each order of the factors: the product runs over the sparser one
     x = series(base + i, xs, x_cut)
     y = series(base + j, ys, y_cut)
-    assert_same_series(x * y, schoolbook_product(x, y))
+    want = schoolbook_product(x, y)
+    assert_same_series(x * y, want)
+    assert_same_series(y * x, want)
 
 
 def test_product_of_empty_series():
@@ -383,24 +400,6 @@ def test_product_of_empty_series():
     assert (late * phi(10)).coeffs == [0] * 11
 
 
-@pytest.mark.parametrize("x_sign,y_sign", [
-    ((1, 1), (1, 1)), ((1, 1), (-1, -1)), ((1, -1), (1, -1)), ((1, -1), (-1, 1)),
-])
-def test_digit_width_bound_is_tight(monkeypatch, x_sign, y_sign):
-    # 255 terms of size M = 2^100 - 1: the bound is 100 + 100 + 8 + 1 = 209
-    # bits, 27 bytes.  The middle coefficient is +-255 M^2, above 2^207 in
-    # size, so one bit less, 208 bits or 26 bytes, cannot hold it.
-    m, n = 2 ** 100 - 1, 255
-    x = series(Fraction(0), {i: x_sign[i % 2] * m for i in range(n)}, 2 * n)
-    y = series(Fraction(0), {i: y_sign[i % 2] * m for i in range(n)}, 2 * n)
-    want = schoolbook_product(x, y)
-    assert abs(want.coeffs[n - 1]) == n * m * m > 2 ** 207
-    assert_same_series(x * y, want)
-    plain = qseries._digit_bits
-    monkeypatch.setattr(qseries, "_digit_bits", lambda *args: plain(*args) - 1)
-    assert (x * y).coeffs != want.coeffs
-
-
 def test_verma_character_to_600_is_a_partition_convolution():
     # parts >= 2 for L, three colours of parts >= 9 for the W modes at p = 5
     ch = verma_character([2, 9, 9, 9], central_charge_p1(5), 600)
@@ -409,10 +408,10 @@ def test_verma_character_to_600_is_a_partition_convolution():
 
 
 def test_inverse_phi_truncs_count_restricted_partitions():
-    got = qseries._inverse_phi_truncs([9, 1, 2, 2, 500], 400)
-    assert sorted(got) == [1, 2, 9, 500]
-    for k, inv in got.items():
-        assert len(inv.coeffs) == 400 + 1
+    # 1/phi_k is one division by phi and a running difference per n < k
+    for k in (9, 1, 2, 500):
+        inv = qseries._over_phi_truncs([1], [k], 400)
+        assert inv.offset == 0 and len(inv.coeffs) == 400 + 1
         assert [inv.coeff_at_exponent(n) for n in range(401)] == \
             partitions_min_part(400, k)
 
