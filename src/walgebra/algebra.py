@@ -507,11 +507,10 @@ def _json_parsed(parse, value, what: str):
 
 
 def _json_list(value, what: str) -> list:
-    """A list-valued part of a spec document: a JSON array, or an empty
-    object, which lists nothing as an empty array does."""
-    if not isinstance(value, list) and value != {}:
+    """A list-valued part of a spec document, which must be a JSON array."""
+    if not isinstance(value, list):
         raise SpecError(f"{what} must be a JSON array, got {value!r}")
-    return list(value)
+    return value
 
 
 def _json_poly(value, what: str) -> Poly:

@@ -21,6 +21,12 @@ A rule names the earlier claims it rests on (its `base` or `parts`); replay,
 one pass in file order, accepts only steps it has already verified there.
 Certificates are self-contained: they carry the null-vector coefficient
 table, and verification uses only the algebra spec plus the certificate body.
+
+Each certificate text is parsed once per process (`certificate_from_json`
+keeps the last `PARSE_CACHE_SIZE` texts), and each step's verdict is
+memoized on the spec's engine, so a certificate replayed again on one spec
+checks only the steps that changed.  The packaged spec is one object per
+process, so every replay on it shares those verdicts.
 """
 
 from __future__ import annotations
@@ -731,10 +737,26 @@ def certificate_from_dict(doc: dict) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """The certificate a JSON text states, as a fresh `Certificate`: the
+    caller may swap its table, a step or a target.  The table and the steps
+    are immutable and shared by every load of the text."""
+    table, steps, targets = _parse_certificate(text)
+    return Certificate(table, list(steps), list(targets))
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _parse_certificate(text: str
+                       ) -> tuple[SingularTable, tuple[MembershipClaim, ...],
+                                  tuple[int, ...]]:
+    """The table, steps and targets of a certificate text.  Like
+    `parse_expression`, the last `PARSE_CACHE_SIZE` distinct texts are
+    cached, so a certificate loaded again is not parsed again; a text that
+    does not load raises CertificateError each time it is given."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # a document nested deeper than the interpreter's recursion limit
         # raises RecursionError from the decoder
         raise CertificateError(f"not valid JSON: {exc}") from exc
-    return certificate_from_dict(doc)
+    cert = certificate_from_dict(doc)
+    return cert.table, tuple(cert.steps), tuple(cert.targets)

@@ -24,6 +24,8 @@ from walgebra.engine import State
 from walgebra.scalar import Poly
 from walgebra.singular import load_triplet_p2_spec, substitute_constants
 
+from spec_helpers import fresh_triplet_p2_spec
+
 
 def T(n):
     return Mode("T", n)
@@ -238,7 +240,7 @@ def test_spec_refuses_assigning_or_deleting_any_attribute(name):
 def test_spec_engine_is_a_plain_attribute_after_first_use():
     # the replay reads spec.engine on every swap and step: after the first
     # read it comes from the instance, not from a property call
-    spec = load_triplet_p2_spec()
+    spec = fresh_triplet_p2_spec()
     assert "engine" not in vars(spec)
     engine = spec.engine
     assert vars(spec)["engine"] is engine
@@ -308,12 +310,15 @@ def test_load_spec_refuses_a_deeply_nested_document():
         load_spec('{"central_charge": ' + DEEP_JSON + "}")
 
 
-@pytest.mark.parametrize("generators", [[], {}], ids=["list", "object"])
-def test_load_spec_refuses_a_spec_without_generators(generators):
+@pytest.mark.parametrize("generators, message", [
+    ([], "no generators: the first generator must be the weight-2 conformal field"),
+    # an empty object is not an empty array: every list part must be an array
+    ({}, r"generators must be a JSON array, got \{\}"),
+], ids=["list", "object"])
+def test_load_spec_refuses_a_spec_without_generators(generators, message):
     for doc in ({"central_charge": "-2", "generators": generators},
                 {**_valid_virasoro_doc(), "generators": generators}):
-        with pytest.raises(SpecError, match="no generators: the first generator "
-                                            "must be the weight-2 conformal field"):
+        with pytest.raises(SpecError, match=message):
             load_spec(json.dumps(doc))
 
 

@@ -255,12 +255,16 @@ STRING, ARRAY, PAIR = "a string", "a JSON array", "a [coefficient, expression] p
     ("composite_fields", ARRAY,
      lambda d: d.update(composite_fields={"symbol": "L4"})),
     ("c_lower", ARRAY, lambda d: d.update(c_lower=None)),
+    # an empty object is refused as a non-empty one is
+    ("d", ARRAY, lambda d: d.update(d={})),
+    ("c_lower", ARRAY, lambda d: d.update(c_lower={})),
     ("a lincomb body", ARRAY, _define_l4({"lincomb": 5})),
     ("a lincomb term", PAIR, _define_l4({"lincomb": [["1", T_REF, 2]]})),
     ("a lincomb term", PAIR, _define_l4({"lincomb": [5]})),
 ], ids=["int_d_i", "list_d_j", "float_constant_i", "int_c_lower_j",
         "int_composite_symbol", "int_generators", "int_d",
         "string_structure_constants", "object_composite_fields", "null_c_lower",
+        "empty_object_d", "empty_object_c_lower",
         "int_lincomb_body", "triple_lincomb_term", "int_lincomb_term"])
 def test_non_string_symbol_names_key_and_value(tmp_path, key, kind, edit):
     doc = _triplet_spec_doc()
@@ -295,16 +299,19 @@ def test_deeply_nested_spec_exit_2(tmp_path, command):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("generators", [[], {}], ids=["list", "object"])
+@pytest.mark.parametrize("generators, message", [
+    ([], "no generators: the first generator must be the weight-2 conformal field"),
+    # an empty object is not an empty array: every list part must be an array
+    ({}, "generators must be a JSON array, got {}"),
+], ids=["list", "object"])
 @pytest.mark.parametrize("command", ["certify-c2", "verify-singular", "bracket"])
-def test_spec_without_generators_exit_2(tmp_path, command, generators):
+def test_spec_without_generators_exit_2(tmp_path, command, generators, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"central_charge": "-2", "generators": generators}))
     extra = ["--left", "T:2", "--right", "T:-2"] if command == "bracket" else []
     proc = run_cli(command, "--spec", str(path), *extra)
     assert proc.returncode == 2
-    assert proc.stderr == ("error: no generators: the first generator must be "
-                           "the weight-2 conformal field\n")
+    assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
 
 
