@@ -21,12 +21,6 @@ A rule names the earlier claims it rests on (its `base` or `parts`); replay,
 one pass in file order, accepts only steps it has already verified there.
 Certificates are self-contained: they carry the null-vector coefficient
 table, and verification uses only the algebra spec plus the certificate body.
-
-Each certificate text is parsed once per process (`certificate_from_json`
-keeps the last `PARSE_CACHE_SIZE` texts), and each step's verdict is
-memoized on the spec's engine, so a certificate replayed again on one spec
-checks only the steps that changed.  The packaged spec is one object per
-process, so every replay on it shares those verdicts.
 """
 
 from __future__ import annotations
@@ -364,6 +358,10 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
     memoized on the spec's engine under that key, so a later replay on the
     same spec checks only the steps whose key it has not seen."""
     memo = spec.engine.verdict_memo
+    # the table enters a key as the integer pairs of its six exact
+    # coefficients, equal exactly when the tables are equal: a Fraction
+    # hashes and compares in Python code, an int tuple in C
+    table_key = tuple([(c.numerator, c.denominator) for c in cert.table._astuple()])
     proved: dict[int, Expression] = {}
     reports: list[StepReport] = []
     for claim in cert.steps:
@@ -371,8 +369,8 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
             ok, detail = False, "duplicate step id"
         else:
             rule = claim.rule
-            key = (rule, claim.vector, tuple(proved.get(i) for i in _cited(rule)),
-                   cert.table if isinstance(rule, SingularRewriteRule) else None)
+            key = (rule, claim.vector, tuple(map(proved.get, _cited(rule))),
+                   table_key if isinstance(rule, SingularRewriteRule) else None)
             verdict = memo.get(key)
             if verdict is None:
                 verdict = memo[key] = _check_rule(claim, proved, cert.table, spec)
@@ -622,21 +620,27 @@ _NULL_COEFFICIENTS = SingularTable._fields
 
 # each JSON object of a certificate: its required keys, then its optional ones
 _KEYS = {
-    "the certificate": ({"null_coefficients", "steps", "targets"},),
-    "null_coefficients": (set(_NULL_COEFFICIENTS),),
+    "the certificate": ({"null_coefficients", "steps", "targets"}, frozenset()),
+    "null_coefficients": (set(_NULL_COEFFICIENTS), frozenset()),
     "a step": ({"id", "claim", "rule", "params"}, {"label"}),
-    "a claim": ({"vector", "space"},),
-    "a null": ({"coeff", "a", "b"},),
-    "a part": ({"coeff", "id"},),
-    **{f"{name} params": (set(rule._fields),)
+    "a claim": ({"vector", "space"}, frozenset()),
+    "a null": ({"coeff", "a", "b"}, frozenset()),
+    "a part": ({"coeff", "id"}, frozenset()),
+    **{f"{name} params": (set(rule._fields), frozenset())
        for name, rule in _RULES.items()},
 }
 
 
 def _keyed(doc, what: str) -> dict:
     """The JSON object `what` of a certificate, with exactly the keys
-    `_KEYS[what]` allows."""
-    return keyed(doc, what, *_KEYS[what], error=CertificateError)
+    `_KEYS[what]` allows.  A load checks some eighty objects, so the keys
+    of a well-formed one are compared here, and `keyed` is called only to
+    say what is wrong with the others."""
+    required, optional = _KEYS[what]
+    if isinstance(doc, dict) and (doc.keys() == required
+                                  or doc.keys() - optional == required):
+        return doc
+    return keyed(doc, what, required, optional, error=CertificateError)
 
 
 def _param_to_json(key: str, value):
@@ -737,26 +741,10 @@ def certificate_from_dict(doc: dict) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """The certificate a JSON text states, as a fresh `Certificate`: the
-    caller may swap its table, a step or a target.  The table and the steps
-    are immutable and shared by every load of the text."""
-    table, steps, targets = _parse_certificate(text)
-    return Certificate(table, list(steps), list(targets))
-
-
-@lru_cache(maxsize=PARSE_CACHE_SIZE)
-def _parse_certificate(text: str
-                       ) -> tuple[SingularTable, tuple[MembershipClaim, ...],
-                                  tuple[int, ...]]:
-    """The table, steps and targets of a certificate text.  Like
-    `parse_expression`, the last `PARSE_CACHE_SIZE` distinct texts are
-    cached, so a certificate loaded again is not parsed again; a text that
-    does not load raises CertificateError each time it is given."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # a document nested deeper than the interpreter's recursion limit
         # raises RecursionError from the decoder
         raise CertificateError(f"not valid JSON: {exc}") from exc
-    cert = certificate_from_dict(doc)
-    return cert.table, tuple(cert.steps), tuple(cert.targets)
+    return certificate_from_dict(doc)

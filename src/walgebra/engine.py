@@ -162,9 +162,7 @@ class Engine:
     verdicts of replayed `c2` certificate steps) are invisible caches.  The
     library uses the engine owned by the spec (`AlgebraSpec.engine`), so its
     memos live as long as the spec does and are shared by every computation
-    on that spec.  The packaged spec (`singular.load_triplet_p2_spec`) is one
-    object per process, so its engine's memos last for the whole process.
-    Constructing an `Engine` directly gives fresh, empty memos.
+    on that spec; constructing an `Engine` directly gives fresh, empty memos.
     """
 
     def __init__(self, spec: AlgebraSpec):

@@ -5,15 +5,12 @@ The coefficient table is published; the [W,W] structure constants are not.
 every table vector with numeric constants supplied by the algebra spec;
 ``solve_structure_constants`` treats the constants as unknowns and solves
 the annihilation equations for them.
-
-The packaged spec is loaded once per process (`load_triplet_p2_spec`), so
-every computation on it shares one engine and its memos.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -52,13 +49,8 @@ DEFAULT_TABLE = SingularTable()
 NULL_TERMS_CACHE_SIZE = 256
 
 
-@cache
 def load_triplet_p2_spec() -> AlgebraSpec:
-    """The packaged c = -2 triplet spec (symbolic [W,W] constants), read and
-    validated once per process: every call returns the same spec, so the
-    memos of its engine are shared by every computation on it.  The spec is
-    frozen and the memos are invisible caches, so sharing changes no result.
-    `algebra.load_spec` stays uncached, and gives a spec of its own."""
+    """The packaged c = -2 triplet spec (symbolic [W,W] constants)."""
     text = resources.files("walgebra.specs").joinpath("triplet_p2.json").read_text()
     return load_spec(text)
 

@@ -24,8 +24,6 @@ from walgebra.engine import State
 from walgebra.scalar import Poly
 from walgebra.singular import load_triplet_p2_spec, substitute_constants
 
-from spec_helpers import fresh_triplet_p2_spec
-
 
 def T(n):
     return Mode("T", n)
@@ -240,7 +238,7 @@ def test_spec_refuses_assigning_or_deleting_any_attribute(name):
 def test_spec_engine_is_a_plain_attribute_after_first_use():
     # the replay reads spec.engine on every swap and step: after the first
     # read it comes from the instance, not from a property call
-    spec = fresh_triplet_p2_spec()
+    spec = load_triplet_p2_spec()
     assert "engine" not in vars(spec)
     engine = spec.engine
     assert vars(spec)["engine"] is engine

@@ -20,8 +20,6 @@ from walgebra.singular import (
     verify_singular_p2,
 )
 
-from spec_helpers import fresh_triplet_p2_spec
-
 
 @pytest.fixture(scope="module")
 def spec():
@@ -208,12 +206,3 @@ def test_null_vector_terms_are_cached_per_table():
     assert null_vector_terms(1, 1, SingularTable().replace(c2=Fraction(1, 3))) is first
     assert null_vector_terms(1, 1) is not first
     assert null_vector_terms.cache_info().maxsize == singular.NULL_TERMS_CACHE_SIZE
-
-
-def test_the_packaged_spec_is_loaded_once_per_process():
-    spec = load_triplet_p2_spec()
-    assert load_triplet_p2_spec() is spec
-    # load_spec stays uncached: an equal spec, with an engine of its own
-    fresh = fresh_triplet_p2_spec()
-    assert fresh == spec and fresh is not spec
-    assert fresh.engine is not spec.engine
