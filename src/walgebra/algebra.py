@@ -472,55 +472,53 @@ def expr_symbols(expr: FieldExpr) -> Iterator[str]:
 # --- spec documents ----------------------------------------------------------
 
 
-def _json_int(value, what: str) -> int:
-    """An integer field of a spec document: a JSON integer, not a float, a
-    string or a boolean."""
-    if type(value) is not int:
-        raise SpecError(f"{what} must be a JSON integer, got {value!r}")
+# what each JSON type `typed` checks for is called in a refusal
+_JSON_KINDS = {int: "a JSON integer", str: "a string", list: "a JSON array"}
+
+
+def typed(value, kind: type, what: str, error=SpecError):
+    """`value`, the field `what` of a document, if its type is exactly
+    `kind` (int, str or list); otherwise raises `error`.  An integer field is
+    a JSON integer, not a float, a string or a boolean."""
+    if type(value) is not kind:
+        raise error(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 
 def _json_count(value, what: str) -> int:
     """A derivative order of a spec document: a JSON integer >= 0."""
-    value = _json_int(value, what)
+    value = typed(value, int, what)
     if value < 0:
         raise SpecError(f"{what} must be >= 0, got {value}")
     return value
 
 
-def _json_str(value, what: str) -> str:
-    """A string field of a spec document: a field symbol, or a number or
-    polynomial such as "-2" or "-uW"."""
-    if not isinstance(value, str):
-        raise SpecError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_parsed(parse, value, what: str):
-    """`parse` applied to the string field `value`; its ValueError is refused
-    as a SpecError that names `what`."""
-    text = _json_str(value, what)
+def parsed(parse, value, what: str, error=SpecError):
+    """`parse` applied to the string field `what`, such as a number or a
+    polynomial ("-2", "-uW"); its ValueError is refused as `error`, which
+    names `what`."""
+    text = typed(value, str, what, error)
     try:
         return parse(text)
     except ValueError as exc:
-        raise SpecError(f"{what}: {exc}") from None
+        raise error(f"{what}: {exc}") from None
 
 
-def _json_list(value, what: str) -> list:
-    """A list-valued part of a spec document, which must be a JSON array."""
-    if not isinstance(value, list):
-        raise SpecError(f"{what} must be a JSON array, got {value!r}")
-    return value
-
-
-def _json_poly(value, what: str) -> Poly:
-    return _json_parsed(parse_poly, value, what)
+def decoded(text: str, error=SpecError):
+    """The JSON value of a document's text; text that is not JSON raises
+    `error`."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a document nested deeper than the interpreter's recursion limit
+        # raises RecursionError from the decoder
+        raise error(f"not valid JSON: {exc}") from exc
 
 
 def _json_symbols(entry: dict, keys: str, what: str) -> tuple[str, ...]:
     """The field symbols under the one-letter `keys` of a `what` entry, each
     a string: the spec compares, sorts and hashes them."""
-    return tuple(_json_str(entry[key], f"{what} {key}") for key in keys)
+    return tuple(typed(entry[key], str, f"{what} {key}") for key in keys)
 
 
 def keyed(doc, what: str, required: set, optional: set = frozenset(),
@@ -554,7 +552,7 @@ def _entries(document: dict, key: str) -> list[dict]:
     """The objects listed under `key` of a spec document, each with exactly
     the keys `_SPEC_KEYS[key]` allows."""
     return [keyed(e, f"a {key} entry", *_SPEC_KEYS[key])
-            for e in _json_list(document.get(key, []), key)]
+            for e in typed(document.get(key, []), list, key)]
 
 
 def _put(table: dict, key, value, what: str) -> None:
@@ -568,7 +566,7 @@ def _parse_field_expr(doc) -> FieldExpr:
         raise SpecError(f"bad field expression {doc!r}")
     (kind, body), = doc.items()
     if kind == "gen":
-        return FieldRef(_json_str(body, "gen symbol"))
+        return FieldRef(typed(body, str, "gen symbol"))
     if kind == "deriv":
         body = keyed(body, "a deriv body", {"base", "order"})
         return Derivative(_parse_field_expr(body["base"]),
@@ -576,21 +574,21 @@ def _parse_field_expr(doc) -> FieldExpr:
     if kind == "nprod":
         body = keyed(body, "an nprod body", {"m", "left", "right"})
         return Nprod(
-            _json_int(body["m"], "nprod m"),
+            typed(body["m"], int, "nprod m"),
             _parse_field_expr(body["left"]),
             _parse_field_expr(body["right"]),
         )
     if kind == "qpnop":
         body = keyed(body, "a qpnop body", {"j", "i"}, {"n"})
-        return QPNop(_json_str(body["j"], "qpnop j"), _json_str(body["i"], "qpnop i"),
+        return QPNop(typed(body["j"], str, "qpnop j"), typed(body["i"], str, "qpnop i"),
                      _json_count(body.get("n", 0), "qpnop n"))
     if kind == "lincomb":
         terms = []
-        for term in _json_list(body, "a lincomb body"):
+        for term in typed(body, list, "a lincomb body"):
             if not isinstance(term, list) or len(term) != 2:
                 raise SpecError("a lincomb term must be a [coefficient, "
                                 f"expression] pair, got {term!r}")
-            terms.append((_json_poly(term[0], "lincomb coefficient"),
+            terms.append((parsed(parse_poly, term[0], "lincomb coefficient"),
                           _parse_field_expr(term[1])))
         return LinComb(tuple(terms))
     raise SpecError(f"unknown field expression kind {kind!r}")
@@ -607,41 +605,35 @@ def load_spec(text: str) -> AlgebraSpec:
     names only generators and the composites listed before it.
     """
     try:
-        document = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # a document nested deeper than the interpreter's recursion limit
-        # raises RecursionError from the decoder
-        raise SpecError(f"not valid JSON: {exc}") from exc
-    try:
-        document = keyed(document, "the spec document",
+        document = keyed(decoded(text), "the spec document",
                          *_SPEC_KEYS["the spec document"])
-        c = _json_parsed(parse_rational, document["central_charge"], "central_charge")
+        c = parsed(parse_rational, document["central_charge"], "central_charge")
         gens = tuple(
-            GeneratorDecl(_json_str(g["symbol"], "generator symbol"),
-                          _json_int(g["weight"], "generator weight"))
+            GeneratorDecl(typed(g["symbol"], str, "generator symbol"),
+                          typed(g["weight"], int, "generator weight"))
             for g in _entries(document, "generators")
         )
         d = {}
         for entry in _entries(document, "d"):
             i, j = _json_symbols(entry, "ij", "d")
             _put(d, (i, j) if i <= j else (j, i),
-                 _json_poly(entry["value"], "d value"), "pairing")
+                 parsed(parse_poly, entry["value"], "d value"), "pairing")
         constants = {}
         for entry in _entries(document, "structure_constants"):
             _put(constants, _json_symbols(entry, "ijk", "structure_constants"),
-                 _json_poly(entry["value"], "structure constant value"),
+                 parsed(parse_poly, entry["value"], "structure constant value"),
                  "structure constant")
         composites = {}
         for entry in _entries(document, "composite_fields"):
-            sym = _json_str(entry["symbol"], "composite symbol")
+            sym = typed(entry["symbol"], str, "composite symbol")
             _put(composites, sym, CompositeDecl(
-                sym, _json_int(entry["weight"], "composite weight"),
+                sym, typed(entry["weight"], int, "composite weight"),
                 _parse_field_expr(entry["definition"])
             ), "composite field")
         c_lower = {}
         for entry in _entries(document, "c_lower"):
             _put(c_lower, _json_symbols(entry, "ijk", "c_lower"),
-                 _json_poly(entry["value"], "c_lower value"), "c_lower entry")
+                 parsed(parse_poly, entry["value"], "c_lower value"), "c_lower entry")
     except SpecError:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

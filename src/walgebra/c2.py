@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, get_args
 
-from .algebra import AlgebraSpec, FrozenRecord, Mode, Record, convert_index, keyed
+from .algebra import (AlgebraSpec, FrozenRecord, Mode, Record, convert_index, decoded,
+                      keyed, parsed, typed)
 from .engine import State
 from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
@@ -591,27 +592,11 @@ def parse_expression(text: str) -> Expression:
         pos = sep.end()
 
 
-def _mode_from_str(s: str) -> Mode:
-    m = _MODE_RE.fullmatch(_typed(s, str).strip())
+def _mode_from_str(s, what: str) -> Mode:
+    m = _MODE_RE.fullmatch(typed(s, str, what, CertificateError).strip())
     if not m:
         raise CertificateError(f"bad mode {s!r}")
     return Mode(m.group(1), int(m.group(2)))
-
-
-def _typed(value, kind: type):
-    if type(value) is not kind:
-        raise CertificateError(f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _parsed(parse, value, what: str):
-    """`parse` applied to the string `value`; its ValueError is refused as a
-    CertificateError that names `what`."""
-    text = _typed(value, str)
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise CertificateError(f"{what}: {exc}") from None
 
 
 _RULES = {rule.name: rule for rule in get_args(Rule)}
@@ -658,20 +643,26 @@ def _param_to_json(key: str, value):
 
 
 def _param_from_json(key: str, value):
+    """The value of the params key `key`; a refusal names the key."""
     if key in ("n", "base"):
-        return _typed(value, int)
+        return typed(value, int, key, CertificateError)
     if key in ("a", "b"):
-        return _mode_from_str(value)
-    if key in ("prefix", "block", "right"):
-        return tuple(_mode_from_str(s) for s in _typed(value, list))
+        return _mode_from_str(value, key)
     if key == "remainder":
-        return parse_expression(_typed(value, str))
+        return parse_expression(typed(value, str, key, CertificateError))
+    value = typed(value, list, key, CertificateError)
+    if key in ("prefix", "block", "right"):
+        what = f"a {key} entry"
+        return tuple(_mode_from_str(s, what) for s in value)
     if key == "nulls":
-        entries = [_keyed(e, "a null") for e in _typed(value, list)]
-        return tuple((_parsed(parse_poly, e["coeff"], "a null coeff"),
-                      (_typed(e["a"], int), _typed(e["b"], int))) for e in entries)
-    entries = [_keyed(e, "a part") for e in _typed(value, list)]
-    return tuple((_parsed(parse_poly, e["coeff"], "a part coeff"), _typed(e["id"], int))
+        entries = [_keyed(e, "a null") for e in value]
+        return tuple((parsed(parse_poly, e["coeff"], "a null coeff", CertificateError),
+                      (typed(e["a"], int, "a null a", CertificateError),
+                       typed(e["b"], int, "a null b", CertificateError)))
+                     for e in entries)
+    entries = [_keyed(e, "a part") for e in value]
+    return tuple((parsed(parse_poly, e["coeff"], "a part coeff", CertificateError),
+                  typed(e["id"], int, "a part id", CertificateError))
                  for e in entries)
 
 
@@ -680,7 +671,7 @@ def _rule_to_dict(rule: Rule) -> dict:
 
 
 def _rule_from_dict(name: str, params: dict) -> Rule:
-    if _typed(name, str) not in _RULES:
+    if typed(name, str, "rule", CertificateError) not in _RULES:
         raise CertificateError(f"unknown rule name {name!r}")
     params = _keyed(params, f"{name} params")
     return _RULES[name](**{k: _param_from_json(k, v) for k, v in params.items()})
@@ -715,24 +706,26 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         doc = _keyed(doc, "the certificate")
         table = SingularTable(**{
-            k: _parsed(parse_rational, v, f"null coefficient {k}")
+            k: parsed(parse_rational, v, f"null coefficient {k}", CertificateError)
             for k, v in _keyed(doc["null_coefficients"], "null_coefficients").items()
         })
         steps = []
-        for s in _typed(doc["steps"], list):
+        for s in typed(doc["steps"], list, "steps", CertificateError):
             s = _keyed(s, "a step")
             space = _keyed(s["claim"], "a claim")["space"]
             if space != "C2":
                 raise CertificateError(f"claim space {space!r} is not C2")
             steps.append(
                 MembershipClaim(
-                    id=_typed(s["id"], int),
-                    vector=parse_expression(_typed(s["claim"]["vector"], str)),
+                    id=typed(s["id"], int, "step id", CertificateError),
+                    vector=parse_expression(typed(s["claim"]["vector"], str,
+                                                  "claim vector", CertificateError)),
                     rule=_rule_from_dict(s["rule"], s["params"]),
-                    label=_typed(s.get("label", ""), str),
+                    label=typed(s.get("label", ""), str, "label", CertificateError),
                 )
             )
-        targets = [_typed(t, int) for t in _typed(doc["targets"], list)]
+        targets = [typed(t, int, "a target", CertificateError)
+                   for t in typed(doc["targets"], list, "targets", CertificateError)]
     except CertificateError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
@@ -741,10 +734,4 @@ def certificate_from_dict(doc: dict) -> Certificate:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # a document nested deeper than the interpreter's recursion limit
-        # raises RecursionError from the decoder
-        raise CertificateError(f"not valid JSON: {exc}") from exc
-    return certificate_from_dict(doc)
+    return certificate_from_dict(decoded(text, CertificateError))

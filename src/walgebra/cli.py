@@ -368,22 +368,12 @@ def build_parser():
 
 
 def _parse_args(argv: list[str]):
-    """Parse argv from the table when it is in its plain form.  Otherwise
-    parse it with the named command's argparse parser alone, as the full
-    parser's subparser of the same name would; anything that parser leaves
-    over, and any first argument that is not a command, goes to the full
-    parser, which reports it at the top level."""
+    """Parse argv from the table when it is in its plain form; anything
+    else (help, abbreviations, `--opt=value`, usage errors) goes to the full
+    argparse parser."""
     args = _table_args(argv)
     if args is not None:
         return args
-    if argv and argv[0] in _COMMANDS:
-        import argparse
-
-        parser = argparse.ArgumentParser(prog=f"walgebra {argv[0]}")
-        _add_options(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
     return build_parser().parse_args(argv)
 
 

@@ -247,20 +247,10 @@ class Poly:
     def coeff_of_symbol(self, name: str) -> tuple["Poly", "Poly"]:
         """Split as  coeff*name + rest  with ``name`` of degree exactly 1.
 
-        Raises if ``name`` appears with power >= 2.
+        Raises ValueError (a SolveError) if ``name`` appears with power >= 2.
         """
-        coeff: dict[Mono, int | Fraction] = {}
-        rest: dict[Mono, int | Fraction] = {}
-        for mono, c in self._t.items():
-            hit = [(s, p) for s, p in mono if s == name]
-            if not hit:
-                rest[mono] = c
-            else:
-                if hit[0][1] > 1:
-                    raise ValueError(f"{name} appears with power {hit[0][1]}")
-                reduced = tuple((s, p) for s, p in mono if s != name)
-                coeff[reduced] = c
-        return _from_terms(coeff), _from_terms(rest)
+        row = _decompose(self, [name])
+        return row.get(name, Poly()), row.get(None, Poly())
 
     # --- rendering ----------------------------------------------------------
 

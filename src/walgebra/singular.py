@@ -10,7 +10,6 @@ the annihilation equations for them.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -46,7 +45,6 @@ class SingularTable(FrozenRecord):
 
 
 DEFAULT_TABLE = SingularTable()
-NULL_TERMS_CACHE_SIZE = 256
 
 
 def load_triplet_p2_spec() -> AlgebraSpec:
@@ -63,12 +61,10 @@ def _t(n: int) -> Mode:
     return Mode("T", n)
 
 
-@lru_cache(maxsize=NULL_TERMS_CACHE_SIZE)
 def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
                       ) -> tuple[tuple[Poly, tuple[Mode, ...]], ...]:
     """The table vector N^ab as (coefficient, mode sequence) terms; the one
-    place the table coefficients become vectors.  The terms of the last
-    `NULL_TERMS_CACHE_SIZE` = 256 (a, b, table) keys are cached."""
+    place the table coefficients become vectors."""
     t = table
     terms = [(Poly.const(1), (_w(a, -3), _w(b, -3)))]
     if a == b:

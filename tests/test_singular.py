@@ -199,10 +199,3 @@ def test_second_table_adds_no_memo_entries(numeric_spec):
     assert not verify_singular_p2(numeric_spec, table=bad)[0]
     assert (len(engine._memo), len(engine._normal_memo)) == sizes
 
-
-def test_null_vector_terms_are_cached_per_table():
-    table = SingularTable().replace(c2=Fraction(1, 3))
-    first = null_vector_terms(1, 1, table)
-    assert null_vector_terms(1, 1, SingularTable().replace(c2=Fraction(1, 3))) is first
-    assert null_vector_terms(1, 1) is not first
-    assert null_vector_terms.cache_info().maxsize == singular.NULL_TERMS_CACHE_SIZE
