@@ -13,7 +13,10 @@ Records
 No record type but one is a dataclass, whose generated methods used to be
 most of the cost of a cold import.  Modes, field expressions, declarations
 and bracket results, like the derivation, solve and step reports
-elsewhere, are ``typing.NamedTuple`` records: immutable and hashable.  They
+elsewhere, are subclasses of ``collections.namedtuple`` types that add their
+methods and docstrings and declare ``__slots__ = ()``: immutable, hashable,
+and with no instance dict.  (``typing.NamedTuple`` would compile every
+field's annotation into a ``ForwardRef`` when the module is imported.)  They
 compare as tuples, so a record equals any tuple, or record of another type,
 with the same contents, and ``Identity()`` equals ``()`` and is false.
 Code that handles field expressions dispatches on ``isinstance`` and never
@@ -33,13 +36,15 @@ calls ``dataclasses.replace`` on a step.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Union
 
 from .scalar import IMAG, Poly, binom_int, exact, parse_poly, parse_rational, render_poly
 
+TYPE_CHECKING = False  # true for a type checker only; `typing` is never imported
 if TYPE_CHECKING:
     from .engine import Engine
 
@@ -48,11 +53,10 @@ class SpecError(ValueError):
     """Invalid algebra specification document."""
 
 
-class Mode(NamedTuple):
+class Mode(namedtuple("Mode", "field n")):
     """A single mode of a declared field, physics index."""
 
-    field: str
-    n: int
+    __slots__ = ()
 
     def render(self) -> str:
         return f"{self.field}({self.n})"
@@ -74,47 +78,44 @@ def convert_index(n: int, weight: int, direction: str) -> int:
 # --- field expressions -------------------------------------------------------
 
 
-class FieldRef(NamedTuple):
+class FieldRef(namedtuple("FieldRef", "symbol")):
     """A declared field: generator or registered composite."""
 
-    symbol: str
+    __slots__ = ()
 
 
-class Identity(NamedTuple):
+class Identity(namedtuple("Identity", ())):
     """The identity field (weight 0, only mode 0 acts, as the identity)."""
 
-
-class Derivative(NamedTuple):
-    base: "FieldExpr"
-    order: int
+    __slots__ = ()
 
 
-class Nprod(NamedTuple):
+class Derivative(namedtuple("Derivative", "base order")):  # FieldExpr, int
+    __slots__ = ()
+
+
+class Nprod(namedtuple("Nprod", "m left right")):
     """Ordered bilinear normal product N^(m)(left, right).
 
     Modes: N^(m)(phi,psi)_n = sum_{k<m} phi_{n+k} psi_{-k}
                             + sum_{k>=m} psi_{-k} phi_{n+k}.
     """
 
-    m: int
-    left: "FieldExpr"
-    right: "FieldExpr"
+    __slots__ = ()
 
 
-class QPNop(NamedTuple):
+class QPNop(namedtuple("QPNop", "j i n")):
     """Quasi-primary normal-ordered product of declared fields j, i with
     n derivatives on the second slot; expanded by the engine."""
 
-    j: str
-    i: str
-    n: int
+    __slots__ = ()
 
 
-class LinComb(NamedTuple):
-    parts: tuple[tuple[Poly, "FieldExpr"], ...]
+class LinComb(namedtuple("LinComb", "parts")):  # ((Poly, FieldExpr), ...)
+    __slots__ = ()
 
 
-class TopPower(NamedTuple):
+class TopPower(namedtuple("TopPower", "base count")):
     """The `count`-fold normal-ordered power of the generator `base`, kept
     only at top length: its vacuum modes give the words of exactly `count`
     modes.
@@ -126,25 +127,21 @@ class TopPower(NamedTuple):
     The engine evaluates it on the vacuum only.
     """
 
-    base: str
-    count: int
+    __slots__ = ()
 
 
-FieldExpr = Union[FieldRef, Identity, Derivative, Nprod, QPNop, LinComb, TopPower]
+FieldExpr = FieldRef | Identity | Derivative | Nprod | QPNop | LinComb | TopPower
 
 
 # --- algebra specification ---------------------------------------------------
 
 
-class GeneratorDecl(NamedTuple):
-    symbol: str
-    weight: int
+class GeneratorDecl(namedtuple("GeneratorDecl", "symbol weight")):
+    __slots__ = ()
 
 
-class CompositeDecl(NamedTuple):
-    symbol: str
-    weight: int
-    definition: FieldExpr
+class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
+    __slots__ = ()  # definition is a FieldExpr
 
 
 class Record:
@@ -385,12 +382,11 @@ def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     return exact(total)
 
 
-class OperatorSum(NamedTuple):
-    """Result of a mode bracket: channel modes with coefficients plus a
-    central scalar."""
+class OperatorSum(namedtuple("OperatorSum", "terms central")):
+    """Result of a mode bracket: channel modes with coefficients, as
+    (Poly, Mode) pairs, plus a central Poly."""
 
-    terms: tuple[tuple[Poly, Mode], ...]
-    central: Poly
+    __slots__ = ()
 
     def render(self) -> str:
         bits = [f"({render_poly(c)})*{m.render()}" for c, m in self.terms]

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, get_args
 
 from .algebra import (AlgebraSpec, FrozenRecord, Mode, Record, convert_index, decoded,
                       keyed, parsed, typed)
@@ -200,11 +200,8 @@ class Certificate(Record):
         self.targets = targets
 
 
-class StepReport(NamedTuple):
-    id: int
-    ok: bool
-    label: str
-    detail: str = ""
+class StepReport(namedtuple("StepReport", "id ok label detail", defaults=("",))):
+    __slots__ = ()
 
 
 # --- verification ------------------------------------------------------------
@@ -540,9 +537,17 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
 
 # --- serialization ----------------------------------------------------------------
 
-_MODE_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\((-?\d+)\)")
-_TERM_RE = re.compile(r"\(([^)]*)\)\s*((?:\s*[A-Za-z_][A-Za-z0-9_]*\(-?\d+\))*)\s*\|0>")
-_SEP_RE = re.compile(r"\s*\+\s*")
+# The patterns of an expression text, compiled by `_patterns` on first use:
+# only a certificate load reads them, so importing c2 compiles nothing.
+_MODE_RE = r"([A-Za-z_][A-Za-z0-9_]*)\((-?\d+)\)"
+_TERM_RE = r"\(([^)]*)\)\s*((?:\s*[A-Za-z_][A-Za-z0-9_]*\(-?\d+\))*)\s*\|0>"
+_SEP_RE = r"\s*\+\s*"
+
+
+@lru_cache(maxsize=None)
+def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The mode, term and separator patterns, compiled once."""
+    return re.compile(_MODE_RE), re.compile(_TERM_RE), re.compile(_SEP_RE)
 
 
 def render_expression(a: Expression) -> str:
@@ -568,11 +573,12 @@ def parse_expression(text: str) -> Expression:
     text = text.strip()
     if text == "0":
         return ()
+    mode_re, term_re, sep_re = _patterns()
     out = []
     pos = 0
     while True:
         # each term starts where the previous " + " ended; nothing is skipped
-        m = _TERM_RE.match(text, pos)
+        m = term_re.match(text, pos)
         if m is None:
             raise CertificateError(f"cannot parse expression {text!r} at {pos}")
         try:
@@ -581,25 +587,25 @@ def parse_expression(text: str) -> Expression:
             raise CertificateError(f"bad coefficient in expression {text!r}: "
                                    f"{exc}") from exc
         out.append(
-            (coeff, tuple(Mode(f, int(n)) for f, n in _MODE_RE.findall(m.group(2))))
+            (coeff, tuple(Mode(f, int(n)) for f, n in mode_re.findall(m.group(2))))
         )
         pos = m.end()
         if pos == len(text):
             return expression(*out)
-        sep = _SEP_RE.match(text, pos)
+        sep = sep_re.match(text, pos)
         if sep is None:
             raise CertificateError(f"cannot parse expression {text!r} at {pos}")
         pos = sep.end()
 
 
 def _mode_from_str(s, what: str) -> Mode:
-    m = _MODE_RE.fullmatch(typed(s, str, what, CertificateError).strip())
+    m = _patterns()[0].fullmatch(typed(s, str, what, CertificateError).strip())
     if not m:
-        raise CertificateError(f"bad mode {s!r}")
+        raise CertificateError(f"{what}: bad mode {s!r}")
     return Mode(m.group(1), int(m.group(2)))
 
 
-_RULES = {rule.name: rule for rule in get_args(Rule)}
+_RULES = {rule.name: rule for rule in Rule.__args__}
 _NULL_COEFFICIENTS = SingularTable._fields
 
 
@@ -649,7 +655,7 @@ def _param_from_json(key: str, value):
     if key in ("a", "b"):
         return _mode_from_str(value, key)
     if key == "remainder":
-        return parse_expression(typed(value, str, key, CertificateError))
+        return parsed(parse_expression, value, key, CertificateError)
     value = typed(value, list, key, CertificateError)
     if key in ("prefix", "block", "right"):
         what = f"a {key} entry"
@@ -718,8 +724,8 @@ def certificate_from_dict(doc: dict) -> Certificate:
             steps.append(
                 MembershipClaim(
                     id=typed(s["id"], int, "step id", CertificateError),
-                    vector=parse_expression(typed(s["claim"]["vector"], str,
-                                                  "claim vector", CertificateError)),
+                    vector=parsed(parse_expression, s["claim"]["vector"],
+                                  "claim vector", CertificateError),
                     rule=_rule_from_dict(s["rule"], s["params"]),
                     label=typed(s.get("label", ""), str, "label", CertificateError),
                 )

@@ -34,7 +34,8 @@ from .qseries import (
 from .scalar import SolveError, render_poly
 from .singular import load_triplet_p2_spec, solve_structure_constants, verify_singular_p2
 
-_MODE_ARG = re.compile(r"([A-Za-z_][A-Za-z0-9_]*):(-?\d+)$")
+# compiled on the first `bracket` call, the only command that reads a mode
+_MODE_ARG = r"([A-Za-z_][A-Za-z0-9_]*):(-?\d+)"
 
 
 class InputError(ValueError):
@@ -42,7 +43,7 @@ class InputError(ValueError):
 
 
 def _parse_mode(text: str) -> Mode:
-    m = _MODE_ARG.match(text.strip())
+    m = re.fullmatch(_MODE_ARG, text.strip())
     if not m:
         raise InputError(f"mode must look like FIELD:INDEX, got {text!r}")
     return Mode(m.group(1), int(m.group(2)))

@@ -20,8 +20,8 @@ the engine's recursion inside Python's default limit.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import Mode, make_derivation_spec
 from .engine import State, project_with_audit
@@ -51,10 +51,10 @@ def _lword(parts: list[int]) -> tuple[Mode, ...]:
     return tuple(_T(-k) for k in sorted(parts, reverse=True))
 
 
-class Monomials(NamedTuple):
+class Monomials(namedtuple("Monomials", "delta")):
     """The canonical words the pipeline tracks at length Delta-1."""
 
-    delta: int
+    __slots__ = ()
 
     @property
     def ww(self):  # W_{-d} W_{-d}
@@ -95,21 +95,10 @@ class Monomials(NamedTuple):
         return _lword([3, 3, 3] + [2] * (self.delta - 4))
 
 
-class DerivationReport(NamedTuple):
-    p: int
-    delta: int
-    beta_ww: Poly
-    gamma_ww: Poly
-    beta_ww_prime: Fraction
-    B_quasiprimary: Poly
-    gamma_sum: Poly
-    beta: Poly
-    gamma: Poly
-    xi: tuple[Poly, Poly, Poly]
-    B_primary: Poly
-    alpha_zero_consistent: bool
-    difference: Poly
-    assumptions: list[str]
+class DerivationReport(namedtuple("DerivationReport", (
+        "p delta beta_ww gamma_ww beta_ww_prime B_quasiprimary gamma_sum beta gamma "
+        "xi B_primary alpha_zero_consistent difference assumptions"))):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

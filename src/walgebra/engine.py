@@ -8,10 +8,10 @@ and every mode satisfies n <= -weight.  The leftmost mode acts last.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
-from typing import Iterable, Iterator, Mapping
 
 from .algebra import (
     AlgebraSpec,

@@ -11,9 +11,9 @@ eagerly so a polynomial never stores a power of I above 1.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
 
 
 IMAG = "I"

@@ -9,9 +9,9 @@ the annihilation equations for them.
 
 from __future__ import annotations
 
+import os
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
-from typing import NamedTuple
 
 from .algebra import AlgebraSpec, FrozenRecord, Mode, load_spec
 from .engine import Engine, State
@@ -48,9 +48,11 @@ DEFAULT_TABLE = SingularTable()
 
 
 def load_triplet_p2_spec() -> AlgebraSpec:
-    """The packaged c = -2 triplet spec (symbolic [W,W] constants)."""
-    text = resources.files("walgebra.specs").joinpath("triplet_p2.json").read_text()
-    return load_spec(text)
+    """The packaged c = -2 triplet spec (symbolic [W,W] constants), read from
+    the `specs` directory next to this module."""
+    path = os.path.join(os.path.dirname(__file__), "specs", "triplet_p2.json")
+    with open(path, encoding="utf-8") as fh:
+        return load_spec(fh.read())
 
 
 def _w(a: int, n: int) -> Mode:
@@ -107,11 +109,8 @@ def _symbolic_constants(spec: AlgebraSpec) -> list[str]:
     return sorted({s for v in spec.constants.values() for s in v.symbols()} - {"I"})
 
 
-class SolveReport(NamedTuple):
-    consistent: bool
-    assignment: dict[str, Poly]
-    free: list[str]
-    detail: str
+class SolveReport(namedtuple("SolveReport", "consistent assignment free detail")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

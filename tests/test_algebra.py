@@ -321,8 +321,9 @@ def test_load_spec_refuses_a_spec_without_generators(generators, message):
 
 
 # The one dataclass left: bench/worker.py calls dataclasses.replace on a
-# step.  Every other record is a NamedTuple or a hand-written class, either
-# of which costs a cold import far less than a dataclass.
+# step.  Every other record is a collections.namedtuple subclass or a
+# hand-written class, either of which costs a cold import far less than a
+# dataclass.
 KEPT_DATACLASSES = {"walgebra.c2.MembershipClaim"}
 
 _LIST_DATACLASSES = """

@@ -560,31 +560,46 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         except SystemExit as exc:
             codes.append(exc.code)
 print(json.dumps({{"stdout": out.getvalue(), "stderr": err.getvalue(), "codes": codes,
-                  "modules": [m for m in ("argparse", "gettext", "locale")
-                              if m in sys.modules]}}))
+                  "modules": [m for m in {watched!r} if m in sys.modules]}}))
 """
 
 
-def _cold_call(*argvs):
-    proc = subprocess.run([sys.executable, "-I", "-c",
-                           COLD_CALL.format(src=str(SRC), argvs=list(argvs))],
+def _cold_call(*argvs, flags=("-I",), watched=("argparse", "gettext", "locale")):
+    """Run `cli.main` on each argv in one fresh interpreter started with
+    `flags`; report the output, the exit codes and which of the `watched`
+    modules are loaded at the end."""
+    script = COLD_CALL.format(src=str(SRC), argvs=list(argvs), watched=list(watched))
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "COLUMNS": "80"})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_plain_calls_never_import_argparse(tmp_path):
+def _plain_calls(tmp_path) -> list[list[str]]:
+    """One call of each command in its plain form."""
     out = ["--out", str(tmp_path / "out")]
-    result = _cold_call(
-        ["bracket", "--virasoro", "--left", "T:2", "--right", "T:-2", *out],
-        ["character", "--p", "2", "--cutoff", "8", *out],
-        ["verma-character", "--p", "2", "--cutoff", "8", *out],
-        ["char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
-         "--level", "8", "--format", "json", *out],
-        ["derive", "--p", "2", *out],
-        ["certify-c2", "--format", "json", *out],
-        ["verify-singular", "--solve-mode", *out])
+    return [["bracket", "--virasoro", "--left", "T:2", "--right", "T:-2", *out],
+            ["character", "--p", "2", "--cutoff", "8", *out],
+            ["verma-character", "--p", "2", "--cutoff", "8", *out],
+            ["char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
+             "--level", "8", "--format", "json", *out],
+            ["derive", "--p", "2", *out],
+            ["certify-c2", "--format", "json", *out],
+            ["verify-singular", "--solve-mode", *out]]
+
+
+def test_plain_calls_never_import_argparse(tmp_path):
+    result = _cold_call(*_plain_calls(tmp_path))
+    assert result["codes"] == [0] * 7, result["stderr"]
+    assert result["modules"] == []
+
+
+def test_cold_start_imports_no_typing_pathlib_or_zipfile(tmp_path):
+    # -S as well as -I: a site .pth file may import these modules before any
+    # walgebra code runs.  The calls include a load of the packaged spec.
+    result = _cold_call(*_plain_calls(tmp_path), flags=("-I", "-S"),
+                        watched=("typing", "importlib.resources", "zipfile", "pathlib"))
     assert result["codes"] == [0] * 7, result["stderr"]
     assert result["modules"] == []
 
