@@ -40,6 +40,7 @@ from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd
 from types import MappingProxyType
 
 from .scalar import IMAG, Poly, binom_int, exact, parse_poly, parse_rational, render_poly
@@ -340,27 +341,51 @@ class AlgebraSpec(FrozenRecord):
 
 
 @lru_cache(maxsize=None)
-def _a_coeffs(hi: int, hj: int, hk: int) -> tuple[int | Fraction, ...]:
+def _a_coeffs(hi: int, hj: int, hk: int) -> tuple[tuple[int, ...], int]:
+    """The anchor coefficients a^t = C(h_i+h_k-h_j+t-1, t) / C(2h_k+t-1, t),
+    t < h(ijk), as integer numerators over one common denominator:
+    ``(numerators, den)`` with a^t = numerators[t] / den.
+
+    a^{t+1} / a^t = (h_i+h_k-h_j+t) / (2h_k+t), so a^t is a ratio of two
+    rising products and the last denominator is a multiple of every other;
+    numerators and denominator are then divided by their common gcd."""
+    u, v = hi + hk - hj, 2 * hk
+    nums, top, den = [1], 1, 1
+    for t in range(hi + hj - hk - 1):
+        nums = [a * (v + t) for a in nums]
+        top *= u + t
+        nums.append(top)
+        den *= v + t
+    g = gcd(den, *nums)
+    return tuple(a // g for a in nums), den // g
+
+
+def _channel_sum(hi: int, hj: int, hk: int, x: int, y: int) -> int | Fraction:
+    """sum_{t+s=h(ijk)-1} a^t C(x, t) C(y, s) for integers x, y, summed in
+    integers over the common denominator of :func:`_a_coeffs`.
+
+    Each binomial row is a running product, C(x, t+1) = C(x, t) (x-t) / (t+1),
+    whose division is exact; one Fraction is built at the end."""
     h = hi + hj - hk
-    return tuple(
-        exact(Fraction(binom_int(hi + hk - hj + t - 1, t),
-                       binom_int(2 * hk + t - 1, t)))
-        for t in range(h)
-    )
+    if h < 1:
+        raise ValueError(f"h(ijk) = {h} < 1")
+    nums, den = _a_coeffs(hi, hj, hk)
+    cy = [1]
+    for s in range(h - 1):
+        cy.append(cy[-1] * (y - s) // (s + 1))
+    total = 0
+    cx = 1
+    for t in range(h):
+        total += nums[t] * cx * cy[h - 1 - t]
+        cx = cx * (x - t) // (t + 1)
+    return exact(Fraction(total, den))
 
 
 def p_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     """Channel polynomial in the anchor normalization
-    sum_{r+s=h(ijk)-1} a^r C(m+n-h_k, r) C(h_i-n-1, s)."""
-    h = hi + hj - hk
-    if h < 1:
-        raise ValueError(f"h(ijk) = {h} < 1")
-    a = _a_coeffs(hi, hj, hk)
-    total = 0
-    for r in range(h):
-        s = h - 1 - r
-        total += a[r] * binom_int(m + n - hk, r) * binom_int(hi - n - 1, s)
-    return exact(total)
+    sum_{r+s=h(ijk)-1} a^r C(m+n-h_k, r) C(h_i-n-1, s), evaluated in
+    integers as in :func:`channel_poly`."""
+    return _channel_sum(hi, hj, hk, m + n - hk, hi - n - 1)
 
 
 @lru_cache(maxsize=None)
@@ -368,18 +393,13 @@ def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
     """Channel polynomial used by the mode bracket,
     sum_{t+s=h(ijk)-1} a^t C(-(m+n)-h_k, t) C(m+h_i-1, s).
 
+    Summed in integers: the a^t are integer numerators over one common
+    denominator (:func:`_a_coeffs`), each binomial row is a running product
+    with exact divisions, and the one Fraction is built from the total.
     Agrees with :func:`p_poly` whenever h_i = h_j and reproduces
     [L_m, phi_n] = ((h-1)m - n) phi_{m+n} for primary phi.
     """
-    h = hi + hj - hk
-    if h < 1:
-        raise ValueError(f"h(ijk) = {h} < 1")
-    a = _a_coeffs(hi, hj, hk)
-    total = 0
-    for t in range(h):
-        s = h - 1 - t
-        total += a[t] * binom_int(-(m + n) - hk, t) * binom_int(m + hi - 1, s)
-    return exact(total)
+    return _channel_sum(hi, hj, hk, -(m + n) - hk, m + hi - 1)
 
 
 class OperatorSum(namedtuple("OperatorSum", "terms central")):

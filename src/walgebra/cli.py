@@ -13,6 +13,7 @@ which accepts abbreviations and --opt=value and words the help and errors.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -378,8 +379,25 @@ def _parse_args(argv: list[str]):
     return build_parser().parse_args(argv)
 
 
+# whether `main` has moved the process's heap into the oldest generation
+_heap_promoted = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _heap_promoted
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    if not _heap_promoted:
+        # Move every object alive before the first command (the imported
+        # modules, the parsed arguments) into the collector's oldest
+        # generation in O(1), so that the command's young collections scan
+        # only what the command allocates.  unfreeze() empties the permanent
+        # generation at once: nothing stays frozen, and the collector's
+        # switch and thresholds are left as they are.  Only once: a later
+        # call would promote the earlier commands' cyclic garbage too, which
+        # only a full collection frees.
+        _heap_promoted = True
+        gc.freeze()
+        gc.unfreeze()
     try:
         return args.func(args)
     except (InputError, SpecError, SolveError) as exc:

@@ -87,11 +87,6 @@ class State:
     def vacuum(cls) -> "State":
         return cls({(): Poly.const(1)})
 
-    @classmethod
-    def from_word(cls, word: Word, coeff=1) -> "State":
-        c = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-        return cls({tuple(word): c})
-
     def terms(self) -> dict[Word, Poly]:
         return dict(self._t)
 
@@ -128,9 +123,6 @@ class State:
         out = State.__new__(State)
         out._t = {w: c * f for w, c in self._t.items()}
         return out
-
-    def max_weight(self) -> int:
-        return max((word_weight(w) for w in self._t), default=0)
 
     def render(self) -> str:
         if not self._t:

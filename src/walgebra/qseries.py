@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import floor
 from operator import add, itemgetter, mul, sub
 
 from .algebra import central_charge_p1
@@ -140,14 +139,6 @@ class QSeries:
             return NotImplemented
         _, xs, ys = QSeries._aligned(self, other)
         return xs == ys
-
-    def agrees_with(self, other: "QSeries", through: Fraction) -> bool:
-        """Coefficient agreement at every lattice exponent <= `through`."""
-        offset, xs, ys = QSeries._aligned(self, other)
-        count = max(floor(Fraction(through) - offset) + 1, 0)
-        if count > len(xs):
-            raise QSeriesError("agreement range exceeds validity")
-        return xs[:count] == ys[:count]
 
     def render_terms(self) -> list[tuple[str, int]]:
         """(exponent text, coefficient) for each nonzero term, in order.

@@ -1,6 +1,8 @@
-"""Shared helpers for the math-convention mode-identity tests."""
+"""Shared helpers for the tests: the math-convention mode identities, and
+small constructors and comparisons that only tests use."""
 
 from fractions import Fraction
+from math import floor
 
 from walgebra.algebra import (
     Derivative,
@@ -12,11 +14,29 @@ from walgebra.algebra import (
     Nprod,
     expr_weight,
 )
+from walgebra.engine import State
+from walgebra.qseries import QSeries, QSeriesError
 from walgebra.scalar import Poly
 
 
 def T(n):
     return Mode("T", n)
+
+
+def from_word(word, coeff=1) -> State:
+    """The state coeff * word, for a canonical word."""
+    c = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
+    return State({tuple(word): c})
+
+
+def agrees_with(a: QSeries, b: QSeries, through: Fraction) -> bool:
+    """Whether two q-series agree at every lattice exponent <= `through`; a
+    range past either series' validity is refused."""
+    offset, xs, ys = QSeries._aligned(a, b)
+    count = max(floor(Fraction(through) - offset) + 1, 0)
+    if count > len(xs):
+        raise QSeriesError("agreement range exceeds validity")
+    return xs[:count] == ys[:count]
 
 
 def virasoro_words(max_weight):

@@ -33,6 +33,8 @@ from walgebra.singular import (
     verify_singular_p2,
 )
 
+from identity_helpers import agrees_with
+
 
 def _report(n, text):
     print(f"[PASS] criterion {n}: {text}")
@@ -58,14 +60,14 @@ def test_criterion_1_virasoro_oracle():
 
 
 def test_criterion_2_mode_identities():
-    from identity_helpers import basis_states, math_apply, omega_mode_field
+    from identity_helpers import basis_states, from_word, math_apply, omega_mode_field
 
     from walgebra.algebra import FieldRef
 
     eng = Engine(make_virasoro_spec("c"))
     states = [w for w in basis_states(6)]
     for w in states:
-        state = State.from_word(w)
+        state = from_word(w)
         weight = word_weight(w)
         for m in range(-3, 4):
             # commutation identity, u = v = omega, math indices
@@ -131,15 +133,14 @@ def test_criterion_4_character_expansions():
         for e, c in [(0, 1), (1, -1), (2 * p - 1, 3), (2 * p + 2, -3)]:
             coeffs[e] += c
         partial = QSeries(Fraction(0), coeffs)
-        assert triplet_theta_bracket(p, cutoff).agrees_with(
-            partial, Fraction(6 * p - 3)
-        )
+        assert agrees_with(triplet_theta_bracket(p, cutoff), partial,
+                           Fraction(6 * p - 3))
         coeffs2 = list(coeffs)
         coeffs2[4 * p - 2] += 6
         partial2 = QSeries(Fraction(0), coeffs2)
         c = central_charge_p1(p)
         tilde_bracket = phi(cutoff) * chi_tilde(p, cutoff).shift(c / 24)
-        assert tilde_bracket.agrees_with(partial2, Fraction(4 * p - 2))
+        assert agrees_with(tilde_bracket, partial2, Fraction(4 * p - 2))
     _report(4, "1 - q + 3q^(2p-1) - 3q^(2p+2) (+ 6q^(4p-2)) expansions, p in 2..5")
 
 

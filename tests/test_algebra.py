@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
+from math import factorial, lcm
+from operator import mul
 
 import pytest
 
@@ -58,6 +61,49 @@ def test_channel_poly_matches_p_poly_on_equal_weights():
                 assert channel_poly(hi, hj, hk, m, n) == p_poly(hi, hj, hk, m, n)
 
 
+def _falling_binom(x, k):
+    """C(x, k) as the falling factorial x (x-1) ... (x-k+1) over k!."""
+    num = 1
+    for j in range(k):
+        num *= x - j
+    value = Fraction(num, factorial(k))
+    assert value.denominator == 1
+    return value.numerator
+
+
+def test_channel_sums_match_the_fraction_formula():
+    # The Fraction formula restated apart from the integer kernel: each a^t
+    # is a Fraction of two falling-factorial binomials.  The sum is taken over
+    # the lcm of their denominators and compared by cross-multiplying, which
+    # keeps the grid (about 900k points per function) to seconds.  Weights up
+    # to 12 reach the W x W -> T channel at p = 6.  The uncached channel_poly
+    # body keeps the grid out of its lru_cache.
+    channel = channel_poly.__wrapped__
+    grid = range(-12, 13)
+    for hi, hj, hk in product(range(1, 13), repeat=3):
+        h = hi + hj - hk
+        if not 1 <= h <= 20:
+            continue
+        a = [Fraction(_falling_binom(hi + hk - hj + t - 1, t),
+                      _falling_binom(2 * hk + t - 1, t)) for t in range(h)]
+        den = lcm(*(c.denominator for c in a))
+        # x_row[x][t] = a^t C(x, t) * den; y_row[y][t] = C(y, h-1-t)
+        x_row = {x: [c.numerator * (den // c.denominator) * _falling_binom(x, t)
+                     for t, c in enumerate(a)]
+                 for x in range(-24 - hk, 25 - hk)}
+        y_row = {y: [_falling_binom(y, h - 1 - t) for t in range(h)]
+                 for y in range(hi - 13, hi + 12)}
+        for m, n in product(grid, grid):
+            for got, x, y in ((channel(hi, hj, hk, m, n), -(m + n) - hk, m + hi - 1),
+                              (p_poly(hi, hj, hk, m, n), m + n - hk, hi - n - 1)):
+                total = sum(map(mul, x_row[x], y_row[y]))
+                if total % den:
+                    assert type(got) is Fraction, (hi, hj, hk, m, n)
+                    assert got.numerator * den == total * got.denominator
+                else:
+                    assert type(got) is int and got == total // den, (hi, hj, hk, m, n)
+
+
 def test_virasoro_oracle():
     spec = make_virasoro_spec("c")
     c = Poly.sym("c")
@@ -93,6 +139,25 @@ def test_primary_bracket(p):
             terms = dict((mode, coeff) for coeff, mode in ops.terms)
             got = terms.get(Mode("W", m + n), Poly.zero())
             assert got == Poly.const((h - 1) * m - n)
+            assert ops.central.is_zero()
+
+
+@pytest.mark.parametrize("h", range(1, 13))
+def test_primary_bracket_every_weight(h):
+    # the same rule for a lone primary P of each weight h = 1..12, with no
+    # other channel declared, so the bracket is that one term
+    spec = AlgebraSpec(
+        central_charge=Fraction(1),
+        generators=(GeneratorDecl("T", 2), GeneratorDecl("P", h)),
+        d={("T", "T"): Poly.const(Fraction(1, 2))},
+        constants={("T", "T", "T"): Poly.const(2), ("T", "P", "P"): Poly.const(h),
+                   ("P", "T", "P"): Poly.const(h)},
+    )
+    for m in range(-4, 5):
+        for n in range(-2 * h, 3):
+            ops = bracket(T(m), Mode("P", n), spec)
+            want = (h - 1) * m - n
+            assert ops.terms == (((Poly.const(want), Mode("P", m + n)),) if want else ())
             assert ops.central.is_zero()
 
 

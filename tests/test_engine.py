@@ -35,6 +35,7 @@ from walgebra.singular import load_triplet_p2_spec, null_vector_terms
 
 from identity_helpers import (
     basis_states,
+    from_word,
     math_apply,
     nprod_tower,
     omega_mode_field,
@@ -111,7 +112,7 @@ def test_memo_keeps_field_expression_kinds_apart():
     modes = range(-6, 1)
     fresh = {(i, n): Engine(spec).field_mode_apply(expr, n, vac)
              for i, expr in enumerate(MEMO_KINDS) for n in modes}
-    assert fresh[(0, 0)] == vac and fresh[(3, -2)] == State.from_word([T(-2)])
+    assert fresh[(0, 0)] == vac and fresh[(3, -2)] == from_word([T(-2)])
     kinds = range(len(MEMO_KINDS))
     for order in (kinds, reversed(kinds)):
         shared = Engine(spec)
@@ -232,7 +233,7 @@ def test_weight_grading(vir):
     for _ in range(60):
         word = rng.choice(words)
         n = rng.randint(-4, 4)
-        out = vir.apply_mode(T(n), State.from_word(word))
+        out = vir.apply_mode(T(n), from_word(word))
         for w in out.words():
             assert word_weight(w) == word_weight(word) - n
 
@@ -280,7 +281,7 @@ def test_omega_mode_fields(vir):
 def test_commutation_identity(vir):
     # v_m u_{-n} w = u_{-n} v_m w + sum_i C(m,i) (v_i u)_{m-n-i} w   (math)
     for w in basis_states(8):
-        state = State.from_word(w)
+        state = from_word(w)
         for m in range(-3, 4):
             for n in range(1, 5):
                 lhs = math_apply(
@@ -303,7 +304,7 @@ def test_commutation_identity(vir):
 def test_iteration_identity(vir):
     # (u_m v)_n = sum_i (-1)^i C(m,i) [u_{m-i} v_{n+i} - (-1)^m v_{m+n-i} u_i]
     for w in basis_states(6):
-        state = State.from_word(w)
+        state = from_word(w)
         weight = word_weight(w)
         for m in range(-3, 4):
             expr = omega_mode_field(m)
@@ -386,7 +387,7 @@ def test_prefix_invariance_soundness(der2):
     prefixes = [T(-1), T(-2), T(-3), W(-3), W(-4)]
     for w in manifest:
         for mode in prefixes:
-            out = der2.apply_mode(mode, State.from_word(w))
+            out = der2.apply_mode(mode, from_word(w))
             for word in out.words():
                 assert prefixed_manifest(word, 2, spec), (mode, w, word)
 
@@ -497,4 +498,4 @@ def test_normal_order_applies_each_suffix_once():
 def test_normal_order_depth_does_not_grow_with_the_word():
     engine = Engine(make_virasoro_spec(Fraction(-2)))
     word = (T(-2),) * (sys.getrecursionlimit() + 100)
-    assert engine.normal_order(word) == State.from_word(word)
+    assert engine.normal_order(word) == from_word(word)

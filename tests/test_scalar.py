@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from walgebra.algebra import channel_poly, make_derivation_spec, p_poly
+from walgebra.algebra import make_derivation_spec
 from walgebra.engine import Engine
 from walgebra.scalar import (
     Poly,
@@ -151,18 +151,8 @@ def test_float_rejected(make):
 def test_bracket_constants_are_exact():
     for x, k in product(range(-10, 11), range(9)):
         assert type(binom_int(x, k)) is int
-    # the uncached body, so the grid does not fill the lru_cache; p_poly is
-    # the anchor form, checked where it agrees with channel_poly (h_i = h_j)
-    channel = channel_poly.__wrapped__
-    for hi, hj, hk in product(range(1, 9), repeat=3):
-        if not 1 <= hi + hj - hk <= 8:
-            continue
-        for m, n in product(range(-10, 11), repeat=2):
-            value = channel(hi, hj, hk, m, n)
-            assert value == 0 or _is_exact(value)
-            if hi == hj:
-                value = p_poly(hi, hj, hk, m, n)
-                assert value == 0 or _is_exact(value)
+    # channel_poly and p_poly: test_algebra checks each value and its type
+    # against the Fraction formula
     for p in (2, 3, 4):
         eng = Engine(make_derivation_spec(p))
         for (j, i), n in product(product("TW", repeat=2), range(11)):
