@@ -22,20 +22,22 @@ with the same contents, and ``Identity()`` equals ``()`` and is false.
 Code that handles field expressions dispatches on ``isinstance`` and never
 takes their truth value.
 
-The types for which tuple equality would be wrong, or which must be mutable
-or normalise their fields, are classes written out by hand on
-:class:`Record`, which compares (type, fields): ``AlgebraSpec``
-(validation, read-only mappings, a cached engine), and the ``__slots__``
-classes ``singular.SingularTable`` (exact normalisation, ``replace``), the
-six ``c2`` rules (a JSON codec keyed by their fields, and equality that
-tells rule kinds apart) and the mutable ``c2.Certificate``.
-``c2.MembershipClaim`` stays a dataclass only because ``bench/worker.py``
-calls ``dataclasses.replace`` on a step.
+The types for which tuple equality would be wrong, or which normalise their
+fields, are classes written out by hand on :class:`Record`, which compares
+(type, fields), shares one constructor taking each field by position or
+name (with per-class ``_defaults``) and refuses assignment and deletion:
+``AlgebraSpec`` (validation, read-only mappings, a cached engine that refers
+back to it weakly), and the ``__slots__`` classes ``singular.SingularTable``
+(exact normalisation, ``replace``), the six ``c2`` rules (a JSON codec keyed
+by their fields, and equality that tells rule kinds apart) and
+``c2.Certificate``.  ``c2.MembershipClaim`` stays a dataclass only because
+``bench/worker.py`` calls ``dataclasses.replace`` on a step.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
@@ -145,17 +147,46 @@ class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
     __slots__ = ()  # definition is a FieldExpr
 
 
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
 class Record:
     """A record written out by hand: a subclass names its fields in
-    `_fields`, in the order `__init__` takes them.
+    `_fields` and may give some of them a value in `_defaults`.
 
-    A record equals a record of its own type with equal fields, never a
-    tuple or a record of another type.  It is mutable and unhashable unless
-    it is a :class:`FrozenRecord`.
+    The constructor takes each field by position, in `_fields` order, or by
+    name; a field left out takes its default.  A missing, unknown or doubly
+    given field raises TypeError.  Once built, a record refuses assignment
+    and deletion.  A record equals a record of its own type with equal
+    fields, never a tuple or a record of another type, and equal records
+    hash equal.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping = _NO_ENTRIES
+
+    def __init__(self, *args, **kwargs):
+        fields, init = self._fields, object.__setattr__
+        if not kwargs and len(args) == len(fields):
+            for name, value in zip(fields, args):
+                init(self, name, value)
+            return
+        kind = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{kind} takes {len(fields)} fields, got {len(args)}")
+        given = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{kind} has no field {name!r}")
+            if name in given:
+                raise TypeError(f"{kind} got field {name!r} twice")
+            given[name] = value
+        values = {**self._defaults, **given}
+        for name in fields:
+            if name not in values:
+                raise TypeError(f"{kind} lacks field {name!r}")
+            init(self, name, values[name])
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -173,14 +204,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
-
-class FrozenRecord(Record):
-    """An immutable record: `__init__` sets each field through
-    `object.__setattr__`, after which assignment and deletion raise
-    AttributeError.  Equal records hash equal."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash((type(self), self._astuple()))
 
@@ -191,10 +214,7 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_NO_ENTRIES: Mapping = MappingProxyType({})
-
-
-class AlgebraSpec(FrozenRecord):
+class AlgebraSpec(Record):
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
 
@@ -212,12 +232,9 @@ class AlgebraSpec(FrozenRecord):
                  constants: Mapping[tuple[str, str, str], Poly],
                  composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
                  c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
+        super().__init__(central_charge, generators, *[
+            MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)])
         init = object.__setattr__
-        init(self, "central_charge", central_charge)
-        init(self, "generators", generators)
-        for name, mapping in (("d", d), ("constants", constants),
-                              ("composites", composites), ("c_lower", c_lower)):
-            init(self, name, MappingProxyType(dict(mapping)))
         init(self, "_rank", {g.symbol: i for i, g in enumerate(self.generators)})
         weights = {g.symbol: g.weight for g in self.generators}
         for c in self.composites.values():
@@ -233,15 +250,14 @@ class AlgebraSpec(FrozenRecord):
     @cached_property
     def engine(self) -> Engine:
         """The rewriting engine bound to this spec, built on first use; its
-        memo lives as long as the spec does."""
+        memo lives as long as the spec does.  The engine refers back to the
+        spec weakly, so a spec and its engine form no reference cycle and are
+        freed together as soon as the spec is dropped."""
         from .engine import Engine
 
-        return Engine(self)
+        return Engine(weakref.proxy(self))
 
     # --- lookups ---
-
-    def is_generator(self, symbol: str) -> bool:
-        return symbol in self._rank
 
     def rank(self, symbol: str) -> int:
         return self._rank[symbol]
@@ -283,7 +299,8 @@ class AlgebraSpec(FrozenRecord):
             if c.weight <= 0:
                 raise SpecError(f"composite {c.symbol!r} has weight {c.weight} <= 0")
         # a composite names only generators and the composites listed before
-        # it, so evaluating its modes never comes back to it
+        # it, so evaluating its modes never comes back to it, and its
+        # declared weight is its definition's
         earlier = set()
         for c in self.composites.values():
             for symbol in expr_symbols(c.definition):
@@ -292,6 +309,10 @@ class AlgebraSpec(FrozenRecord):
                              else f"composite {symbol!r}, which is listed after it")
                     raise SpecError(f"composite {c.symbol!r} names {named}")
             earlier.add(c.symbol)
+            got = expr_weight(c.definition, self)
+            if got != c.weight:
+                raise SpecError(f"composite {c.symbol!r} declared weight {c.weight}, "
+                                f"definition has weight {got}")
         for (i, j) in self.d:
             if j < i:
                 raise SpecError(f"pairing key ({i},{j}) not sorted")
@@ -654,16 +675,7 @@ def load_spec(text: str) -> AlgebraSpec:
         raise
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"malformed spec document: {exc!r}") from exc
-    spec = AlgebraSpec(c, gens, d, constants, composites, c_lower)
-    # composite weights must match their definitions
-    for comp in spec.composites.values():
-        got = expr_weight(comp.definition, spec)
-        if got != comp.weight:
-            raise SpecError(
-                f"composite {comp.symbol!r} declared weight {comp.weight}, "
-                f"definition has weight {got}"
-            )
-    return spec
+    return AlgebraSpec(c, gens, d, constants, composites, c_lower)
 
 
 # --- builders ----------------------------------------------------------------

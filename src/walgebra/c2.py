@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (AlgebraSpec, FrozenRecord, Mode, Record, convert_index, decoded,
-                      keyed, parsed, typed)
-from .engine import State
+from .algebra import (AlgebraSpec, Mode, Record, convert_index, decoded, keyed, parsed,
+                      typed)
+from .engine import State, render_terms
 from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
@@ -103,53 +103,106 @@ def prefixed_manifest(seq: tuple[Mode, ...], n: int, spec: AlgebraSpec) -> bool:
 # --- rules -------------------------------------------------------------------
 
 
-# A rule's fields are its JSON params, written by field name.  Rules of two
-# kinds never compare equal, whatever their fields.
-_set = object.__setattr__
+class _Rule(Record):
+    """A rule kind: its fields are its JSON params, written by field name,
+    and `name` is its name in a certificate.  Rules of two kinds never
+    compare equal, whatever their fields.
+
+    Each kind defines `check(vector, proved, table, spec)`, the replay of a
+    step whose citations and stated vector `_check_rule` has already
+    checked, and overrides `cites` and `implied` where it cites earlier
+    claims or states its vector outright.  `reads_table` is true for a kind
+    whose check reads the null-vector table."""
+
+    __slots__ = ()
+    reads_table = False
+
+    def cites(self) -> tuple[int, ...]:
+        """The earlier claims the rule rests on, in order."""
+        return ()
+
+    def implied(self, proved: dict[int, Expression]) -> Expression | None:
+        """The vector the rule states outright, from its params and the
+        proved vectors of the claims it cites; None if it states none."""
+        return None
 
 
-class ManifestMemberRule(FrozenRecord):
+class ManifestMemberRule(_Rule):
     __slots__ = _fields = ("n",)
+    _defaults = {"n": 2}
     name = "ManifestMember"
 
-    def __init__(self, n: int = 2):
-        _set(self, "n", n)
+    def check(self, vector, proved, table, spec):
+        if self.n < 2:
+            return False, f"depth n={self.n} does not imply C2 membership (n >= 2)"
+        for _, seq in vector:
+            if not manifest_member(seq, self.n, spec):
+                return False, f"term {seq} is not manifest at n={self.n}"
+        return True, ""
 
 
-class PrefixInvarianceRule(FrozenRecord):
+class PrefixInvarianceRule(_Rule):
     __slots__ = _fields = ("prefix", "base")
     name = "PrefixInvariance"
 
-    def __init__(self, prefix: tuple[Mode, ...], base: int):
-        _set(self, "prefix", prefix)
-        _set(self, "base", base)
+    def cites(self):
+        return (self.base,)
+
+    def implied(self, proved):
+        return expr_prefix(self.prefix, proved[self.base])
+
+    def check(self, vector, proved, table, spec):
+        for m in self.prefix:
+            if math_index(m, spec) > 0:
+                return False, f"prefix mode {m} has positive math index"
+        return True, ""
 
 
-class SingularRewriteRule(FrozenRecord):
+class SingularRewriteRule(_Rule):
     # combination sum coeff * N^(a,b) subtracted from the claim vector
     __slots__ = _fields = ("nulls", "remainder")
     name = "SingularRewrite"
+    reads_table = True
 
-    def __init__(self, nulls: tuple[tuple[Poly, tuple[int, int]], ...],
-                 remainder: Expression):
-        _set(self, "nulls", nulls)
-        _set(self, "remainder", remainder)
+    def check(self, vector, proved, table, spec):
+        nulls = [(c, null_vector_terms(a, b, table)) for c, (a, b) in self.nulls]
+        return _combination(vector, nulls, self.remainder, spec)
 
 
-class WeightBoundedBracketRule(FrozenRecord):
+class WeightBoundedBracketRule(_Rule):
     """Single commutator [a, b] applied to `right`: every declared channel
     is weight-bounded, hence lands at manifest depth."""
 
     __slots__ = _fields = ("a", "b", "right")
     name = "WeightBoundedBracket"
 
-    def __init__(self, a: Mode, b: Mode, right: tuple[Mode, ...]):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "right", right)
+    def implied(self, proved):
+        return expression((1, (self.a, self.b) + self.right),
+                          (-1, (self.b, self.a) + self.right))
+
+    def check(self, vector, proved, table, spec):
+        msum = self.a.n + self.b.n
+        for (i, j) in ((self.a.field, self.b.field), (self.b.field, self.a.field)):
+            for k, _ in spec.channels(i, j):
+                if math_index(Mode(k, msum), spec) > -2:
+                    return False, f"channel mode {k}({msum}) is not manifest"
+        engine = spec.engine
+        ops = engine.bracket(self.a, self.b)
+        if ops.central:
+            return False, f"central term {render_poly(ops.central)} is not in C2"
+        # replay the channel expansion exactly
+        lhs = engine.evaluate(vector)
+        rhs = State()
+        right_state = engine.normal_order(self.right)
+        for coeff, mode in ops.terms:
+            rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
+        residual = lhs - rhs
+        if residual:
+            return False, f"bracket replay residual: {residual.render()}"
+        return True, ""
 
 
-class ReorderRule(FrozenRecord):
+class ReorderRule(_Rule):
     """Move a block of nonpositive-math-index conformal modes across a block
     of W modes; every commutator fired on the way is weight-bounded and its
     term is manifestly deep.  The base claim holds the reordered composition.
@@ -159,23 +212,33 @@ class ReorderRule(FrozenRecord):
     __slots__ = _fields = ("prefix", "block", "base")
     name = "Reorder"
 
-    def __init__(self, prefix: tuple[Mode, ...], block: tuple[Mode, ...], base: int):
-        _set(self, "prefix", prefix)
-        _set(self, "block", block)
-        _set(self, "base", base)
+    def cites(self):
+        return (self.base,)
+
+    def implied(self, proved):
+        return expression((1, self.prefix + self.block))
+
+    def check(self, vector, proved, table, spec):
+        for m in self.prefix:
+            if math_index(m, spec) > 0 or m.field != "T":
+                return False, f"reorder prefix mode {m} not allowed"
+        if proved[self.base] != expression((1, self.block + self.prefix)):
+            return False, "base claim does not hold the reordered composition"
+        failure = _walk_reorder(self.prefix, self.block, spec)
+        return not failure, failure
 
 
-class LinearCombinationRule(FrozenRecord):
+class LinearCombinationRule(_Rule):
     __slots__ = _fields = ("parts", "remainder")
+    _defaults = {"remainder": ()}
     name = "LinearCombination"
 
-    def __init__(self, parts: tuple[tuple[Poly, int], ...], remainder: Expression = ()):
-        _set(self, "parts", parts)
-        _set(self, "remainder", remainder)
+    def cites(self):
+        return tuple(claim_id for _, claim_id in self.parts)
 
-
-Rule = (ManifestMemberRule | PrefixInvarianceRule | SingularRewriteRule
-        | WeightBoundedBracketRule | ReorderRule | LinearCombinationRule)
+    def check(self, vector, proved, table, spec):
+        parts = [(c, proved[claim_id]) for c, claim_id in self.parts]
+        return _combination(vector, parts, self.remainder, spec)
 
 
 # a dataclass only because bench/worker.py calls dataclasses.replace on a step
@@ -183,21 +246,16 @@ Rule = (ManifestMemberRule | PrefixInvarianceRule | SingularRewriteRule
 class MembershipClaim:
     id: int
     vector: Expression
-    rule: Rule
+    rule: _Rule
     label: str = ""
 
 
 class Certificate(Record):
     """A certificate's null-vector table, its steps in file order and the ids
-    of its targets; mutable, so a step or the table can be swapped."""
+    of its targets.  Its step and target lists can grow and have entries
+    swapped; `_replace` gives a certificate with another table."""
 
     __slots__ = _fields = ("table", "steps", "targets")
-
-    def __init__(self, table: SingularTable, steps: list[MembershipClaim],
-                 targets: list[int]):
-        self.table = table
-        self.steps = steps
-        self.targets = targets
 
 
 class StepReport(namedtuple("StepReport", "id ok label detail", defaults=("",))):
@@ -205,29 +263,6 @@ class StepReport(namedtuple("StepReport", "id ok label detail", defaults=("",)))
 
 
 # --- verification ------------------------------------------------------------
-
-
-def _cited(rule: Rule) -> tuple[int, ...]:
-    """The earlier claims a rule rests on, in order."""
-    if isinstance(rule, (PrefixInvarianceRule, ReorderRule)):
-        return (rule.base,)
-    if isinstance(rule, LinearCombinationRule):
-        return tuple(claim_id for _, claim_id in rule.parts)
-    return ()
-
-
-def _implied_vector(rule: Rule, proved: dict[int, Expression]) -> Expression | None:
-    """The vector a prefix, reorder or bracket rule states outright, from its
-    parameters and the proved vectors of the claims it cites; None for the
-    other rules."""
-    if isinstance(rule, PrefixInvarianceRule):
-        return expr_prefix(rule.prefix, proved[rule.base])
-    if isinstance(rule, ReorderRule):
-        return expression((1, rule.prefix + rule.block))
-    if isinstance(rule, WeightBoundedBracketRule):
-        return expression((1, (rule.a, rule.b) + rule.right),
-                          (-1, (rule.b, rule.a) + rule.right))
-    return None
 
 
 def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
@@ -277,71 +312,20 @@ def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
 
 def _check_rule(claim: MembershipClaim, proved: dict[int, Expression],
                 table: SingularTable, spec: AlgebraSpec) -> tuple[bool, str]:
-    """Replay one step against the vectors of the steps verified before it.
+    """Replay one step against the vectors of the steps verified before it:
+    its rule's citations must name verified steps, and a vector the rule
+    states must be the claim's, before the rule's own `check` runs.
 
     `verify_certificate` memoizes the verdict under a key of everything read
     here besides the spec, so whatever this starts to read must join that
     key."""
     rule = claim.rule
-    if any(claim_id not in proved for claim_id in _cited(rule)):
+    if any(claim_id not in proved for claim_id in rule.cites()):
         return False, "cites a claim that is not an earlier verified step"
-    want = _implied_vector(rule, proved)
+    want = rule.implied(proved)
     if want is not None and claim.vector != want:
         return False, f"vector is not the one the {rule.name} rule states"
-
-    if isinstance(rule, ManifestMemberRule):
-        if rule.n < 2:
-            return False, f"depth n={rule.n} does not imply C2 membership (n >= 2)"
-        for _, seq in claim.vector:
-            if not manifest_member(seq, rule.n, spec):
-                return False, f"term {seq} is not manifest at n={rule.n}"
-        return True, ""
-
-    if isinstance(rule, PrefixInvarianceRule):
-        for m in rule.prefix:
-            if math_index(m, spec) > 0:
-                return False, f"prefix mode {m} has positive math index"
-        return True, ""
-
-    if isinstance(rule, SingularRewriteRule):
-        nulls = [(c, null_vector_terms(a, b, table)) for c, (a, b) in rule.nulls]
-        return _combination(claim.vector, nulls, rule.remainder, spec)
-
-    if isinstance(rule, WeightBoundedBracketRule):
-        msum = rule.a.n + rule.b.n
-        for (i, j) in ((rule.a.field, rule.b.field), (rule.b.field, rule.a.field)):
-            for k, _ in spec.channels(i, j):
-                if math_index(Mode(k, msum), spec) > -2:
-                    return False, f"channel mode {k}({msum}) is not manifest"
-        engine = spec.engine
-        ops = engine.bracket(rule.a, rule.b)
-        if ops.central:
-            return False, f"central term {render_poly(ops.central)} is not in C2"
-        # replay the channel expansion exactly
-        lhs = engine.evaluate(claim.vector)
-        rhs = State()
-        right_state = engine.normal_order(rule.right)
-        for coeff, mode in ops.terms:
-            rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
-        residual = lhs - rhs
-        if residual:
-            return False, f"bracket replay residual: {residual.render()}"
-        return True, ""
-
-    if isinstance(rule, ReorderRule):
-        for m in rule.prefix:
-            if math_index(m, spec) > 0 or m.field != "T":
-                return False, f"reorder prefix mode {m} not allowed"
-        if proved[rule.base] != expression((1, rule.block + rule.prefix)):
-            return False, "base claim does not hold the reordered composition"
-        failure = _walk_reorder(rule.prefix, rule.block, spec)
-        return not failure, failure
-
-    if isinstance(rule, LinearCombinationRule):
-        parts = [(c, proved[claim_id]) for c, claim_id in rule.parts]
-        return _combination(claim.vector, parts, rule.remainder, spec)
-
-    return False, f"unknown rule {rule!r}"
+    return rule.check(claim.vector, proved, table, spec)
 
 
 def verify_certificate(cert: Certificate, spec: AlgebraSpec
@@ -352,9 +336,9 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
 
     A step's verdict depends only on the spec and on what `_check_rule`
     reads: the rule, the claim vector, the vectors of the steps the rule
-    cites (in `_cited` order) and, for a SingularRewrite, the table.  It is
-    memoized on the spec's engine under that key, so a later replay on the
-    same spec checks only the steps whose key it has not seen."""
+    cites (in `cites()` order) and, for a rule that reads it, the table.  It
+    is memoized on the spec's engine under that key, so a later replay on
+    the same spec checks only the steps whose key it has not seen."""
     memo = spec.engine.verdict_memo
     # the table enters a key as the integer pairs of its six exact
     # coefficients, equal exactly when the tables are equal: a Fraction
@@ -367,8 +351,8 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
             ok, detail = False, "duplicate step id"
         else:
             rule = claim.rule
-            key = (rule, claim.vector, tuple(map(proved.get, _cited(rule))),
-                   table_key if isinstance(rule, SingularRewriteRule) else None)
+            key = (rule, claim.vector, tuple(map(proved.get, rule.cites())),
+                   table_key if rule.reads_table else None)
             verdict = memo.get(key)
             if verdict is None:
                 verdict = memo[key] = _check_rule(claim, proved, cert.table, spec)
@@ -412,7 +396,7 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
         """Append a claim; the vector defaults to the one the rule states."""
         claim_id = len(cert.steps) + 1
         if vector is None:
-            vector = _implied_vector(rule, proved)
+            vector = rule.implied(proved)
         proved[claim_id] = vector
         cert.steps.append(MembershipClaim(claim_id, vector, rule, label))
         if target:
@@ -551,14 +535,7 @@ def _patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
 
 
 def render_expression(a: Expression) -> str:
-    if not a:
-        return "0"
-    bits = []
-    for coeff, seq in sorted(a, key=lambda t: t[1]):
-        mods = " ".join(m.render() for m in seq)
-        mods = mods + " " if mods else ""
-        bits.append(f"({render_poly(coeff)}) {mods}|0>")
-    return " + ".join(bits)
+    return render_terms(sorted(a, key=lambda t: t[1]))
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -605,7 +582,7 @@ def _mode_from_str(s, what: str) -> Mode:
     return Mode(m.group(1), int(m.group(2)))
 
 
-_RULES = {rule.name: rule for rule in Rule.__args__}
+_RULES = {rule.name: rule for rule in _Rule.__subclasses__()}
 _NULL_COEFFICIENTS = SingularTable._fields
 
 
@@ -672,15 +649,16 @@ def _param_from_json(key: str, value):
                  for e in entries)
 
 
-def _rule_to_dict(rule: Rule) -> dict:
+def _rule_to_dict(rule: _Rule) -> dict:
     return {key: _param_to_json(key, getattr(rule, key)) for key in rule._fields}
 
 
-def _rule_from_dict(name: str, params: dict) -> Rule:
+def _rule_from_dict(name: str, params: dict) -> _Rule:
     if typed(name, str, "rule", CertificateError) not in _RULES:
         raise CertificateError(f"unknown rule name {name!r}")
+    kind = _RULES[name]
     params = _keyed(params, f"{name} params")
-    return _RULES[name](**{k: _param_from_json(k, v) for k, v in params.items()})
+    return kind(*[_param_from_json(key, params[key]) for key in kind._fields])
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -711,10 +689,10 @@ def certificate_from_dict(doc: dict) -> Certificate:
     claim about any space but C2, raises CertificateError."""
     try:
         doc = _keyed(doc, "the certificate")
-        table = SingularTable(**{
-            k: parsed(parse_rational, v, f"null coefficient {k}", CertificateError)
-            for k, v in _keyed(doc["null_coefficients"], "null_coefficients").items()
-        })
+        coefficients = _keyed(doc["null_coefficients"], "null_coefficients")
+        table = SingularTable(*[parsed(parse_rational, coefficients[k],
+                                       f"null coefficient {k}", CertificateError)
+                                for k in _NULL_COEFFICIENTS])
         steps = []
         for s in typed(doc["steps"], list, "steps", CertificateError):
             s = _keyed(s, "a step")

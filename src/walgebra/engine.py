@@ -70,6 +70,14 @@ def _orderings(parts: tuple[int, ...]) -> int:
     return out
 
 
+def render_terms(terms: Iterable[tuple[Poly, Word]]) -> str:
+    """The text `(c) M(n) ... |0> + ...` of (coefficient, word) terms, in the
+    order given; "0" for no terms."""
+    bits = [f"({render_poly(c)}) {''.join(m.render() + ' ' for m in word)}|0>"
+            for c, word in terms]
+    return " + ".join(bits) or "0"
+
+
 class State:
     """Finite Poly-linear combination of canonical PBW words."""
 
@@ -125,14 +133,8 @@ class State:
         return out
 
     def render(self) -> str:
-        if not self._t:
-            return "0"
-        bits = []
-        for word in sorted(self._t, key=lambda w: (word_weight(w), len(w), w)):
-            c = render_poly(self._t[word])
-            mods = "".join(m.render() + " " for m in word)
-            bits.append(f"({c}) {mods}|0>")
-        return " + ".join(bits)
+        words = sorted(self._t, key=lambda w: (word_weight(w), len(w), w))
+        return render_terms((self._t[word], word) for word in words)
 
     def __repr__(self) -> str:
         return f"State<{self.render()}>"
@@ -154,11 +156,16 @@ class Engine:
     verdicts of replayed `c2` certificate steps) are invisible caches.  The
     library uses the engine owned by the spec (`AlgebraSpec.engine`), so its
     memos live as long as the spec does and are shared by every computation
-    on that spec; constructing an `Engine` directly gives fresh, empty memos.
+    on that spec.  That engine holds its spec through a `weakref.proxy`, so
+    the two form no reference cycle; it works only while the spec is alive.
+    Constructing an `Engine` directly gives fresh, empty memos and a strong
+    reference to the spec.
     """
 
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
+        # read on every mode action, so kept here rather than behind the spec
+        self._generators = frozenset(g.symbol for g in spec.generators)
         # (generator symbol or field expression, n, word) -> {word: coeff},
         # each coeff an int, a Fraction, or a Poly only when it has a symbol;
         # field expressions are tuples, but no two kinds that reach the memo
@@ -256,7 +263,7 @@ class Engine:
             field = field.symbol
         # a composite names only generators and earlier composites, so an
         # alias chain ends
-        while isinstance(field, str) and not spec.is_generator(field):
+        while isinstance(field, str) and field not in self._generators:
             field = spec.composite_expr(field)
             if isinstance(field, FieldRef):
                 field = field.symbol

@@ -13,7 +13,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, FrozenRecord, Mode, load_spec
+from .algebra import AlgebraSpec, Mode, Record, load_spec
 from .engine import Engine, State
 from .scalar import Poly, SolveError, exact, render_poly, solve_linear
 
@@ -23,25 +23,24 @@ EPSILON = {
 }
 
 
-class SingularTable(FrozenRecord):
+class SingularTable(Record):
     """Coefficients of the level-6 singular vectors
     N^ab = W^a_{-3} W^b_{-3} O - delta_ab (c1 L_{-2}^3 + c2 L_{-3}^2
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O
-         + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O."""
+         + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O;
+    each coefficient left out takes its published value."""
 
     __slots__ = _fields = ("c1", "c2", "c3", "c4", "c5", "c6")
+    _defaults = {"c1": Fraction(8, 9), "c2": Fraction(19, 36), "c3": Fraction(14, 9),
+                 "c4": Fraction(16, 9), "c5": 2, "c6": Fraction(5, 4)}
 
-    def __init__(self, c1: int | Fraction = Fraction(8, 9),
-                 c2: int | Fraction = Fraction(19, 36),
-                 c3: int | Fraction = Fraction(14, 9),
-                 c4: int | Fraction = Fraction(16, 9),
-                 c5: int | Fraction = 2,
-                 c6: int | Fraction = Fraction(5, 4)):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # stored exactly through scalar.exact: a float raises TypeError
-        for name, value in zip(self._fields, (c1, c2, c3, c4, c5, c6)):
-            object.__setattr__(self, name, exact(value))
+        for name in self._fields:
+            object.__setattr__(self, name, exact(getattr(self, name)))
 
-    replace = FrozenRecord._replace
+    replace = Record._replace
 
 
 DEFAULT_TABLE = SingularTable()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
@@ -10,9 +11,12 @@ import pytest
 
 from walgebra.algebra import (
     AlgebraSpec,
+    CompositeDecl,
     FieldRef,
     GeneratorDecl,
     Mode,
+    QPNop,
+    Record,
     SpecError,
     bracket,
     central_charge_p1,
@@ -276,13 +280,21 @@ def test_spec_is_frozen_and_owns_its_engine():
     for mapping in (spec.d, spec.constants, spec.composites, spec.c_lower):
         with pytest.raises(TypeError):
             mapping[key] = Poly.const(1)
-    assert spec.engine is spec.engine and spec.engine.spec is spec
+    # the engine computes under its spec
+    assert spec.engine is spec.engine and spec.engine.spec.constants is constants
     # substitution builds a new spec, with an engine of its own
     new = substitute_constants(spec, {"uT": Poly.const(3)})
     assert new is not spec and new.engine is not spec.engine
-    assert new.engine.spec is new
+    assert new.engine.spec.constants is new.constants
     assert new.constants[("W1", "W1", "T")] == Poly.const(3)
     assert spec.constants[("W1", "W1", "T")] == Poly.sym("uT")
+    # the engine holds no strong reference to its spec: the two form no
+    # cycle, so dropping the spec frees it at once
+    engine, ref = new.engine, weakref.ref(new)
+    del new
+    assert ref() is None
+    with pytest.raises(ReferenceError):
+        engine.spec.weight_of("T")
 
 
 SPEC_ATTRIBUTES = ("central_charge", "generators", "d", "constants", "composites",
@@ -321,6 +333,48 @@ def test_spec_copies_the_mappings_it_is_built_from():
                        {("T", "T", "T"): Poly.const(2)})
     d[("T", "T")] = Poly.const(5)
     assert spec.pairing("T", "T") == Poly.const(1)
+
+
+def test_spec_built_in_python_checks_composite_weights():
+    # the definition has weight 4; accepted, L4(-5) |0> came out as
+    # (-4/5) T(-5) |0> + (2) T(-3) T(-2) |0>
+    base = make_virasoro_spec(-2)
+    with pytest.raises(SpecError, match="composite 'L4' declared weight 5, "
+                                        "definition has weight 4"):
+        AlgebraSpec(base.central_charge, base.generators, base.d, base.constants,
+                    composites={"L4": CompositeDecl("L4", 5, QPNop("T", "T", 0))})
+
+
+class Pair(Record):
+    __slots__ = _fields = ("left", "right")
+    _defaults = {"right": 0}
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((1, 2), {}), ((), {"right": 2, "left": 1}), ((1,), {"right": 2}),
+], ids=["positional", "keyword", "mixed"])
+def test_record_takes_each_field_by_position_or_name(args, kwargs):
+    pair = Pair(*args, **kwargs)
+    assert (pair.left, pair.right) == (1, 2) and pair == Pair(1, 2)
+
+
+def test_record_fills_a_left_out_field_from_its_defaults():
+    assert Pair(1) == Pair(left=1) == Pair(1, 0)
+    assert Pair(1)._replace(right=5) == Pair(1, 5)
+    with pytest.raises(TypeError, match="Pair has no field 'middle'"):
+        Pair(1)._replace(middle=2)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((), {}, "Pair lacks field 'left'"),
+    ((), {"right": 2}, "Pair lacks field 'left'"),
+    ((1,), {"middle": 2}, "Pair has no field 'middle'"),
+    ((1,), {"left": 2}, "Pair got field 'left' twice"),
+    ((1, 2, 3), {}, "Pair takes 2 fields, got 3"),
+], ids=["nothing", "missing", "unknown", "twice", "too_many"])
+def test_record_refuses_a_missing_unknown_or_doubly_given_field(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        Pair(*args, **kwargs)
 
 
 def _virasoro_with_composites(*definitions):

@@ -382,27 +382,82 @@ def test_zero_denominator_in_certificate_names_the_text(cert, edit, message):
     assert str(info.value) == message
 
 
-def test_rule_kinds_with_equal_fields_differ():
-    combination, rewrite = LinearCombinationRule((), ()), SingularRewriteRule((), ())
-    assert combination != rewrite and not combination == rewrite
-    assert rewrite != combination and not rewrite == combination
-    assert combination != () and combination != ((), ())
-    prefix = (T(-2),)
-    again = PrefixInvarianceRule(prefix, 3)
-    assert again == PrefixInvarianceRule(base=3, prefix=(T(-2),))
-    assert not again != PrefixInvarianceRule((T(-2),), 3)
-    assert hash(again) == hash(PrefixInvarianceRule((T(-2),), 3))
-    assert again != ReorderRule(prefix, (), 3)
-    assert again._replace(base=4) == PrefixInvarianceRule(prefix, 4)
+# one rule of each kind, every field set, each a value its JSON form keeps
+SAMPLE_RULES = [
+    ManifestMemberRule(3),
+    PrefixInvarianceRule((T(-2), W(1, -3)), 1),
+    SingularRewriteRule(((Poly.const(1), (1, 2)), (Poly.sym("I") * Fraction(-1, 2), (3, 3))),
+                        expression((2, (W(1, -5),)))),
+    WeightBoundedBracketRule(W(1, -3), W(2, -3), (W(2, -3),)),
+    ReorderRule((T(-2),), (W(1, -3), W(1, -3)), 1),
+    LinearCombinationRule(((Poly.const(Fraction(1, 2)), 1),), expression((1, (T(-6),)))),
+]
 
 
-def test_rules_refuse_assignment():
-    rule = ManifestMemberRule()
-    with pytest.raises(AttributeError):
-        rule.n = 3
-    with pytest.raises(AttributeError):
-        del rule.n
-    assert rule.n == 2
+def _rule_id(rule):
+    return rule.name
+
+
+def test_every_rule_kind_has_a_sample_and_one_params_entry():
+    assert sorted(type(rule).__name__ for rule in SAMPLE_RULES) == sorted(
+        kind.__name__ for kind in c2._RULES.values())
+    assert [what for what in c2._KEYS if what.endswith(" params")] == [
+        f"{name} params" for name in c2._RULES]
+    for name, kind in c2._RULES.items():
+        assert c2._KEYS[f"{name} params"] == (set(kind._fields), frozenset())
+
+
+@pytest.mark.parametrize("rule", SAMPLE_RULES, ids=_rule_id)
+def test_every_rule_kind_checks_and_round_trips(rule):
+    assert callable(vars(type(rule)).get("check"))
+    one = Certificate(SingularTable(), [MembershipClaim(1, expression((1, (T(-2),))),
+                                                        rule, "one step")], [1])
+    doc = json.loads(json.dumps(c2.certificate_to_dict(one)))
+    assert certificate_from_dict(doc) == one
+
+
+@pytest.mark.parametrize("rule", SAMPLE_RULES, ids=_rule_id)
+def test_rule_kinds_with_equal_fields_differ(rule):
+    kind, fields = type(rule), rule._astuple()
+    again = kind(*fields)
+    assert again == rule and not again != rule and hash(again) == hash(rule)
+    assert kind(**dict(zip(kind._fields, fields))) == rule
+    assert rule != fields and rule != ()
+    assert rule._replace(**{kind._fields[0]: 0}) == kind(0, *fields[1:]) != rule
+    for other in c2._RULES.values():
+        if other is not kind and len(other._fields) == len(fields):
+            assert rule != other(*fields) and not rule == other(*fields)
+            assert other(*fields) != rule
+
+
+@pytest.mark.parametrize("rule", SAMPLE_RULES, ids=_rule_id)
+def test_rules_refuse_assignment(rule):
+    _refuses_assignment(rule)
+
+
+def _refuses_assignment(record):
+    for name in record._fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_refuses_assignment(cert, spec):
+    # the rules above, the spec in test_algebra, the table and certificate here
+    kinds = {kind for kind in _subclasses(algebra.Record)
+             if kind.__module__.startswith("walgebra.") and kind.__name__ != "_Rule"}
+    assert kinds == {AlgebraSpec, SingularTable, Certificate, *c2._RULES.values()}
+    for record in (cert.table, cert):
+        _refuses_assignment(record)
 
 
 def test_corrupt_any_step_fails(cert, spec):
@@ -555,7 +610,7 @@ def test_certificate_is_self_contained(cert, spec):
     ok, _ = verify_certificate(cert2, spec)
     assert ok
     # swapping the body table breaks it
-    cert2.table = SingularTable()
+    cert2 = cert2._replace(table=SingularTable())
     ok, _ = verify_certificate(cert2, spec)
     assert not ok
 
