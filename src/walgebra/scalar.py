@@ -3,7 +3,9 @@
 Exact rationals (an ``int`` when integral, else a ``fractions.Fraction``,
 never a float; see :func:`exact`), multivariate polynomials over the
 Gaussian rationals in named symbols, generalized binomial coefficients, and
-a small linear solver.  The reserved symbol
+a small linear solver.  A polynomial stores integer numerators over one
+positive denominator and does integer arithmetic; its coefficients become
+exact rationals only when read.  The reserved symbol
 ``I`` is the formal imaginary unit and satisfies I*I = -1; it is reduced
 eagerly so a polynomial never stores a power of I above 1.
 """
@@ -14,6 +16,7 @@ import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 IMAG = "I"
@@ -22,6 +25,7 @@ IMAG = "I"
 Mono = tuple[tuple[str, int], ...]
 
 _ONE_MONO: Mono = ()
+_I_MONO: Mono = ((IMAG, 1),)
 
 
 @lru_cache(maxsize=None)
@@ -67,31 +71,64 @@ def _mono_mul(a: Mono, b: Mono) -> tuple[int, Mono]:
     return sign, tuple(sorted(counts.items()))
 
 
-def _from_terms(t: dict[Mono, int | Fraction]) -> "Poly":
+def _make(n: dict[Mono, int], d: int) -> "Poly":
+    """The Poly n / d, with n and d already in the stored form."""
     p = Poly.__new__(Poly)
-    p._t = t
+    p._n = n
+    p._d = d
     p._hash = None
     return p
+
+
+def _reduced(n: dict[Mono, int], d: int) -> "Poly":
+    """The Poly n / d for nonzero numerators n and a denominator d > 0,
+    divided through by the gcd of all of them."""
+    if not n:
+        return _ZERO
+    if d != 1:
+        g = gcd(d, *n.values())
+        if g != 1:
+            n = {m: c // g for m, c in n.items()}
+            d //= g
+    return _make(n, d)
+
+
+def _ratio(num: int, den: int) -> int | Fraction:
+    """num / den as `exact` would store it."""
+    if den == 1:
+        return num
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Each stored coefficient is an ``int`` when it is integral and a
-    ``Fraction`` with denominator > 1 otherwise, never a float (see
-    :func:`exact`).  Immutable by convention: no method mutates ``self``.
+    Stored as nonzero integer numerators, one per monomial, over one
+    positive denominator that shares no factor with all of them; zero is
+    no numerators over 1.  Ring operations do integer arithmetic only and
+    reduce once at the end, and a coefficient becomes an ``int`` or a
+    ``Fraction`` only when it is read (see :func:`exact`).  Immutable by
+    convention: no method mutates ``self``.
     """
 
-    __slots__ = ("_t", "_hash")
+    __slots__ = ("_n", "_d", "_hash")
 
     def __init__(self, terms: Mapping[Mono, int | Fraction] | None = None):
-        t: dict[Mono, int | Fraction] = {}
+        coeffs: dict[Mono, int | Fraction] = {}
+        d = 1
         if terms:
             for mono, c in terms.items():
                 c = _number(exact(c))
                 if c:
-                    t[mono] = c
-        self._t = t
+                    coeffs[mono] = c
+                    if not isinstance(c, int):
+                        d = lcm(d, c.denominator)
+        # over the lcm of reduced denominators the numerators are already
+        # coprime to it: a prime to its highest power divides only d
+        self._n = {m: c * d if isinstance(c, int) else c.numerator * (d // c.denominator)
+                   for m, c in coeffs.items()}
+        self._d = d
         self._hash: int | None = None
 
     # --- constructors ---------------------------------------------------
@@ -103,64 +140,86 @@ class Poly:
     @classmethod
     def const(cls, value) -> "Poly":
         v = _number(exact(value))
-        return _from_terms({_ONE_MONO: v} if v else {})
+        if not v:
+            return _ZERO
+        if isinstance(v, int):
+            return _make({_ONE_MONO: v}, 1)
+        return _make({_ONE_MONO: v.numerator}, v.denominator)
 
     @classmethod
     def sym(cls, name: str) -> "Poly":
         if not name:
             raise ValueError("empty symbol name")
-        return _from_terms({((name, 1),): 1})
+        return _make({((name, 1),): 1}, 1)
 
     # --- basic queries ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self._t)
+        return bool(self._n)
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not self._n
 
     def is_const(self) -> bool:
-        return not self._t or (len(self._t) == 1 and _ONE_MONO in self._t)
+        n = self._n
+        return not n or (len(n) == 1 and _ONE_MONO in n)
 
     def const_value(self) -> int | Fraction:
-        if not self._t:
+        n = self._n
+        if not n:
             return 0
-        if not self.is_const():
+        if len(n) != 1 or _ONE_MONO not in n:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._t[_ONE_MONO]
+        return _ratio(n[_ONE_MONO], self._d)
 
     def symbols(self) -> set[str]:
         out: set[str] = set()
-        for mono in self._t:
+        for mono in self._n:
             for name, _ in mono:
                 out.add(name)
         return out
 
     def terms(self) -> dict[Mono, int | Fraction]:
-        return dict(self._t)
+        d = self._d
+        if d == 1:
+            return dict(self._n)
+        return {m: _ratio(c, d) for m, c in self._n.items()}
 
     # --- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Poly":
         other = _coerce(other)
-        if not other._t:
+        b = other._n
+        if not b:
             return self
-        if not self._t:
+        a = self._n
+        if not a:
             return other
-        t = dict(self._t)
-        for mono, c in other._t.items():
-            acc = t.get(mono)
-            c = c if acc is None else exact(acc + c)
-            if c:
-                t[mono] = c
-            elif mono in t:
-                del t[mono]
-        return _from_terms(t)
+        da, db = self._d, other._d
+        if da == db:
+            n = dict(a)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            n = {m: c * fa for m, c in a.items()}
+            da *= fa
+        for mono, c in b.items():
+            if fb != 1:
+                c *= fb
+            acc = n.get(mono)
+            if acc is not None:
+                c += acc
+                if not c:
+                    del n[mono]
+                    continue
+            n[mono] = c
+        return _reduced(n, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return _from_terms({m: -c for m, c in self._t.items()})
+        return _make({m: -c for m, c in self._n.items()}, self._d)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_coerce(other))
@@ -168,42 +227,62 @@ class Poly:
     def __rsub__(self, other) -> "Poly":
         return _coerce(other) + (-self)
 
-    def _scaled(self, c: int | Fraction) -> "Poly":
-        """self * c for a nonzero exact number c; no monomial changes."""
-        if c == 1:
-            return self
-        return _from_terms({m: exact(v * c) for m, v in self._t.items()})
+    def _scaled(self, num: int, den: int) -> "Poly":
+        """self * num / den for a nonzero num over den > 0, coprime; no
+        monomial changes."""
+        n, d = self._n, self._d
+        if den == 1:
+            # the numerators share no factor with d, so only num can cancel
+            g = gcd(num, d)
+            if g != 1:
+                num //= g
+                d //= g
+            elif num == 1:
+                return self
+            return _make(n if num == 1 else {m: c * num for m, c in n.items()}, d)
+        return _reduced(n if num == 1 else {m: c * num for m, c in n.items()}, d * den)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            a, b = self._t, other._t
+            a, b = self._n, other._n
             if not a or not b:
-                return Poly()
+                return _ZERO
             # a constant operand scales the other one directly
             if len(b) == 1 and _ONE_MONO in b:
-                return self._scaled(b[_ONE_MONO])
+                return self._scaled(b[_ONE_MONO], other._d)
             if len(a) == 1 and _ONE_MONO in a:
-                return other._scaled(a[_ONE_MONO])
+                return other._scaled(a[_ONE_MONO], self._d)
         else:
             c = _number(other)
-            return self._scaled(c) if c and self._t else Poly()
-        t: dict[Mono, int | Fraction] = {}
+            if not c:
+                return _ZERO
+            if isinstance(c, int):
+                return self._scaled(c, 1)
+            return self._scaled(c.numerator, c.denominator)
+        n: dict[Mono, int] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 sign, m = _mono_mul(m1, m2)
                 c = c1 * c2 if sign == 1 else -(c1 * c2)
-                acc = t.get(m)
-                c = exact(c if acc is None else acc + c)
-                if c:
-                    t[m] = c
-                elif m in t:
-                    del t[m]
-        return _from_terms(t)
+                acc = n.get(m)
+                if acc is not None:
+                    c += acc
+                    if not c:
+                        del n[m]
+                        continue
+                n[m] = c
+        return _reduced(n, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        return self * (Fraction(1) / _number(other))
+        c = _number(other)
+        if not c:
+            raise ZeroDivisionError(f"polynomial division by {c}")
+        num, den = (c, 1) if isinstance(c, int) else (c.numerator, c.denominator)
+        if num < 0:
+            num, den = -num, -den
+        return self._scaled(den, num)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -222,11 +301,11 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._t == other._t
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
+            self._hash = hash((self._d, frozenset(self._n.items())))
         return self._hash
 
     # --- structure --------------------------------------------------------
@@ -234,15 +313,16 @@ class Poly:
     def substitute(self, assignment: Mapping[str, "Poly | Fraction | int"]) -> "Poly":
         """Replace symbols by polynomials or rationals; exact."""
         subs = {k: _coerce(v) for k, v in assignment.items()}
-        out = Poly()
-        for mono, c in self._t.items():
-            term = Poly.const(c)
+        out = _ZERO
+        for mono, c in self._n.items():
+            term = _make({_ONE_MONO: c}, 1)
             for name, p in mono:
                 rep = subs.get(name)
                 factor = rep if rep is not None else Poly.sym(name)
                 term = term * factor**p
             out = out + term
-        return out
+        # the numerators were summed; divide once by their denominator
+        return out._scaled(1, self._d)
 
     def coeff_of_symbol(self, name: str) -> tuple["Poly", "Poly"]:
         """Split as  coeff*name + rest  with ``name`` of degree exactly 1.
@@ -250,7 +330,7 @@ class Poly:
         Raises ValueError (a SolveError) if ``name`` appears with power >= 2.
         """
         row = _decompose(self, [name])
-        return row.get(name, Poly()), row.get(None, Poly())
+        return row.get(name, _ZERO), row.get(None, _ZERO)
 
     # --- rendering ----------------------------------------------------------
 
@@ -261,21 +341,23 @@ class Poly:
         return render_poly(self)
 
 
+_ZERO = _make({}, 1)
+
+
 def exact(c) -> int | Fraction | Poly:
     """`c` as an int when it is integral, else as a Fraction; a constant
     Poly becomes its number and a Poly with a symbol is returned as it is.
     A float is refused rather than rounded.  This is the one normaliser of
-    every coefficient a `Poly` stores and of the engine's memo values."""
+    the numbers a `Poly` is built from and reads out, and of the engine's
+    memo values."""
     t = type(c)
     if t is int:
         return c
     if t is Fraction:
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, Poly):
-        if not c.is_const():
-            return c
-        c = c.const_value()
-    elif isinstance(c, float):
+        return c.const_value() if c.is_const() else c
+    if isinstance(c, float):
         raise TypeError(f"exact coefficient expected, got the float {c!r}")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
@@ -305,16 +387,17 @@ def _render_mono(mono: Mono) -> str:
 def render_poly(p: Poly) -> str:
     if not p:
         return "0"
+    n, d = p._n, p._d
     bits = []
-    for mono in sorted(p._t):
-        c = p._t[mono]
+    for mono in sorted(n):
+        c = n[mono]
         m = _render_mono(mono)
         if not m:
-            body = str(abs(c))
-        elif abs(c) == 1:
+            body = str(_ratio(abs(c), d))
+        elif abs(c) == d:
             body = m
         else:
-            body = f"{abs(c)}*{m}"
+            body = f"{_ratio(abs(c), d)}*{m}"
         sign = "-" if c < 0 else "+"
         bits.append((sign, body))
     first_sign, first = bits[0]
@@ -430,8 +513,8 @@ def _decompose(eq: Poly, unknowns: list[str]) -> dict[str | None, Poly]:
     """Write eq = sum coeff_u * u + rest as the row {u: coeff_u, None: rest},
     zeros left out; each monomial may hold one unknown, to the first power."""
     uset = set(unknowns)
-    row: dict[str | None, dict[Mono, int | Fraction]] = {}
-    for mono, c in eq.terms().items():
+    row: dict[str | None, dict[Mono, int]] = {}
+    for mono, c in eq._n.items():
         present = [(s, p) for s, p in mono if s in uset]
         if not present:
             row.setdefault(None, {})[mono] = c
@@ -441,7 +524,23 @@ def _decompose(eq: Poly, unknowns: list[str]) -> dict[str | None, Poly]:
         name = present[0][0]
         reduced = tuple((s, p) for s, p in mono if s != name)
         row.setdefault(name, {})[reduced] = c
-    return {k: Poly(t) for k, t in row.items()}
+    return {k: _reduced(t, eq._d) for k, t in row.items()}
+
+
+def _gaussian(c: Poly) -> bool:
+    """Whether c is a constant a + b*I of Q(i)."""
+    return all(not m or m == _I_MONO for m in c._n)
+
+
+def _inverse(c: Poly) -> Poly:
+    """1/c for a nonzero c = (a + b*I)/d of Q(i): d*(a - b*I)/(a^2 + b^2)."""
+    a, b, d = c._n.get(_ONE_MONO, 0), c._n.get(_I_MONO, 0), c._d
+    n = {}
+    if a:
+        n[_ONE_MONO] = a * d
+    if b:
+        n[_I_MONO] = -b * d
+    return _reduced(n, a * a + b * b)
 
 
 def _eliminate(row: dict[str | None, Poly], name: str,
@@ -464,8 +563,10 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
     elimination: each pivot row is scaled to 1 on its unknown u, and u is
     eliminated from every other row, so each pivot row ends as u + rest = 0.
 
-    Pivots must be nonzero rational constants (the systems this engine
-    produces always have constant coefficients on their unknowns).
+    Pivots must be nonzero constants of Q(i) (the systems this engine
+    produces always have constant coefficients on their unknowns); a
+    rational pivot is taken wherever one exists, so a system with rational
+    pivots is solved in the same order as over Q.
     Returns an assignment mapping each unknown to a Poly free of unknowns.
     """
     names = list(unknowns)
@@ -474,16 +575,13 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
 
     remaining = list(names)
     while remaining:
-        pivot_idx = pivot_name = None
-        for ri, row in enumerate(rows):
-            for u in remaining:
-                c = row.get(u)
-                if c is not None and c.is_const() and c.const_value():
-                    pivot_idx, pivot_name = ri, u
-                    break
-            if pivot_idx is not None:
+        found = None
+        for pivotable in (Poly.is_const, _gaussian):
+            found = next(((ri, u) for ri, row in enumerate(rows) for u in remaining
+                          if u in row and pivotable(row[u])), None)
+            if found:
                 break
-        if pivot_idx is None:
+        if found is None:
             appearing = sorted({u for row in rows for u in row if u in remaining})
             if appearing:
                 raise SolveError(
@@ -493,11 +591,12 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
                 f"underdetermined system; free unknowns: {sorted(remaining)}",
                 free=sorted(remaining),
             )
+        pivot_idx, pivot_name = found
         row = rows.pop(pivot_idx)
-        inv = Fraction(1) / row.pop(pivot_name).const_value()
+        inv = _inverse(row.pop(pivot_name))
         row = {k: v * inv for k, v in row.items()}
         remaining.remove(pivot_name)
-        if any(pivot_name in r and not r[pivot_name].is_const() for r in rows):
+        if any(pivot_name in r and not _gaussian(r[pivot_name]) for r in rows):
             raise SolveError(f"nonconstant coefficient on {pivot_name}")
         rows = [_eliminate(r, pivot_name, row) for r in rows]
         pivots = {u: _eliminate(r, pivot_name, row) for u, r in pivots.items()}
@@ -507,4 +606,4 @@ def solve_linear(equations: Iterable[Poly], unknowns: Iterable[str]) -> dict[str
         rest = row.get(None)
         if rest:
             raise SolveError(f"inconsistent system, residual {rest}")
-    return {u: -row.get(None, Poly()) for u, row in pivots.items()}
+    return {u: -row.get(None, _ZERO) for u, row in pivots.items()}

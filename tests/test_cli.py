@@ -42,8 +42,8 @@ CASES = [
     (("verma-character", "--p", "2", "--cutoff", "8"), "verma_p2.txt"),
     (("char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
       "--level", "8", "--format", "json"), "chardiff_p3.json"),
-    (("derive", "--p", "2", "--format", "json"), "derive_p2.json"),
-    (("derive", "--p", "5", "--format", "json"), "derive_p5.json"),
+    *((("derive", "--p", str(p), "--format", "json"), f"derive_p{p}.json")
+      for p in range(2, 9)),
     (("certify-c2",), "certify_text.txt"),
     (("certify-c2", "--format", "json"), "certificate_p2.json"),
     (("verify-singular", "--solve-mode",), "verify_singular_solve.txt"),

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from walgebra.scalar import (
     Poly,
     SolveError,
     binom_int,
+    exact,
     parse_poly,
     parse_rational,
     render_poly,
@@ -132,6 +134,141 @@ def test_stored_coefficients_are_exact(a, b, r):
         results.append(a / r)
     for p in results:
         assert all(_is_exact(c) for c in p.terms().values()), p.terms()
+
+
+# --- Poly against a dict-of-Fraction reference ------------------------------
+
+# monomials in I, C and uW, each (name, power) pair sorted by name
+ref_monos = st.builds(
+    lambda i, c, u: tuple((n, k) for n, k in (("C", c), ("I", i), ("uW", u)) if k),
+    st.integers(0, 1), st.integers(0, 2), st.integers(0, 2),
+)
+ref_dicts = st.dictionaries(ref_monos, rationals, max_size=4)
+scalars = st.one_of(st.integers(min_value=-12, max_value=12), rationals)
+
+
+def ref_clean(t: dict) -> dict:
+    return {m: Fraction(c) for m, c in t.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            powers = dict(m1)
+            for name, k in m2:
+                powers[name] = powers.get(name, 0) + k
+            c = c1 * c2
+            i = powers.pop("I", 0)
+            if i % 4 >= 2:
+                c = -c
+            if i % 2:
+                powers["I"] = 1
+            m = tuple(sorted(powers.items()))
+            out[m] = out.get(m, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_pow(a: dict, n: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a: dict, subs: dict) -> dict:
+    out: dict = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for name, k in mono:
+            rep = subs.get(name, {((name, 1),): Fraction(1)})
+            term = ref_mul(term, ref_pow(rep, k))
+        out = ref_add(out, term)
+    return out
+
+
+def typed(t: dict) -> dict:
+    """Each coefficient with its type; an integral Fraction read as an int."""
+    out = {}
+    for m, c in t.items():
+        c = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        out[m] = (type(c), c)
+    return out
+
+
+def assert_matches(p: Poly, ref: dict) -> None:
+    got = p.terms()
+    assert {m: (type(c), c) for m, c in got.items()} == typed(ref_clean(ref))
+    # the stored form: nonzero integer numerators over a positive
+    # denominator, all coprime, and zero as nothing over 1
+    assert type(p._d) is int and p._d > 0
+    assert all(type(c) is int and c for c in p._n.values())
+    assert gcd(p._d, *p._n.values()) == 1
+    if not got:
+        assert p._n == {} and p._d == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_dicts, ref_dicts, scalars, st.integers(0, 3))
+def test_poly_matches_fraction_reference(ta, tb, r, n):
+    a, b = Poly(ta), Poly(tb)
+    rt = {(): Fraction(r)}
+    assert_matches(a, ta)
+    assert_matches(a + b, ref_add(ta, tb))
+    assert_matches(a - b, ref_add(ta, ref_mul(tb, {(): Fraction(-1)})))
+    assert_matches(-a, ref_mul(ta, {(): Fraction(-1)}))
+    assert_matches(a * b, ref_mul(ta, tb))
+    assert_matches(a * r, ref_mul(ta, rt))
+    assert_matches(r * a, ref_mul(ta, rt))
+    assert_matches(a + r, ref_add(ta, rt))
+    assert_matches(r - a, ref_add(rt, ref_mul(ta, {(): Fraction(-1)})))
+    assert_matches(a * Poly.const(r), ref_mul(ta, rt))
+    assert_matches(a**n, ref_pow(ta, n))
+    assert_matches(a.substitute({"C": b}), ref_substitute(ta, {"C": tb}))
+    assert_matches(a.substitute({"uW": r, "I": b}),
+                   ref_substitute(ta, {"uW": rt, "I": tb}))
+    if r:
+        assert_matches(a / r, ref_mul(ta, {(): 1 / Fraction(r)}))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / r
+    if a.is_const():
+        value = a.const_value()
+        assert (type(value), value) == typed({(): ta.get((), Fraction(0))})[()]
+        assert exact(a) == value and type(exact(a)) is type(value)
+
+
+def test_equal_values_are_equal_and_hash_alike():
+    half = [Poly({(): Fraction(2, 4)}), Poly.const(1) / 2, parse_poly("1/2"),
+            Poly.const(Fraction(1, 2))]
+    for p in half:
+        assert p == half[0] == Fraction(1, 2)
+        assert hash(p) == hash(half[0])
+        assert p.terms() == {(): Fraction(1, 2)}
+    zeros = [Poly(), Poly.zero(), Poly({(): 0}), Poly.sym("C") - Poly.sym("C"),
+             Poly.const(Fraction(1, 3)) * 0, parse_poly("x - x")]
+    for p in zeros:
+        assert p == zeros[0] == 0 and hash(p) == hash(zeros[0])
+        assert (p._n, p._d) == ({}, 1)
+    # 1/6 + 1/3 = 1/2: a sum over the common denominator is reduced
+    C = Poly.sym("C")
+    assert C / 6 + C / 3 == C / 2 and hash(C / 6 + C / 3) == hash(C / 2)
+    assert (C / 6 + C / 3)._d == 2
+
+
+def test_exact_reads_a_constant_poly_as_its_number():
+    for value in (3, Fraction(3, 4), Fraction(-8, 4), 0):
+        got = exact(Poly.const(value))
+        assert got == value and type(got) is type(exact(value))
+    C = Poly.sym("C")
+    assert exact(C) is C
 
 
 @pytest.mark.parametrize("make", [
@@ -300,3 +437,25 @@ def test_solve_round_trip(system):
         assert value.symbols() <= {"I", "C"}
     for eq in eqs:
         assert eq.substitute(sol).is_zero()
+
+
+def test_solve_pivots_on_a_gaussian_constant():
+    I, x, y = Poly.sym("I"), Poly.sym("x"), Poly.sym("y")
+    assert solve_linear([2 * I * x - 4], ["x"]) == {"x": -2 * I}
+    sol = solve_linear([x + y - 1, I * y - 2], ["x", "y"])
+    assert sol == {"x": 1 + 2 * I, "y": -2 * I}
+    assert solve_linear([(3 + 4 * I) * x - 25], ["x"]) == {"x": 3 - 4 * I}
+    # x is pivoted on the rational row first and eliminated from a row where
+    # its coefficient is I, which leaves (1 + 2I) y + I
+    eqs = [x - 2 * y - 1, I * x + y]
+    sol = solve_linear(eqs, ["x", "y"])
+    assert sol == {"x": (1 - 2 * I) / 5, "y": (-2 - I) / 5}
+    for eq in eqs:
+        assert eq.substitute(sol).is_zero()
+    # a coefficient with another symbol is still no pivot, and is refused
+    # in a row the pivot is eliminated from
+    C = Poly.sym("C")
+    with pytest.raises(SolveError, match=r"no constant pivot for unknowns \['x'\]"):
+        solve_linear([C * I * x - 4], ["x"])
+    with pytest.raises(SolveError, match=r"^nonconstant coefficient on x$"):
+        solve_linear([x - 1, C * x + y], ["x", "y"])
