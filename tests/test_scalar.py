@@ -239,10 +239,13 @@ def test_poly_matches_fraction_reference(ta, tb, r, n):
     else:
         with pytest.raises(ZeroDivisionError):
             a / r
-    if a.is_const():
-        value = a.const_value()
-        assert (type(value), value) == typed({(): ta.get((), Fraction(0))})[()]
-        assert exact(a) == value and type(exact(a)) is type(value)
+    # every symbol replaced by r leaves a constant, read as its number
+    k = a.substitute({"C": r, "I": r, "uW": r})
+    tk = ref_substitute(ta, {"C": rt, "I": rt, "uW": rt})
+    assert_matches(k, tk)
+    want = typed({(): tk.get((), Fraction(0))})[()]
+    for value in (k.const_value(), exact(k)):
+        assert (type(value), value) == want
 
 
 def test_equal_values_are_equal_and_hash_alike():
@@ -261,14 +264,6 @@ def test_equal_values_are_equal_and_hash_alike():
     C = Poly.sym("C")
     assert C / 6 + C / 3 == C / 2 and hash(C / 6 + C / 3) == hash(C / 2)
     assert (C / 6 + C / 3)._d == 2
-
-
-def test_exact_reads_a_constant_poly_as_its_number():
-    for value in (3, Fraction(3, 4), Fraction(-8, 4), 0):
-        got = exact(Poly.const(value))
-        assert got == value and type(got) is type(exact(value))
-    C = Poly.sym("C")
-    assert exact(C) is C
 
 
 @pytest.mark.parametrize("make", [
