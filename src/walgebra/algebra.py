@@ -28,9 +28,9 @@ fields, are classes written out by hand on :class:`Record`, which compares
 name (with per-class ``_defaults``) and refuses assignment and deletion:
 ``AlgebraSpec`` (validation, read-only mappings, a cached engine that refers
 back to it weakly), and the ``__slots__`` classes ``singular.SingularTable``
-(exact normalisation, ``replace``), the six ``c2`` rules (a JSON codec keyed
-by their fields, and equality that tells rule kinds apart) and
-``c2.Certificate``.  ``c2.MembershipClaim`` stays a dataclass only because
+(exact normalisation, ``replace``, and its null vectors kept once built),
+the six ``c2`` rules (a JSON codec keyed by their fields, and equality that
+tells rule kinds apart) and ``c2.Certificate``.  ``c2.MembershipClaim`` stays a dataclass only because
 ``bench/worker.py`` calls ``dataclasses.replace`` on a step.
 """
 
@@ -252,10 +252,11 @@ class AlgebraSpec(Record):
         """The rewriting engine bound to this spec, built on first use; its
         memo lives as long as the spec does.  The engine refers back to the
         spec weakly, so a spec and its engine form no reference cycle and are
-        freed together as soon as the spec is dropped."""
+        freed together as soon as the spec is dropped; keep the spec alive
+        while its engine is in use."""
         from .engine import Engine
 
-        return Engine(weakref.proxy(self))
+        return Engine(weakref.ref(self))
 
     # --- lookups ---
 

@@ -35,7 +35,8 @@ from functools import lru_cache
 from .algebra import (AlgebraSpec, Mode, Record, convert_index, decoded, keyed, parsed,
                       typed)
 from .engine import State, render_terms
-from .scalar import PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly
+from .scalar import (PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly,
+                     sum_products)
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -52,20 +53,20 @@ def expression(*terms) -> Expression:
     """The sum of `(coefficient, mode sequence)` terms in normal form: the
     coefficients of each sequence summed, zero terms dropped and the rest
     sorted by sequence, the order `render_expression` writes.  A coefficient
-    is a Poly or an exact number.  The one routine that sums formal terms, so
-    two expressions that state the same formal sum are equal tuples."""
-    acc: dict[tuple[Mode, ...], Poly] = {}
-    for coeff, seq in terms:
-        c = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-        seq = tuple(seq)
-        prev = acc.get(seq)
-        acc[seq] = c if prev is None else prev + c
-    return tuple(sorted(((c, s) for s, c in acc.items() if c), key=lambda t: t[1]))
-
-
-def expr_scale(a: Expression, factor) -> Expression:
-    f = factor if isinstance(factor, Poly) else Poly.const(factor)
-    return tuple((cf, s) for c, s in a if (cf := c * f))
+    is a Poly or an exact number; a term `(coefficient, factor, mode
+    sequence)` has the product of the two as its coefficient.  The one
+    routine that sums formal terms, so two expressions that state the same
+    formal sum are equal tuples; each sequence's coefficient is one
+    `scalar.sum_products`."""
+    acc: dict[tuple[Mode, ...], list] = {}
+    for term in terms:
+        if len(term) == 2:
+            pair, seq = (term[0], 1), tuple(term[1])
+        else:
+            pair, seq = term[:2], tuple(term[2])
+        acc.setdefault(seq, []).append(pair)
+    out = [(c, s) for s, pairs in acc.items() if (c := sum_products(pairs))]
+    return tuple(sorted(out, key=lambda t: t[1]))
 
 
 def expr_prefix(prefix: tuple[Mode, ...], a: Expression) -> Expression:
@@ -272,9 +273,9 @@ def _combination(vector: Expression, known: list[tuple[Poly, Expression]],
     for _, seq in remainder:
         if not prefixed_manifest(seq, 2, spec):
             return False, f"remainder term {seq} is not prefixed-manifest"
-    residual = expression(*vector, *expr_scale(remainder, -1),
-                          *(term for coeff, terms in known
-                            for term in expr_scale(terms, -coeff)))
+    scaled = [(-coeff, terms) for coeff, terms in known]
+    residual = expression(*vector, *((c, -1, s) for c, s in remainder),
+                          *((c, f, s) for f, terms in scaled for c, s in terms))
     if residual:
         return False, f"residual: {render_expression(residual)}"
     return True, ""
@@ -405,7 +406,8 @@ def certify_triplet_p2(table: SingularTable | None = None) -> Certificate:
 
     def rewrite(vector: Expression, a: int, b: int) -> SingularRewriteRule:
         """vector = N^ab + what remains of vector once N^ab is subtracted."""
-        remainder = expression(*vector, *expr_scale(null_vector_terms(a, b, table), -1))
+        remainder = expression(*vector,
+                               *((c, -1, s) for c, s in null_vector_terms(a, b, table)))
         return SingularRewriteRule(((Poly.const(1), (a, b)),), remainder)
 
     # mixed quadratics W^a W^b O for a != b
@@ -575,11 +577,20 @@ def parse_expression(text: str) -> Expression:
         pos = sep.end()
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
+def _mode_from_text(text: str) -> Mode | None:
+    """The mode a text such as "W1(-3)" states, or None; like
+    `parse_expression`, the last `PARSE_CACHE_SIZE` distinct texts are cached,
+    so a certificate loaded again parses each mode text once."""
+    m = _patterns()[0].fullmatch(text.strip())
+    return m and Mode(m.group(1), int(m.group(2)))
+
+
 def _mode_from_str(s, what: str) -> Mode:
-    m = _patterns()[0].fullmatch(typed(s, str, what, CertificateError).strip())
-    if not m:
+    mode = _mode_from_text(typed(s, str, what, CertificateError))
+    if mode is None:
         raise CertificateError(f"{what}: bad mode {s!r}")
-    return Mode(m.group(1), int(m.group(2)))
+    return mode
 
 
 _RULES = {rule.name: rule for rule in _Rule.__subclasses__()}
@@ -625,6 +636,14 @@ def _param_to_json(key: str, value):
     return [{"coeff": render_poly(c), "id": i} for c, i in value]  # parts
 
 
+def _null_index(value, what: str) -> int:
+    """An index a or b of a null N^ab: 1, 2 or 3, the indices the table's
+    vectors have."""
+    if typed(value, int, what, CertificateError) not in (1, 2, 3):
+        raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
+    return value
+
+
 def _param_from_json(key: str, value):
     """The value of the params key `key`; a refusal names the key."""
     if key in ("n", "base"):
@@ -640,8 +659,7 @@ def _param_from_json(key: str, value):
     if key == "nulls":
         entries = [_keyed(e, "a null") for e in value]
         return tuple((parsed(parse_poly, e["coeff"], "a null coeff", CertificateError),
-                      (typed(e["a"], int, "a null a", CertificateError),
-                       typed(e["b"], int, "a null b", CertificateError)))
+                      (_null_index(e["a"], "a null a"), _null_index(e["b"], "a null b")))
                      for e in entries)
     entries = [_keyed(e, "a part") for e in value]
     return tuple((parsed(parse_poly, e["coeff"], "a part coeff", CertificateError),

@@ -4,10 +4,15 @@ States are finite linear combinations of canonical words of creation modes
 applied to the vacuum.  A word is canonical when its physics indices are
 nondecreasing left to right, ties broken by generator declaration order,
 and every mode satisfies n <= -weight.  The leftmost mode acts last.
+
+A mode application and `Engine.evaluate` gather the (coefficient, factor)
+pairs that reach each output word and sum them once, in integers, with
+`scalar.sum_products`; a word whose sum is zero is dropped.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import groupby
@@ -29,7 +34,7 @@ from .algebra import (
     bracket,
     expr_weight,
 )
-from .scalar import Poly, binom_int, exact, render_poly
+from .scalar import Poly, binom_int, exact, render_poly, sum_products
 
 Word = tuple[Mode, ...]
 
@@ -45,6 +50,19 @@ def _acc(table: dict, word: Word, coeff) -> None:
         table[word] = coeff
     elif word in table:
         del table[word]
+
+
+def _summed(pairs: dict[Word, list]) -> State:
+    """The State whose coefficient on each word is the sum of a * b over
+    that word's (a, b) pairs, zero sums dropped."""
+    t = {}
+    for word, ab in pairs.items():
+        c = sum_products(ab)
+        if c:
+            t[word] = c
+    out = State.__new__(State)
+    out._t = t
+    return out
 
 
 def _partitions(total: int, count: int, least: int,
@@ -156,16 +174,19 @@ class Engine:
     verdicts of replayed `c2` certificate steps) are invisible caches.  The
     library uses the engine owned by the spec (`AlgebraSpec.engine`), so its
     memos live as long as the spec does and are shared by every computation
-    on that spec.  That engine holds its spec through a `weakref.proxy`, so
-    the two form no reference cycle; it works only while the spec is alive.
-    Constructing an `Engine` directly gives fresh, empty memos and a strong
-    reference to the spec.
+    on that spec.  That engine is given a `weakref.ref` to its spec, so the
+    two form no reference cycle; it works only while the spec is alive, and
+    once the spec is freed it raises ReferenceError saying so.  Constructing
+    an `Engine` from a spec gives fresh, empty memos and a strong reference
+    to the spec.
     """
 
-    def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
+    def __init__(self, spec: AlgebraSpec | weakref.ref):
+        # a callable that returns the spec, or None once a weakly held spec
+        # is freed; called once per memo miss
+        self._spec = spec if isinstance(spec, weakref.ref) else (lambda: spec)
         # read on every mode action, so kept here rather than behind the spec
-        self._generators = frozenset(g.symbol for g in spec.generators)
+        self._generators = frozenset(g.symbol for g in self.spec.generators)
         # (generator symbol or field expression, n, word) -> {word: coeff},
         # each coeff an int, a Fraction, or a Poly only when it has a symbol;
         # field expressions are tuples, but no two kinds that reach the memo
@@ -183,6 +204,16 @@ class Engine:
         # besides the spec, so a replay on this spec re-checks only the steps
         # that changed
         self.verdict_memo: dict[tuple, tuple[bool, str]] = {}
+
+    @property
+    def spec(self) -> AlgebraSpec:
+        spec = self._spec()
+        if spec is None:
+            raise ReferenceError(
+                "the AlgebraSpec of this engine was freed; keep the spec alive "
+                "while spec.engine is in use"
+            )
+        return spec
 
     # --- mode application ----------------------------------------------------
 
@@ -228,24 +259,21 @@ class Engine:
         return state
 
     def evaluate(self, terms: Iterable[tuple[Poly, Iterable[Mode]]]) -> State:
-        """Canonical State of a sum of coefficient * mode sequence |0>,
-        summed into one table."""
-        out: dict[Word, Poly] = {}
+        """Canonical State of a sum of coefficient * mode sequence |0>, each
+        output coefficient summed once."""
+        out: dict[Word, list] = {}
         for coeff, seq in terms:
-            f = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-            if f:
+            if coeff:
                 for word, c in self.normal_order(seq)._t.items():
-                    _acc(out, word, c * f)
-        total = State.__new__(State)
-        total._t = out
-        return total
+                    out.setdefault(word, []).append((c, coeff))
+        return _summed(out)
 
     def _apply(self, field: str | FieldExpr, n: int, state: State) -> State:
-        out: dict[Word, Poly] = {}
+        out: dict[Word, list] = {}
         for word, coeff in state._t.items():
             for w, c in self._act(field, n, word).items():
-                _acc(out, w, coeff * c)
-        return State(out)
+                out.setdefault(w, []).append((coeff, c))
+        return _summed(out)
 
     def _act(self, field: str | FieldExpr, n: int, word: Word) -> dict:
         """The mode field_n on one canonical word, as {word: coeff}.
@@ -258,13 +286,12 @@ class Engine:
         until a symbol enters (see `scalar.exact`), so the rewriting of
         constant coefficients never builds a Poly.
         """
-        spec = self.spec
         if isinstance(field, FieldRef):
             field = field.symbol
         # a composite names only generators and earlier composites, so an
         # alias chain ends
         while isinstance(field, str) and field not in self._generators:
-            field = spec.composite_expr(field)
+            field = self.spec.composite_expr(field)
             if isinstance(field, FieldRef):
                 field = field.symbol
         if isinstance(field, QPNop):
@@ -273,6 +300,7 @@ class Engine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        spec = self.spec
         result: dict = {}
         if isinstance(field, str):
             mode = Mode(field, n)

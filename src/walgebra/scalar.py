@@ -363,6 +363,73 @@ def exact(c) -> int | Fraction | Poly:
     return c.numerator if c.denominator == 1 else c
 
 
+def _factor(x) -> tuple[int, int, dict[Mono, int] | None]:
+    """x as k / d times the numerators m, with m None for a constant, so that
+    a constant scales the other side of a product directly; k is 0 for zero."""
+    if type(x) is Poly:
+        m = x._n
+        if len(m) == 1 and _ONE_MONO in m:
+            return m[_ONE_MONO], x._d, None
+        return (1 if m else 0), x._d, m
+    x = _number(x)
+    if type(x) is int:
+        return x, 1, None
+    return x.numerator, x.denominator, None
+
+
+def sum_products(pairs: list[tuple]) -> Poly:
+    """The sum of a * b over the (a, b) pairs, each side a Poly or an exact
+    number, as one Poly.
+
+    The products are summed as integer numerators over one running
+    denominator, the lcm of the pairs' denominators, and reduced once at the
+    end with one gcd, where one `+` per pair would build a Poly and take a
+    gcd for each.  A constant side scales the other side's numerators
+    directly, and I*I reduces to -1 as in `*`.  A single pair is one `*`."""
+    if len(pairs) == 1:
+        (a, b), = pairs
+        return _coerce(a) * b
+    n: dict[Mono, int] = {}
+    den = 1
+    for a, b in pairs:
+        ka, da, ma = _factor(a)
+        if not ka:
+            continue
+        kb, db, mb = _factor(b)
+        if not kb:
+            continue
+        d = da * db
+        k = ka * kb
+        if d != den:
+            if not n:
+                den = d
+            else:
+                g = gcd(den, d)
+                if g != d:
+                    # den is not a multiple of d: move the sum to their lcm
+                    grow = d // g
+                    n = {m: c * grow for m, c in n.items()}
+                    den *= grow
+                k *= den // d
+        if ma is None:
+            if mb is None:
+                n[_ONE_MONO] = n.get(_ONE_MONO, 0) + k
+                continue
+            ma, mb = mb, ma
+        if mb is None:
+            for m, c in ma.items():
+                n[m] = n.get(m, 0) + c * k
+            continue
+        for m1, c1 in ma.items():
+            c1 *= k
+            for m2, c2 in mb.items():
+                sign, m = _mono_mul(m1, m2)
+                n[m] = n.get(m, 0) + (c1 * c2 if sign == 1 else -(c1 * c2))
+    if 0 in n.values():
+        n = {m: c for m, c in n.items() if c}
+    return _reduced(n, den)
+
+
 def _number(value) -> int | Fraction:
     """A non-Poly operand of `*` or `/`: an exact number, never a float."""
     if isinstance(value, (int, Fraction)):

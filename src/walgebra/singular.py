@@ -4,7 +4,9 @@ The coefficient table is published; the [W,W] structure constants are not.
 ``verify_singular_p2`` checks that the positive modes L_1 and L_2 annihilate
 every table vector with numeric constants supplied by the algebra spec;
 ``solve_structure_constants`` treats the constants as unknowns and solves
-the annihilation equations for them.
+the annihilation equations for them.  A table builds its nine vectors once,
+on first use, and keeps them: the coefficient Polys are made once and the
+mode words are module constants.
 """
 
 from __future__ import annotations
@@ -28,9 +30,11 @@ class SingularTable(Record):
     N^ab = W^a_{-3} W^b_{-3} O - delta_ab (c1 L_{-2}^3 + c2 L_{-3}^2
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O
          + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O;
-    each coefficient left out takes its published value."""
+    each coefficient left out takes its published value.  The nine vectors
+    are built on first use and kept on the table, which never changes."""
 
-    __slots__ = _fields = ("c1", "c2", "c3", "c4", "c5", "c6")
+    _fields = ("c1", "c2", "c3", "c4", "c5", "c6")
+    __slots__ = _fields + ("_vectors",)
     _defaults = {"c1": Fraction(8, 9), "c2": Fraction(19, 36), "c3": Fraction(14, 9),
                  "c4": Fraction(16, 9), "c5": 2, "c6": Fraction(5, 4)}
 
@@ -39,6 +43,7 @@ class SingularTable(Record):
         # stored exactly through scalar.exact: a float raises TypeError
         for name in self._fields:
             object.__setattr__(self, name, exact(getattr(self, name)))
+        object.__setattr__(self, "_vectors", None)
 
     replace = Record._replace
 
@@ -54,36 +59,45 @@ def load_triplet_p2_spec() -> AlgebraSpec:
         return load_spec(fh.read())
 
 
-def _w(a: int, n: int) -> Mode:
-    return Mode(f"W{a}", n)
+# the mode words of the table vectors, shared by every table
+_T = {n: Mode("T", n) for n in (-2, -3, -4, -6)}
+_W = {(a, n): Mode(f"W{a}", n) for a in (1, 2, 3) for n in (-3, -4, -6)}
+_DIAGONAL = ((_T[-2], _T[-2], _T[-2]), (_T[-3], _T[-3]), (_T[-4], _T[-2]), (_T[-6],))
+_TAIL = {c: ((_W[c, -4], _T[-2]), (_W[c, -6],)) for c in (1, 2, 3)}
 
 
-def _t(n: int) -> Mode:
-    return Mode("T", n)
+def _null_vectors(t: SingularTable) -> dict[tuple[int, int], tuple]:
+    """The nine N^ab of a table, each as its (coefficient, mode sequence)
+    terms."""
+    one = Poly.const(1)
+    diagonal = tuple(zip((-Poly.const(t.c1), -Poly.const(t.c2), -Poly.const(t.c3),
+                          Poly.const(t.c4)), _DIAGONAL))
+    i5, i6 = Poly.sym("I") * t.c5, Poly.sym("I") * t.c6
+    # the coefficients of the epsilon tail, by the sign of eps_abc
+    tail = {1: (-i5, i6), -1: (i5, -i6)}
+    out = {}
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            terms = ((one, (_W[a, -3], _W[b, -3])),)
+            if a == b:
+                terms += diagonal
+            else:
+                c = 6 - a - b
+                terms += tuple(zip(tail[EPSILON[a, b, c]], _TAIL[c]))
+            out[a, b] = terms
+    return out
 
 
 def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
                       ) -> tuple[tuple[Poly, tuple[Mode, ...]], ...]:
-    """The table vector N^ab as (coefficient, mode sequence) terms; the one
-    place the table coefficients become vectors."""
-    t = table
-    terms = [(Poly.const(1), (_w(a, -3), _w(b, -3)))]
-    if a == b:
-        terms += [
-            (Poly.const(-t.c1), (_t(-2), _t(-2), _t(-2))),
-            (Poly.const(-t.c2), (_t(-3), _t(-3))),
-            (Poly.const(-t.c3), (_t(-4), _t(-2))),
-            (Poly.const(t.c4), (_t(-6),)),
-        ]
-    for c in (1, 2, 3):
-        eps = EPSILON.get((a, b, c))
-        if eps:
-            iota = Poly.sym("I") * eps
-            terms += [
-                (iota * (-t.c5), (_w(c, -4), _t(-2))),
-                (iota * t.c6, (_w(c, -6),)),
-            ]
-    return tuple(terms)
+    """The table vector N^ab, for a and b in 1..3, as (coefficient, mode
+    sequence) terms; the one place the table coefficients become vectors.
+    A table builds its nine vectors on the first call and keeps them."""
+    vectors = table._vectors
+    if vectors is None:
+        vectors = _null_vectors(table)
+        object.__setattr__(table, "_vectors", vectors)
+    return vectors[a, b]
 
 
 def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE
@@ -98,7 +112,7 @@ def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE
         for b in (1, 2, 3):
             terms = null_vector_terms(a, b, table)
             for m in (1, 2):
-                lead = (_t(m),)
+                lead = (Mode("T", m),)
                 out[(m, a, b)] = engine.evaluate((c, lead + seq) for c, seq in terms)
     return out
 

@@ -297,6 +297,15 @@ def test_spec_is_frozen_and_owns_its_engine():
         engine.spec.weight_of("T")
 
 
+def test_engine_of_a_freed_spec_says_so():
+    # a spec nobody keeps is freed at once, and its engine then names the
+    # cause rather than a bare "weakly-referenced object no longer exists"
+    engine = make_virasoro_spec("c").engine
+    with pytest.raises(ReferenceError, match=r"^the AlgebraSpec of this engine was "
+                       r"freed; keep the spec alive while spec\.engine is in use$"):
+        engine.apply_mode(Mode("T", -2), State.vacuum())
+
+
 SPEC_ATTRIBUTES = ("central_charge", "generators", "d", "constants", "composites",
                    "c_lower", "engine")
 

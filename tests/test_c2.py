@@ -27,7 +27,6 @@ from walgebra.c2 import (
     certificate_from_json,
     certificate_to_json,
     certify_triplet_p2,
-    expr_scale,
     expression,
     manifest_member,
     parse_expression,
@@ -182,7 +181,7 @@ def test_a_repeated_sequence_loads_as_its_sorted_sum():
 def test_parse_expression_is_strict(cert):
     for step in cert.steps:
         parsed = parse_expression(render_expression(step.vector))
-        assert not expression(*parsed, *expr_scale(step.vector, -1))
+        assert not expression(*parsed, *_scaled(step.vector, -1))
     for text in ("(1) W1(-3) W2(-3) |0> + GARBAGE (7) T(-9) junk",
                  "(1) W1(-3) W2(-3) |0> junk",
                  "(1) W1(-3) W2(-3) |0> +",
@@ -380,6 +379,16 @@ def test_zero_denominator_in_certificate_names_the_text(cert, edit, message):
     with pytest.raises(CertificateError) as info:
         certificate_from_dict(doc)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key, value", [("a", 4), ("a", 0), ("b", -1)])
+def test_null_outside_the_table_is_refused(cert, key, value):
+    # the table states N^ab for a and b in 1..3 only
+    doc = json.loads(certificate_to_json(cert))
+    doc["steps"][0]["params"]["nulls"][0][key] = value
+    with pytest.raises(CertificateError) as info:
+        certificate_from_dict(doc)
+    assert str(info.value) == f"a null {key} must be 1, 2 or 3, got {value}"
 
 
 # one rule of each kind, every field set, each a value its JSON form keeps
@@ -782,7 +791,7 @@ def test_combination_must_cancel_formally(spec):
     ]
     claim = steps[1]
     assert not spec.engine.evaluate(expression(
-        *claim.vector, *expr_scale(steps[0].vector + claim.rule.remainder, -1)))
+        *claim.vector, *_scaled(steps[0].vector + claim.rule.remainder, -1)))
     ok, reports = verify_certificate(Certificate(SingularTable(), steps, [2]), spec)
     assert not ok and [r.ok for r in reports] == [True, False]
     assert reports[1].detail.startswith("residual: ")
@@ -835,11 +844,19 @@ def _old_expr_scale(a, factor):
     return tuple((c * f, s) for c, s in a if c * f)
 
 
+def _scaled(a, factor):
+    """The terms of factor * a, as (coefficient, factor, sequence) terms."""
+    return [(c, factor, s) for c, s in a]
+
+
 def _dict_sum(terms):
     """The oracle: each sequence's coefficients summed in a dict, the zero
     sums dropped, sorted by sequence."""
     acc = {}
-    for coeff, seq in terms:
+    for *factors, seq in terms:
+        coeff = Poly.const(1)
+        for f in factors:
+            coeff = coeff * f
         acc[seq] = acc.get(seq, Poly.zero()) + coeff
     return tuple((acc[seq], seq) for seq in sorted(acc) if acc[seq])
 
@@ -848,7 +865,7 @@ def _residual_terms(vector, known):
     """The terms of vector - sum coeff * known, unsummed, as a combination
     step lists them."""
     return [*vector, *(term for coeff, terms in known
-                       for term in expr_scale(terms, -coeff))]
+                       for term in _scaled(terms, -coeff))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -883,7 +900,9 @@ def test_expression_is_the_sorted_dict_sum(vector, known, cancel, raw, rnd):
 
 @settings(max_examples=100, deadline=None)
 @given(a=_EXPRESSIONS, factor=_COEFFS)
-def test_expr_scale_matches_old_and_multiplies_once(a, factor):
+def test_scaled_terms_match_old_expr_scale_and_multiply_once(a, factor):
+    # a (coefficient, factor, sequence) term of a sequence no other term
+    # shares is one product
     want = _old_expr_scale(a, factor)
     calls = []
     plain = Poly.__mul__
@@ -894,7 +913,7 @@ def test_expr_scale_matches_old_and_multiplies_once(a, factor):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Poly, "__mul__", counted)
-        got = expr_scale(a, factor)
+        got = expression(*_scaled(a, factor))
     assert got == want
     assert len(calls) == len(a)
 
@@ -959,15 +978,19 @@ def test_load_parses_each_coefficient_text_once():
     assert len(texts) > len(set(texts))  # the certificate repeats coefficients
     parse_poly.cache_clear()
     parse_expression.cache_clear()
+    c2._mode_from_text.cache_clear()
     certificate_from_json(text)
     info = parse_poly.cache_info()
     assert info.misses <= len(set(texts))
     assert info.hits + info.misses == len(texts)
-    # a second load parses no expression and no coefficient text again
+    # a second load parses no expression, coefficient or mode text again
     expressions = parse_expression.cache_info()
+    modes = c2._mode_from_text.cache_info()
+    assert modes.hits  # the certificate repeats modes too
     certificate_from_json(text)
     assert parse_poly.cache_info().misses == info.misses
     assert parse_expression.cache_info().misses == expressions.misses
+    assert c2._mode_from_text.cache_info().misses == modes.misses
 
 
 def test_parse_errors_are_not_cached():

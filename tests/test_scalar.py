@@ -17,6 +17,7 @@ from walgebra.scalar import (
     parse_rational,
     render_poly,
     solve_linear,
+    sum_products,
 )
 
 
@@ -246,6 +247,27 @@ def test_poly_matches_fraction_reference(ta, tb, r, n):
     want = typed({(): tk.get((), Fraction(0))})[()]
     for value in (k.const_value(), exact(k)):
         assert (type(value), value) == want
+
+
+# either side of a product: an int, a Fraction or a Poly in I, C and uW
+product_sides = st.one_of(scalars, ref_dicts.map(Poly))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(product_sides, product_sides), max_size=6))
+def test_sum_products_matches_poly_operations(pairs):
+    got = sum_products(pairs)
+    want = Poly.zero()
+    for a, b in pairs:
+        want = want + (a if isinstance(a, Poly) else Poly.const(a)) * b
+    assert type(got) is Poly and got == want
+    # the same values as the Fraction reference, in the stored form
+    ref: dict = {}
+    for a, b in pairs:
+        ta = a.terms() if isinstance(a, Poly) else {(): a}
+        tb = b.terms() if isinstance(b, Poly) else {(): b}
+        ref = ref_add(ref, ref_mul(ref_clean(ta), ref_clean(tb)))
+    assert_matches(got, ref)
 
 
 def test_equal_values_are_equal_and_hash_alike():

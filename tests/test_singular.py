@@ -119,6 +119,42 @@ def test_null_vectors_have_table_shape(numeric_spec):
     assert n11.coeff((Mode("T", -6),)) == Poly.const(Fraction(16, 9))
 
 
+def _published_vector(a, b, t):
+    """N^ab as the SingularTable docstring states it, term by term."""
+    def w(c, n):
+        return Mode(f"W{c}", n)
+
+    def L(n):
+        return Mode("T", n)
+
+    terms = [(Poly.const(1), (w(a, -3), w(b, -3)))]
+    if a == b:
+        terms += [(Poly.const(-t.c1), (L(-2), L(-2), L(-2))),
+                  (Poly.const(-t.c2), (L(-3), L(-3))),
+                  (Poly.const(-t.c3), (L(-4), L(-2))),
+                  (Poly.const(t.c4), (L(-6),))]
+    for c in (1, 2, 3):
+        eps = (b - a) * (c - a) * (c - b) // 2  # the Levi-Civita symbol
+        if eps:
+            terms += [(Poly.sym("I") * (-eps * t.c5), (w(c, -4), L(-2))),
+                      (Poly.sym("I") * (eps * t.c6), (w(c, -6),))]
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("table", [
+    SingularTable(),
+    SingularTable().replace(c1=Fraction(1, 3), c4=0, c5=Fraction(-7, 2), c6=3),
+], ids=["default", "perturbed"])
+def test_null_vector_terms_state_the_published_formula(table):
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            terms = null_vector_terms(a, b, table)
+            assert terms == _published_vector(a, b, table)
+            # built once per table: a second call returns the same tuple
+            assert null_vector_terms(a, b, table) is terms
+    assert null_vector_terms(2, 3) == _published_vector(2, 3, SingularTable())
+
+
 def test_all_eighteen_annihilations(numeric_spec):
     states = annihilation_states(Engine(numeric_spec))
     assert len(states) == 18
