@@ -363,6 +363,86 @@ def test_every_leaf_swap_loads_or_is_refused_in_one_line():
         assert refused > 1000
 
 
+# More digits than int() converts by default (4,300): the oversized mutations
+# of the refusal golden, written in it as <5000 digits>.
+BIG = "1" * 5000
+
+
+def _digit_limit():
+    """The interpreter's refusal of int(BIG), whose wording differs between
+    Python versions; written in the refusal golden as <int() digit limit>."""
+    try:
+        int(BIG)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _refusal_lines(text):
+    """One line per mutation of a certificate text: the JSON path, the
+    mutation, then `loads` or what the load raised.  Each leaf is set to each
+    atom of the leaf-swap test above, each object key is deleted, each integer
+    leaf is set to a 5,000-digit integer and each mode text gets a 5,000-digit
+    index."""
+    atoms = [None, True, False, 0, -1, 2.5, "", "x", []]
+    mutations = []
+    for path in _leaves(json.loads(text)):
+        mutations += [(path, f"set {json.dumps(atom)}", atom) for atom in atoms]
+    for path in _key_paths(json.loads(text)):
+        mutations.append((path, "delete", None))
+    for path in _leaves(json.loads(text)):
+        value = _at(json.loads(text), path)
+        if type(value) is int:
+            mutations.append((path, "set a 5000-digit integer", BIG))
+        elif isinstance(value, str) and re.fullmatch(r"\w+\(-?\d+\)", value):
+            mode = re.sub(r"\d+\)$", BIG + ")", value)
+            mutations.append((path, "set a mode with a 5000-digit index", mode))
+    lines = []
+    for path, mutation, value in mutations:
+        doc = json.loads(text)
+        owner = _at(doc, path[:-1])
+        if mutation == "delete":
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = "@big@" if value is BIG else value
+        mutated = json.dumps(doc).replace('"@big@"', BIG)
+        try:
+            certificate_from_json(mutated)
+            outcome = "loads"
+        except CertificateError as exc:
+            outcome = f"refused: {exc}"
+        except Exception as exc:
+            outcome = f"escapes {type(exc).__name__}: {exc}"
+        where = "/" + "/".join(map(str, path))
+        line = f"{where}\t{mutation}\t{outcome}".replace(_digit_limit(), "<int() digit limit>")
+        lines.append(line.replace(BIG, "<5000 digits>"))
+    return lines
+
+
+def _key_paths(doc, path=()):
+    """The path of every key of every JSON object in a document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _key_paths(value, path + (index,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_refusals_match_their_golden():
+    # what every mutation of the golden certificate loads as, byte for byte;
+    # the refusal texts of a load are part of its interface
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    lines = _refusal_lines(text)
+    assert "\n".join(lines) + "\n" == (GOLDEN / "certificate_refusals.txt").read_text()
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["null_coefficients"].update(c3="1/0"),
      "null coefficient c3: zero denominator in '1/0'"),
