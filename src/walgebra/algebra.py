@@ -23,14 +23,17 @@ Code that handles field expressions dispatches on ``isinstance`` and never
 takes their truth value.
 
 The types for which tuple equality would be wrong, or which normalise their
-fields, are classes written out by hand on :class:`Record`, which compares
-(type, fields), shares one constructor taking each field by position or
-name (with per-class ``_defaults``) and refuses assignment and deletion:
+fields, are classes written out by hand on :class:`Record`, which shares one
+constructor taking each field by position or name (with per-class
+``_defaults``), compares (type, fields) and refuses assignment and deletion.
+All but one also subclass ``tuple`` and are the tuple ``(type, *values)``,
+so they build, hash and compare in C: ``singular.SingularTable`` (exact
+normalisation, ``replace``, and its null vectors and int key kept in its
+instance dict once built), the six ``c2`` rules (a JSON codec keyed by their
+fields; the type in the tuple tells rule kinds apart) and ``c2.Certificate``.
 ``AlgebraSpec`` (validation, read-only mappings, a cached engine that refers
-back to it weakly), and the ``__slots__`` classes ``singular.SingularTable``
-(exact normalisation, ``replace``, and its null vectors kept once built),
-the six ``c2`` rules (a JSON codec keyed by their fields, and equality that
-tells rule kinds apart) and ``c2.Certificate``.  ``c2.MembershipClaim`` stays a dataclass only because
+back to it weakly) is the one that is not a tuple, since a tuple cannot be
+weakly referenced.  ``c2.MembershipClaim`` stays a dataclass only because
 ``bench/worker.py`` calls ``dataclasses.replace`` on a step.
 """
 
@@ -43,6 +46,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 from types import MappingProxyType
 
 from .scalar import IMAG, Poly, binom_int, exact, parse_poly, parse_rational, render_poly
@@ -151,28 +155,42 @@ _NO_ENTRIES: Mapping = MappingProxyType({})
 
 
 class Record:
-    """A record written out by hand: a subclass names its fields in
-    `_fields` and may give some of them a value in `_defaults`.
+    """A record written out by hand: a kind names its fields in `_fields`
+    and may give some of them a value in `_defaults`.
 
-    The constructor takes each field by position, in `_fields` order, or by
-    name; a field left out takes its default.  A missing, unknown or doubly
-    given field raises TypeError.  Once built, a record refuses assignment
-    and deletion.  A record equals a record of its own type with equal
-    fields, never a tuple or a record of another type, and equal records
-    hash equal.
+    Every kind but `AlgebraSpec` also subclasses `tuple`, after `Record`, and
+    is the tuple ``(type, *values)``; each field is read through an
+    `operator.itemgetter` property, so such a record builds, hashes and
+    compares in C.  The constructor takes each field by position, in
+    `_fields` order, or by name; a field left out takes its default.  A
+    missing, unknown or doubly given field raises TypeError.  Once built, a
+    record refuses assignment and deletion.  A record equals a record of its
+    own type with equal fields, never a record of another type or the tuple
+    of its fields, and equal records hash equal.  A kind that declares
+    `__slots__ = ()` has no instance dict; one that does not keeps what it
+    works out from its fields there.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _defaults: Mapping = _NO_ENTRIES
 
-    def __init__(self, *args, **kwargs):
-        fields, init = self._fields, object.__setattr__
-        if not kwargs and len(args) == len(fields):
-            for name, value in zip(fields, args):
-                init(self, name, value)
-            return
-        kind = type(self).__name__
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if issubclass(cls, tuple) and "_fields" in vars(cls):
+            for index, name in enumerate(cls._fields, 1):
+                setattr(cls, name, property(itemgetter(index), doc=f"Field {name}."))
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._values(args, kwargs)
+        return tuple.__new__(cls, (cls, *args))
+
+    @classmethod
+    def _values(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values, in `_fields` order, that a constructor call
+        gives or leaves to the defaults."""
+        fields, kind = cls._fields, cls.__name__
         if len(args) > len(fields):
             raise TypeError(f"{kind} takes {len(fields)} fields, got {len(args)}")
         given = dict(zip(fields, args))
@@ -182,30 +200,23 @@ class Record:
             if name in given:
                 raise TypeError(f"{kind} got field {name!r} twice")
             given[name] = value
-        values = {**self._defaults, **given}
+        values = {**cls._defaults, **given}
         for name in fields:
             if name not in values:
                 raise TypeError(f"{kind} lacks field {name!r}")
-            init(self, name, values[name])
+        return tuple([values[name] for name in fields])
 
     def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return self[1:]
 
     def _replace(self, **changes):
         """A new record of the same type with some fields changed."""
         return type(self)(**dict(zip(self._fields, self._astuple()), **changes))
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._astuple()))
         return f"{type(self).__name__}({fields})"
-
-    def __hash__(self) -> int:
-        return hash((type(self), self._astuple()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -219,33 +230,46 @@ class AlgebraSpec(Record):
     and composite fields usable as commutator channels.
 
     A spec is immutable: its mappings are read-only copies of the ones it was
-    built from, so the rewriting engine it owns can never go stale.  It keeps
-    an instance dict, where the engine is cached, so that `spec.engine` is a
-    plain attribute lookup after its first use.
+    built from, so the rewriting engine it owns can never go stale.  It is
+    the one record that is not a tuple, because its engine refers back to it
+    weakly and a tuple cannot be weakly referenced: its fields, its lookup
+    tables and its engine, cached on first use, live in its instance dict,
+    so that `spec.engine` is a plain attribute lookup after its first use.
     """
 
     _fields = ("central_charge", "generators", "d", "constants", "composites",
                "c_lower")
 
-    def __init__(self, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
-                 d: Mapping[tuple[str, str], Poly],
-                 constants: Mapping[tuple[str, str, str], Poly],
-                 composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
-                 c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
-        super().__init__(central_charge, generators, *[
-            MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)])
-        init = object.__setattr__
-        init(self, "_rank", {g.symbol: i for i, g in enumerate(self.generators)})
+    def __new__(cls, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
+                d: Mapping[tuple[str, str], Poly],
+                constants: Mapping[tuple[str, str, str], Poly],
+                composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
+                c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
+        self = object.__new__(cls)
+        fields = vars(self)
+        fields.update(zip(cls._fields, (central_charge, generators, *[
+            MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)])))
         weights = {g.symbol: g.weight for g in self.generators}
         for c in self.composites.values():
             weights[c.symbol] = c.weight
-        init(self, "_weights", weights)
         channels: dict[tuple[str, str], list[tuple[str, Poly]]] = {}
         for (i, j, k), value in self.constants.items():
             channels.setdefault((i, j), []).append((k, value))
-        init(self, "_channels", {key: tuple(sorted(chans, key=lambda kv: kv[0]))
-                                 for key, chans in channels.items()})
+        fields.update(
+            _rank={g.symbol: i for i, g in enumerate(self.generators)},
+            _weights=weights,
+            _channels={key: tuple(sorted(chans, key=lambda kv: kv[0]))
+                       for key, chans in channels.items()})
         self.validate()
+        return self
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple() == other._astuple()
 
     @cached_property
     def engine(self) -> Engine:
@@ -547,9 +571,10 @@ def decoded(text: str, error=SpecError):
     `error`."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # a document nested deeper than the interpreter's recursion limit
-        # raises RecursionError from the decoder
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError, the decoder raises ValueError for an
+        # integer with more digits than `int` converts, and RecursionError
+        # for a document nested deeper than the interpreter's recursion limit
         raise error(f"not valid JSON: {exc}") from exc
 
 

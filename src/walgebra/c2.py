@@ -104,10 +104,12 @@ def prefixed_manifest(seq: tuple[Mode, ...], n: int, spec: AlgebraSpec) -> bool:
 # --- rules -------------------------------------------------------------------
 
 
-class _Rule(Record):
+class _Rule(Record, tuple):
     """A rule kind: its fields are its JSON params, written by field name,
-    and `name` is its name in a certificate.  Rules of two kinds never
-    compare equal, whatever their fields.
+    and `name` is its name in a certificate.  A rule is the tuple (kind,
+    *fields), so it builds, hashes and compares in C, as the key of a
+    replay's verdict memo; rules of two kinds never compare equal, whatever
+    their fields.
 
     Each kind defines `check(vector, proved, table, spec)`, the replay of a
     step whose citations and stated vector `_check_rule` has already
@@ -129,7 +131,8 @@ class _Rule(Record):
 
 
 class ManifestMemberRule(_Rule):
-    __slots__ = _fields = ("n",)
+    __slots__ = ()
+    _fields = ("n",)
     _defaults = {"n": 2}
     name = "ManifestMember"
 
@@ -143,7 +146,8 @@ class ManifestMemberRule(_Rule):
 
 
 class PrefixInvarianceRule(_Rule):
-    __slots__ = _fields = ("prefix", "base")
+    __slots__ = ()
+    _fields = ("prefix", "base")
     name = "PrefixInvariance"
 
     def cites(self):
@@ -161,7 +165,8 @@ class PrefixInvarianceRule(_Rule):
 
 class SingularRewriteRule(_Rule):
     # combination sum coeff * N^(a,b) subtracted from the claim vector
-    __slots__ = _fields = ("nulls", "remainder")
+    __slots__ = ()
+    _fields = ("nulls", "remainder")
     name = "SingularRewrite"
     reads_table = True
 
@@ -174,7 +179,8 @@ class WeightBoundedBracketRule(_Rule):
     """Single commutator [a, b] applied to `right`: every declared channel
     is weight-bounded, hence lands at manifest depth."""
 
-    __slots__ = _fields = ("a", "b", "right")
+    __slots__ = ()
+    _fields = ("a", "b", "right")
     name = "WeightBoundedBracket"
 
     def implied(self, proved):
@@ -210,7 +216,8 @@ class ReorderRule(_Rule):
 
     A replayed chain of WeightBoundedBracket steps."""
 
-    __slots__ = _fields = ("prefix", "block", "base")
+    __slots__ = ()
+    _fields = ("prefix", "block", "base")
     name = "Reorder"
 
     def cites(self):
@@ -230,7 +237,8 @@ class ReorderRule(_Rule):
 
 
 class LinearCombinationRule(_Rule):
-    __slots__ = _fields = ("parts", "remainder")
+    __slots__ = ()
+    _fields = ("parts", "remainder")
     _defaults = {"remainder": ()}
     name = "LinearCombination"
 
@@ -251,12 +259,13 @@ class MembershipClaim:
     label: str = ""
 
 
-class Certificate(Record):
+class Certificate(Record, tuple):
     """A certificate's null-vector table, its steps in file order and the ids
     of its targets.  Its step and target lists can grow and have entries
     swapped; `_replace` gives a certificate with another table."""
 
-    __slots__ = _fields = ("table", "steps", "targets")
+    __slots__ = ()
+    _fields = ("table", "steps", "targets")
 
 
 class StepReport(namedtuple("StepReport", "id ok label detail", defaults=("",))):
@@ -341,10 +350,9 @@ def verify_certificate(cert: Certificate, spec: AlgebraSpec
     is memoized on the spec's engine under that key, so a later replay on
     the same spec checks only the steps whose key it has not seen."""
     memo = spec.engine.verdict_memo
-    # the table enters a key as the integer pairs of its six exact
-    # coefficients, equal exactly when the tables are equal: a Fraction
-    # hashes and compares in Python code, an int tuple in C
-    table_key = tuple([(c.numerator, c.denominator) for c in cert.table._astuple()])
+    # the table enters a key as the int pairs of its exact coefficients,
+    # worked out once per table
+    table_key = cert.table.key
     proved: dict[int, Expression] = {}
     reports: list[StepReport] = []
     for claim in cert.steps:
@@ -579,18 +587,17 @@ def parse_expression(text: str) -> Expression:
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _mode_from_text(text: str) -> Mode | None:
-    """The mode a text such as "W1(-3)" states, or None; like
-    `parse_expression`, the last `PARSE_CACHE_SIZE` distinct texts are cached,
-    so a certificate loaded again parses each mode text once."""
+    """The mode a text such as "W1(-3)" states, or None, also for an index
+    with more digits than `int` converts; like `parse_expression`, the last
+    `PARSE_CACHE_SIZE` distinct texts are cached, so a certificate loaded
+    again parses each mode text once."""
     m = _patterns()[0].fullmatch(text.strip())
-    return m and Mode(m.group(1), int(m.group(2)))
-
-
-def _mode_from_str(s, what: str) -> Mode:
-    mode = _mode_from_text(typed(s, str, what, CertificateError))
-    if mode is None:
-        raise CertificateError(f"{what}: bad mode {s!r}")
-    return mode
+    if m is None:
+        return None
+    try:
+        return Mode(m.group(1), int(m.group(2)))
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        return None
 
 
 _RULES = {rule.name: rule for rule in _Rule.__subclasses__()}
@@ -608,18 +615,93 @@ _KEYS = {
     **{f"{name} params": (set(rule._fields), frozenset())
        for name, rule in _RULES.items()},
 }
+# the keys of each object with and without all its optional ones
+_KEY_SETS = {what: (required, required | optional)
+             for what, (required, optional) in _KEYS.items()}
 
+
+# The readers of a certificate's fields.  Each checks a well-formed value's
+# exact JSON type itself and calls `typed`, `parsed` or `keyed` only to word
+# the refusal of a value it does not take, so the refusal names the key.
 
 def _keyed(doc, what: str) -> dict:
     """The JSON object `what` of a certificate, with exactly the keys
-    `_KEYS[what]` allows.  A load checks some eighty objects, so the keys
-    of a well-formed one are compared here, and `keyed` is called only to
-    say what is wrong with the others."""
-    required, optional = _KEYS[what]
-    if isinstance(doc, dict) and (doc.keys() == required
-                                  or doc.keys() - optional == required):
+    `_KEYS[what]` allows.  The keys of a well-formed object are compared
+    here with its key sets, and `keyed` is called only to accept an object
+    that has some but not all of its optional keys, or to say what is wrong
+    with the others."""
+    required, full = _KEY_SETS[what]
+    if isinstance(doc, dict) and (doc.keys() == required or doc.keys() == full):
         return doc
-    return keyed(doc, what, required, optional, error=CertificateError)
+    return keyed(doc, what, *_KEYS[what], error=CertificateError)
+
+
+def _int(value, what: str) -> int:
+    return value if type(value) is int else typed(value, int, what, CertificateError)
+
+
+def _list(value, what: str) -> list:
+    return value if type(value) is list else typed(value, list, what, CertificateError)
+
+
+def _text(parse, value, what: str):
+    """`parse` applied to the string `value`."""
+    if type(value) is str:
+        try:
+            return parse(value)
+        except ValueError:
+            pass  # `parsed` parses it again to word the refusal
+    return parsed(parse, value, what, CertificateError)
+
+
+def _expression(value, what: str) -> Expression:
+    return _text(parse_expression, value, what)
+
+
+def _mode(value, what: str) -> Mode:
+    mode = _mode_from_text(value) if type(value) is str else None
+    if mode is None:
+        typed(value, str, what, CertificateError)
+        raise CertificateError(f"{what}: bad mode {value!r}")
+    return mode
+
+
+def _modes(value, what: str) -> tuple[Mode, ...]:
+    entry = f"a {what} entry"
+    return tuple([_mode(s, entry) for s in _list(value, what)])
+
+
+def _null_index(value, what: str) -> int:
+    """An index a or b of a null N^ab: 1, 2 or 3, the indices the table's
+    vectors have."""
+    if type(value) is int and 1 <= value <= 3:
+        return value
+    typed(value, int, what, CertificateError)
+    raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
+
+
+def _nulls(value, what: str) -> tuple:
+    out = []
+    for e in _list(value, what):
+        e = _keyed(e, "a null")
+        out.append((_text(parse_poly, e["coeff"], "a null coeff"),
+                    (_null_index(e["a"], "a null a"), _null_index(e["b"], "a null b"))))
+    return tuple(out)
+
+
+def _parts(value, what: str) -> tuple:
+    out = []
+    for e in _list(value, what):
+        e = _keyed(e, "a part")
+        out.append((_text(parse_poly, e["coeff"], "a part coeff"),
+                    _int(e["id"], "a part id")))
+    return tuple(out)
+
+
+# the reader of each params key, called as reader(value, key)
+_PARAMS = {"n": _int, "base": _int, "a": _mode, "b": _mode, "prefix": _modes,
+           "block": _modes, "right": _modes, "remainder": _expression,
+           "nulls": _nulls, "parts": _parts}
 
 
 def _param_to_json(key: str, value):
@@ -636,47 +718,17 @@ def _param_to_json(key: str, value):
     return [{"coeff": render_poly(c), "id": i} for c, i in value]  # parts
 
 
-def _null_index(value, what: str) -> int:
-    """An index a or b of a null N^ab: 1, 2 or 3, the indices the table's
-    vectors have."""
-    if typed(value, int, what, CertificateError) not in (1, 2, 3):
-        raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
-    return value
-
-
-def _param_from_json(key: str, value):
-    """The value of the params key `key`; a refusal names the key."""
-    if key in ("n", "base"):
-        return typed(value, int, key, CertificateError)
-    if key in ("a", "b"):
-        return _mode_from_str(value, key)
-    if key == "remainder":
-        return parsed(parse_expression, value, key, CertificateError)
-    value = typed(value, list, key, CertificateError)
-    if key in ("prefix", "block", "right"):
-        what = f"a {key} entry"
-        return tuple(_mode_from_str(s, what) for s in value)
-    if key == "nulls":
-        entries = [_keyed(e, "a null") for e in value]
-        return tuple((parsed(parse_poly, e["coeff"], "a null coeff", CertificateError),
-                      (_null_index(e["a"], "a null a"), _null_index(e["b"], "a null b")))
-                     for e in entries)
-    entries = [_keyed(e, "a part") for e in value]
-    return tuple((parsed(parse_poly, e["coeff"], "a part coeff", CertificateError),
-                  typed(e["id"], int, "a part id", CertificateError))
-                 for e in entries)
-
-
 def _rule_to_dict(rule: _Rule) -> dict:
     return {key: _param_to_json(key, getattr(rule, key)) for key in rule._fields}
 
 
-def _rule_from_dict(name: str, params: dict) -> _Rule:
-    if typed(name, str, "rule", CertificateError) not in _RULES:
+def _rule_from_dict(name, params) -> _Rule:
+    kind = _RULES.get(name) if type(name) is str else None
+    if kind is None:
+        typed(name, str, "rule", CertificateError)
         raise CertificateError(f"unknown rule name {name!r}")
-    kind = _RULES[name]
     params = _keyed(params, f"{name} params")
-    return kind(*[_param_from_json(key, params[key]) for key in kind._fields])
+    return kind(*[_PARAMS[key](params[key], key) for key in kind._fields])
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -708,26 +760,22 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         doc = _keyed(doc, "the certificate")
         coefficients = _keyed(doc["null_coefficients"], "null_coefficients")
-        table = SingularTable(*[parsed(parse_rational, coefficients[k],
-                                       f"null coefficient {k}", CertificateError)
+        table = SingularTable(*[_text(parse_rational, coefficients[k],
+                                      f"null coefficient {k}")
                                 for k in _NULL_COEFFICIENTS])
         steps = []
-        for s in typed(doc["steps"], list, "steps", CertificateError):
+        for s in _list(doc["steps"], "steps"):
             s = _keyed(s, "a step")
-            space = _keyed(s["claim"], "a claim")["space"]
-            if space != "C2":
-                raise CertificateError(f"claim space {space!r} is not C2")
-            steps.append(
-                MembershipClaim(
-                    id=typed(s["id"], int, "step id", CertificateError),
-                    vector=parsed(parse_expression, s["claim"]["vector"],
-                                  "claim vector", CertificateError),
-                    rule=_rule_from_dict(s["rule"], s["params"]),
-                    label=typed(s.get("label", ""), str, "label", CertificateError),
-                )
-            )
-        targets = [typed(t, int, "a target", CertificateError)
-                   for t in typed(doc["targets"], list, "targets", CertificateError)]
+            claim = _keyed(s["claim"], "a claim")
+            if claim["space"] != "C2":
+                raise CertificateError(f"claim space {claim['space']!r} is not C2")
+            label = s.get("label", "")
+            if type(label) is not str:
+                typed(label, str, "label", CertificateError)
+            steps.append(MembershipClaim(
+                _int(s["id"], "step id"), _expression(claim["vector"], "claim vector"),
+                _rule_from_dict(s["rule"], s["params"]), label))
+        targets = [_int(t, "a target") for t in _list(doc["targets"], "targets")]
     except CertificateError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:

@@ -474,16 +474,21 @@ def render_poly(p: Poly) -> str:
     return out
 
 
+PARSE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rational(text: str) -> Fraction:
     """`Fraction(text)`, with a zero denominator refused as the ValueError
-    parse_poly raises for one, not as a ZeroDivisionError."""
+    parse_poly raises for one, not as a ZeroDivisionError.
+
+    Like `parse_poly`, the last `PARSE_CACHE_SIZE` distinct texts parsed are
+    cached, so a certificate loaded again parses each null coefficient once;
+    a Fraction is immutable, and errors are not cached."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-PARSE_CACHE_SIZE = 1024
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*/+-])")
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import AlgebraSpec, Mode, Record, load_spec
 from .engine import Engine, State
@@ -25,27 +26,35 @@ EPSILON = {
 }
 
 
-class SingularTable(Record):
+class SingularTable(Record, tuple):
     """Coefficients of the level-6 singular vectors
     N^ab = W^a_{-3} W^b_{-3} O - delta_ab (c1 L_{-2}^3 + c2 L_{-3}^2
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O
          + I eps_abc (-c5 W^c_{-4} L_{-2} + c6 W^c_{-6}) O;
     each coefficient left out takes its published value.  The nine vectors
-    are built on first use and kept on the table, which never changes."""
+    are built on first use and kept in the table's instance dict; the table
+    never changes."""
 
     _fields = ("c1", "c2", "c3", "c4", "c5", "c6")
-    __slots__ = _fields + ("_vectors",)
     _defaults = {"c1": Fraction(8, 9), "c2": Fraction(19, 36), "c3": Fraction(14, 9),
                  "c4": Fraction(16, 9), "c5": 2, "c6": Fraction(5, 4)}
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __new__(cls, *args, **kwargs):
         # stored exactly through scalar.exact: a float raises TypeError
-        for name in self._fields:
-            object.__setattr__(self, name, exact(getattr(self, name)))
-        object.__setattr__(self, "_vectors", None)
+        return tuple.__new__(cls, (cls, *map(exact, cls._values(args, kwargs))))
 
     replace = Record._replace
+
+    @cached_property
+    def _vectors(self) -> dict[tuple[int, int], tuple]:
+        return _null_vectors(self)
+
+    @cached_property
+    def key(self) -> tuple[tuple[int, int], ...]:
+        """The six coefficients as (numerator, denominator) int pairs, equal
+        exactly when the tables are equal: a Fraction hashes and compares in
+        Python code, an int tuple in C."""
+        return tuple([(c.numerator, c.denominator) for c in self[1:]])
 
 
 DEFAULT_TABLE = SingularTable()
@@ -93,11 +102,7 @@ def null_vector_terms(a: int, b: int, table: SingularTable = DEFAULT_TABLE
     """The table vector N^ab, for a and b in 1..3, as (coefficient, mode
     sequence) terms; the one place the table coefficients become vectors.
     A table builds its nine vectors on the first call and keeps them."""
-    vectors = table._vectors
-    if vectors is None:
-        vectors = _null_vectors(table)
-        object.__setattr__(table, "_vectors", vectors)
-    return vectors[a, b]
+    return table._vectors[a, b]
 
 
 def annihilation_states(engine: Engine, table: SingularTable = DEFAULT_TABLE

@@ -354,8 +354,9 @@ def test_spec_built_in_python_checks_composite_weights():
                     composites={"L4": CompositeDecl("L4", 5, QPNop("T", "T", 0))})
 
 
-class Pair(Record):
-    __slots__ = _fields = ("left", "right")
+class Pair(Record, tuple):
+    __slots__ = ()
+    _fields = ("left", "right")
     _defaults = {"right": 0}
 
 

@@ -443,6 +443,83 @@ def test_refusals_match_their_golden():
     assert "\n".join(lines) + "\n" == (GOLDEN / "certificate_refusals.txt").read_text()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("steps", 0, "id"), "@big@", f"not valid JSON: {_digit_limit()}"),
+    (("steps", 9, "params", "a"), f"W1(-{BIG})", f"a: bad mode 'W1(-{BIG})'"),
+], ids=["json_integer", "mode_index"])
+def test_oversized_integer_text_is_refused_in_one_line(path, value, message):
+    # once a bare ValueError from the JSON decoder, and "malformed
+    # certificate: ValueError('Exceeds the limit (4300 digits) ...')"
+    doc = json.loads((GOLDEN / "certificate_p2.json").read_text())
+    _at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(CertificateError) as refusal:
+        certificate_from_json(json.dumps(doc).replace('"@big@"', BIG))
+    text = str(refusal.value)
+    assert text == message and "\n" not in text and "Error(" not in text
+
+
+def test_a_reloaded_rule_equals_and_hashes_as_the_built_one():
+    built = certify_triplet_p2()
+    loaded = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
+    for one, two in zip(built.steps, loaded.steps, strict=True):
+        assert one.rule == two.rule and hash(one.rule) == hash(two.rule)
+        assert one.rule is not two.rule and type(one.rule) is type(two.rule)
+
+
+def test_a_fresh_reload_replays_without_a_rule_check(monkeypatch):
+    # the verdict memo is keyed on the rule; a reload's rules hash and
+    # compare equal to the first load's, so no step is checked again
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    spec = load_triplet_p2_spec()
+    assert verify_certificate(certificate_from_json(text), spec)[0]
+    checked = []
+    for kind in c2._RULES.values():
+        plain = kind.check
+        monkeypatch.setattr(kind, "check", lambda self, *rest, plain=plain: (
+            checked.append(self) or plain(self, *rest)))
+    assert verify_certificate(certificate_from_json(text), spec)[0]
+    assert checked == []
+    # the wrappers count: a replay on another spec checks every step
+    assert verify_certificate(certificate_from_json(text), load_triplet_p2_spec())[0]
+    assert len(checked) == len(json.loads(text)["steps"])
+
+
+def test_a_well_formed_load_calls_no_refusal_helper(monkeypatch):
+    calls = []
+    for name in ("typed", "parsed", "keyed"):
+        plain = getattr(c2, name)
+        monkeypatch.setattr(c2, name, lambda *args, plain=plain, name=name, **kwargs: (
+            calls.append(name) or plain(*args, **kwargs)))
+    text = (GOLDEN / "certificate_p2.json").read_text()
+    doc = json.loads(text)
+    doc["steps"][0].pop("label")
+    for loaded in (certificate_from_json(text), certificate_from_dict(doc)):
+        assert loaded.steps[1] == certify_triplet_p2().steps[1]
+    assert calls == []
+    # a refusal is still worded by the helpers
+    doc["steps"][0]["id"] = "1"
+    with pytest.raises(CertificateError, match="^step id must be a JSON integer, got '1'$"):
+        certificate_from_dict(doc)
+    assert calls == ["typed"]
+
+
+def test_the_edits_the_benchmark_worker_makes_still_work(spec):
+    # bench/worker.py perturbs a table with SingularTable.replace, and
+    # corrupts a step in place with dataclasses.replace on its claim
+    table = SingularTable()
+    bad_table = table.replace(c1=table.c1 + 1)
+    assert bad_table.c1 == Fraction(17, 9) and bad_table.c2 == table.c2
+    assert bad_table != table and bad_table.key != table.key
+    cert = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
+    step = cert.steps[3]
+    vector = list(step.vector)
+    vector[0] = (vector[0][0] * 2, vector[0][1])
+    cert.steps[3] = dataclasses.replace(step, vector=tuple(vector))
+    assert cert.steps[3].rule is step.rule and cert.steps[3].vector != step.vector
+    ok, reports = verify_certificate(cert, spec)
+    assert not ok and reports[-1].id == step.id
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["null_coefficients"].update(c3="1/0"),
      "null coefficient c3: zero denominator in '1/0'"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 from typing import get_args
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walgebra import cli
@@ -478,6 +478,28 @@ def test_memoized_normal_order_matches_fold(words, factor):
         assert got.scale(factor) + got - got.scale(factor) == want
         assert engine.evaluate([(factor, word), (-factor, word)]).is_zero()
         assert engine.normal_order(iter(word)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(st.lists(st.sampled_from(_WORD_MODES), min_size=1, max_size=3),
+                      min_size=1, max_size=3),
+       mode=st.sampled_from(_WORD_MODES),
+       factor=st.sampled_from([2, Fraction(-1, 3), Poly.sym("I"), Poly.sym("uT") + 1]))
+def test_one_word_application_matches_the_gathered_sum(words, mode, factor):
+    # a mode on a one-word state scales the word's memo row; on a state of
+    # more words it gathers each output word's pairs and sums them once
+    engine = _TRIPLET.engine
+    terms = {w: c for word in words for w, c in engine.normal_order(word)._t.items()}
+    state = State(terms).scale(factor) + State.vacuum() + engine.normal_order((T(-2),))
+    assume(len(state._t) >= 2)
+    singles = [State({w: c}) for w, c in state._t.items()]
+    one_by_one = State()
+    for single in singles:
+        one_by_one = one_by_one + engine.apply_mode(mode, single)
+    assert engine.apply_mode(mode, state) == one_by_one
+    # a coefficient given as a number still comes out as Polys
+    out = engine.apply_mode(mode, State({next(iter(state._t)): 2}))
+    assert all(type(c) is Poly for c in out._t.values())
 
 
 def test_normal_order_applies_each_suffix_once():
