@@ -23,18 +23,19 @@ Code that handles field expressions dispatches on ``isinstance`` and never
 takes their truth value.
 
 The types for which tuple equality would be wrong, or which normalise their
-fields, are classes written out by hand on :class:`Record`, which shares one
-constructor taking each field by position or name (with per-class
-``_defaults``), compares (type, fields) and refuses assignment and deletion.
-All but one also subclass ``tuple`` and are the tuple ``(type, *values)``,
-so they build, hash and compare in C: ``singular.SingularTable`` (exact
+fields, are classes written out by hand on :class:`Record`, a ``tuple``
+subclass whose instances are the tuple ``(type, *values)``, so they build,
+hash and compare in C, with one constructor taking each field by position
+or name (with per-class ``_defaults``), comparison by (type, fields) and
+refusal of assignment and deletion: ``singular.SingularTable`` (exact
 normalisation, ``replace``, and its null vectors and int key kept in its
 instance dict once built), the six ``c2`` rules (a JSON codec keyed by their
 fields; the type in the tuple tells rule kinds apart) and ``c2.Certificate``.
 ``AlgebraSpec`` (validation, read-only mappings, a cached engine that refers
-back to it weakly) is the one that is not a tuple, since a tuple cannot be
-weakly referenced.  ``c2.MembershipClaim`` stays a dataclass only because
-``bench/worker.py`` calls ``dataclasses.replace`` on a step.
+back to it weakly) is a plain class with the same refusal of assignment,
+since a tuple cannot be weakly referenced.  ``c2.MembershipClaim`` stays a
+dataclass only because ``bench/worker.py`` calls ``dataclasses.replace`` on
+a step.
 """
 
 from __future__ import annotations
@@ -154,21 +155,20 @@ class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
 _NO_ENTRIES: Mapping = MappingProxyType({})
 
 
-class Record:
+class Record(tuple):
     """A record written out by hand: a kind names its fields in `_fields`
     and may give some of them a value in `_defaults`.
 
-    Every kind but `AlgebraSpec` also subclasses `tuple`, after `Record`, and
-    is the tuple ``(type, *values)``; each field is read through an
-    `operator.itemgetter` property, so such a record builds, hashes and
-    compares in C.  The constructor takes each field by position, in
-    `_fields` order, or by name; a field left out takes its default.  A
-    missing, unknown or doubly given field raises TypeError.  Once built, a
-    record refuses assignment and deletion.  A record equals a record of its
-    own type with equal fields, never a record of another type or the tuple
-    of its fields, and equal records hash equal.  A kind that declares
-    `__slots__ = ()` has no instance dict; one that does not keeps what it
-    works out from its fields there.
+    A record is the tuple ``(type, *values)``; each field is read through an
+    `operator.itemgetter` property, so a record builds, hashes and compares
+    in C.  The constructor takes each field by position, in `_fields` order,
+    or by name; a field left out takes its default.  A missing, unknown or
+    doubly given field raises TypeError.  Once built, a record refuses
+    assignment and deletion.  A record equals a record of its own type with
+    equal fields, never a record of another type or the tuple of its fields,
+    and equal records hash equal; copy and pickle rebuild it from its fields.
+    A kind that declares `__slots__ = ()` has no instance dict; one that
+    does not keeps what it works out from its fields there.
     """
 
     __slots__ = ()
@@ -177,7 +177,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if issubclass(cls, tuple) and "_fields" in vars(cls):
+        if "_fields" in vars(cls):
             for index, name in enumerate(cls._fields, 1):
                 setattr(cls, name, property(itemgetter(index), doc=f"Field {name}."))
 
@@ -209,13 +209,18 @@ class Record:
     def _astuple(self) -> tuple:
         return self[1:]
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle call the constructor with these; tuple's own would
+        # pass the type as a field
+        return self[1:]
+
     def _replace(self, **changes):
         """A new record of the same type with some fields changed."""
-        return type(self)(**dict(zip(self._fields, self._astuple()), **changes))
+        return type(self)(**dict(zip(self._fields, self[1:]), **changes))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._astuple()))
+                           for name, value in zip(self._fields, self[1:]))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -225,29 +230,29 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class AlgebraSpec(Record):
+class AlgebraSpec:
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
 
     A spec is immutable: its mappings are read-only copies of the ones it was
-    built from, so the rewriting engine it owns can never go stale.  It is
-    the one record that is not a tuple, because its engine refers back to it
-    weakly and a tuple cannot be weakly referenced: its fields, its lookup
-    tables and its engine, cached on first use, live in its instance dict,
-    so that `spec.engine` is a plain attribute lookup after its first use.
+    built from, so the rewriting engine it owns can never go stale, and it
+    refuses assignment and deletion.  It compares by its fields.  It is not
+    a `Record`, because its engine refers back to it weakly and a tuple
+    cannot be weakly referenced: its fields, its lookup tables and its
+    engine, cached on first use, live in its instance dict, so that
+    `spec.engine` is a plain attribute lookup after its first use.
     """
 
     _fields = ("central_charge", "generators", "d", "constants", "composites",
                "c_lower")
 
-    def __new__(cls, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
-                d: Mapping[tuple[str, str], Poly],
-                constants: Mapping[tuple[str, str, str], Poly],
-                composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
-                c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
-        self = object.__new__(cls)
+    def __init__(self, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
+                 d: Mapping[tuple[str, str], Poly],
+                 constants: Mapping[tuple[str, str, str], Poly],
+                 composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
+                 c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
         fields = vars(self)
-        fields.update(zip(cls._fields, (central_charge, generators, *[
+        fields.update(zip(self._fields, (central_charge, generators, *[
             MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)])))
         weights = {g.symbol: g.weight for g in self.generators}
         for c in self.composites.values():
@@ -261,7 +266,6 @@ class AlgebraSpec(Record):
             _channels={key: tuple(sorted(chans, key=lambda kv: kv[0]))
                        for key, chans in channels.items()})
         self.validate()
-        return self
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -270,6 +274,17 @@ class AlgebraSpec(Record):
         if type(other) is not type(self):
             return NotImplemented
         return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._astuple()))
+        return f"AlgebraSpec({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @cached_property
     def engine(self) -> Engine:
@@ -559,7 +574,7 @@ def parsed(parse, value, what: str, error=SpecError):
     """`parse` applied to the string field `what`, such as a number or a
     polynomial ("-2", "-uW"); its ValueError is refused as `error`, which
     names `what`."""
-    text = typed(value, str, what, error)
+    text = value if type(value) is str else typed(value, str, what, error)
     try:
         return parse(text)
     except ValueError as exc:

@@ -104,7 +104,7 @@ def prefixed_manifest(seq: tuple[Mode, ...], n: int, spec: AlgebraSpec) -> bool:
 # --- rules -------------------------------------------------------------------
 
 
-class _Rule(Record, tuple):
+class _Rule(Record):
     """A rule kind: its fields are its JSON params, written by field name,
     and `name` is its name in a certificate.  A rule is the tuple (kind,
     *fields), so it builds, hashes and compares in C, as the key of a
@@ -259,7 +259,7 @@ class MembershipClaim:
     label: str = ""
 
 
-class Certificate(Record, tuple):
+class Certificate(Record):
     """A certificate's null-vector table, its steps in file order and the ids
     of its targets.  Its step and target lists can grow and have entries
     swapped; `_replace` gives a certificate with another table."""
@@ -620,9 +620,8 @@ _KEY_SETS = {what: (required, required | optional)
              for what, (required, optional) in _KEYS.items()}
 
 
-# The readers of a certificate's fields.  Each checks a well-formed value's
-# exact JSON type itself and calls `typed`, `parsed` or `keyed` only to word
-# the refusal of a value it does not take, so the refusal names the key.
+# The readers of a certificate's fields: each refuses a value it does not
+# take in one line that names the key.
 
 def _keyed(doc, what: str) -> dict:
     """The JSON object `what` of a certificate, with exactly the keys
@@ -637,65 +636,46 @@ def _keyed(doc, what: str) -> dict:
 
 
 def _int(value, what: str) -> int:
-    return value if type(value) is int else typed(value, int, what, CertificateError)
-
-
-def _list(value, what: str) -> list:
-    return value if type(value) is list else typed(value, list, what, CertificateError)
-
-
-def _text(parse, value, what: str):
-    """`parse` applied to the string `value`."""
-    if type(value) is str:
-        try:
-            return parse(value)
-        except ValueError:
-            pass  # `parsed` parses it again to word the refusal
-    return parsed(parse, value, what, CertificateError)
+    """The params key `n` or `base`: a JSON integer."""
+    return typed(value, int, what, CertificateError)
 
 
 def _expression(value, what: str) -> Expression:
-    return _text(parse_expression, value, what)
+    return parsed(parse_expression, value, what, CertificateError)
 
 
 def _mode(value, what: str) -> Mode:
-    mode = _mode_from_text(value) if type(value) is str else None
+    mode = _mode_from_text(typed(value, str, what, CertificateError))
     if mode is None:
-        typed(value, str, what, CertificateError)
         raise CertificateError(f"{what}: bad mode {value!r}")
     return mode
 
 
 def _modes(value, what: str) -> tuple[Mode, ...]:
     entry = f"a {what} entry"
-    return tuple([_mode(s, entry) for s in _list(value, what)])
+    return tuple([_mode(s, entry) for s in typed(value, list, what, CertificateError)])
 
 
 def _null_index(value, what: str) -> int:
     """An index a or b of a null N^ab: 1, 2 or 3, the indices the table's
     vectors have."""
-    if type(value) is int and 1 <= value <= 3:
-        return value
-    typed(value, int, what, CertificateError)
-    raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
+    if typed(value, int, what, CertificateError) not in (1, 2, 3):
+        raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
+    return value
 
 
 def _nulls(value, what: str) -> tuple:
-    out = []
-    for e in _list(value, what):
-        e = _keyed(e, "a null")
-        out.append((_text(parse_poly, e["coeff"], "a null coeff"),
-                    (_null_index(e["a"], "a null a"), _null_index(e["b"], "a null b"))))
-    return tuple(out)
+    entries = [_keyed(e, "a null") for e in typed(value, list, what, CertificateError)]
+    return tuple([(parsed(parse_poly, e["coeff"], "a null coeff", CertificateError),
+                   (_null_index(e["a"], "a null a"), _null_index(e["b"], "a null b")))
+                  for e in entries])
 
 
 def _parts(value, what: str) -> tuple:
-    out = []
-    for e in _list(value, what):
-        e = _keyed(e, "a part")
-        out.append((_text(parse_poly, e["coeff"], "a part coeff"),
-                    _int(e["id"], "a part id")))
-    return tuple(out)
+    entries = [_keyed(e, "a part") for e in typed(value, list, what, CertificateError)]
+    return tuple([(parsed(parse_poly, e["coeff"], "a part coeff", CertificateError),
+                   typed(e["id"], int, "a part id", CertificateError))
+                  for e in entries])
 
 
 # the reader of each params key, called as reader(value, key)
@@ -723,9 +703,8 @@ def _rule_to_dict(rule: _Rule) -> dict:
 
 
 def _rule_from_dict(name, params) -> _Rule:
-    kind = _RULES.get(name) if type(name) is str else None
+    kind = _RULES.get(typed(name, str, "rule", CertificateError))
     if kind is None:
-        typed(name, str, "rule", CertificateError)
         raise CertificateError(f"unknown rule name {name!r}")
     params = _keyed(params, f"{name} params")
     return kind(*[_PARAMS[key](params[key], key) for key in kind._fields])
@@ -760,22 +739,22 @@ def certificate_from_dict(doc: dict) -> Certificate:
     try:
         doc = _keyed(doc, "the certificate")
         coefficients = _keyed(doc["null_coefficients"], "null_coefficients")
-        table = SingularTable(*[_text(parse_rational, coefficients[k],
-                                      f"null coefficient {k}")
+        table = SingularTable(*[parsed(parse_rational, coefficients[k],
+                                       f"null coefficient {k}", CertificateError)
                                 for k in _NULL_COEFFICIENTS])
         steps = []
-        for s in _list(doc["steps"], "steps"):
+        for s in typed(doc["steps"], list, "steps", CertificateError):
             s = _keyed(s, "a step")
             claim = _keyed(s["claim"], "a claim")
             if claim["space"] != "C2":
                 raise CertificateError(f"claim space {claim['space']!r} is not C2")
-            label = s.get("label", "")
-            if type(label) is not str:
-                typed(label, str, "label", CertificateError)
             steps.append(MembershipClaim(
-                _int(s["id"], "step id"), _expression(claim["vector"], "claim vector"),
-                _rule_from_dict(s["rule"], s["params"]), label))
-        targets = [_int(t, "a target") for t in _list(doc["targets"], "targets")]
+                typed(s["id"], int, "step id", CertificateError),
+                _expression(claim["vector"], "claim vector"),
+                _rule_from_dict(s["rule"], s["params"]),
+                typed(s.get("label", ""), str, "label", CertificateError)))
+        targets = [typed(t, int, "a target", CertificateError)
+                   for t in typed(doc["targets"], list, "targets", CertificateError)]
     except CertificateError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:

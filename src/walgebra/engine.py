@@ -5,11 +5,9 @@ applied to the vacuum.  A word is canonical when its physics indices are
 nondecreasing left to right, ties broken by generator declaration order,
 and every mode satisfies n <= -weight.  The leftmost mode acts last.
 
-`Engine.evaluate`, and a mode applied to a state of two or more words,
-gather the (coefficient, factor) pairs that reach each output word and sum
-them once, in integers, with `scalar.sum_products`; a word whose sum is zero
-is dropped.  A mode applied to a one-word state scales the word's memo row
-by the word's coefficient.
+A mode application and `Engine.evaluate` gather the (coefficient, factor)
+pairs that reach each output word and sum them once, in integers, with
+`scalar.sum_products`; a word whose sum is zero is dropped.
 """
 
 from __future__ import annotations
@@ -271,15 +269,6 @@ class Engine:
         return _summed(out)
 
     def _apply(self, field: str | FieldExpr, n: int, state: State) -> State:
-        if len(state._t) == 1:
-            # one word: its coefficient scales the memo row, one product per
-            # output word and nothing to gather
-            (word, coeff), = state._t.items()
-            coeff = coeff if isinstance(coeff, Poly) else Poly.const(coeff)
-            out = State.__new__(State)
-            out._t = {w: p for w, c in self._act(field, n, word).items()
-                      if (p := coeff * c)}
-            return out
         out: dict[Word, list] = {}
         for word, coeff in state._t.items():
             for w, c in self._act(field, n, word).items():

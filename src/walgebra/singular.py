@@ -26,7 +26,7 @@ EPSILON = {
 }
 
 
-class SingularTable(Record, tuple):
+class SingularTable(Record):
     """Coefficients of the level-6 singular vectors
     N^ab = W^a_{-3} W^b_{-3} O - delta_ab (c1 L_{-2}^3 + c2 L_{-3}^2
          + c3 L_{-4} L_{-2} - c4 L_{-6}) O

@@ -354,7 +354,7 @@ def test_spec_built_in_python_checks_composite_weights():
                     composites={"L4": CompositeDecl("L4", 5, QPNop("T", "T", 0))})
 
 
-class Pair(Record, tuple):
+class Pair(Record):
     __slots__ = ()
     _fields = ("left", "right")
     _defaults = {"right": 0}

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -458,6 +460,24 @@ def test_oversized_integer_text_is_refused_in_one_line(path, value, message):
     assert text == message and "\n" not in text and "Error(" not in text
 
 
+def test_a_step_checks_its_id_vector_rule_and_label_in_that_order():
+    # a step with more than one bad field is refused for the first of them
+    doc = json.loads((GOLDEN / "certificate_p2.json").read_text())
+    step = doc["steps"][0]
+    step["label"] = 5
+    with pytest.raises(CertificateError, match="^label must be a string, got 5$"):
+        certificate_from_dict(doc)
+    step["rule"] = 7
+    with pytest.raises(CertificateError, match="^rule must be a string, got 7$"):
+        certificate_from_dict(doc)
+    step["claim"]["vector"] = 3
+    with pytest.raises(CertificateError, match="^claim vector must be a string, got 3$"):
+        certificate_from_dict(doc)
+    step["id"] = "1"
+    with pytest.raises(CertificateError, match="^step id must be a JSON integer, got '1'$"):
+        certificate_from_dict(doc)
+
+
 def test_a_reloaded_rule_equals_and_hashes_as_the_built_one():
     built = certify_triplet_p2()
     loaded = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
@@ -484,23 +504,24 @@ def test_a_fresh_reload_replays_without_a_rule_check(monkeypatch):
     assert len(checked) == len(json.loads(text)["steps"])
 
 
-def test_a_well_formed_load_calls_no_refusal_helper(monkeypatch):
+def test_a_well_formed_load_compares_its_key_sets_without_keyed(monkeypatch):
+    # a load checks some eighty objects; the keys of a well-formed one,
+    # with or without a step's optional label, are compared inline
     calls = []
-    for name in ("typed", "parsed", "keyed"):
-        plain = getattr(c2, name)
-        monkeypatch.setattr(c2, name, lambda *args, plain=plain, name=name, **kwargs: (
-            calls.append(name) or plain(*args, **kwargs)))
+    plain = c2.keyed
+    monkeypatch.setattr(c2, "keyed", lambda *args, **kwargs: (
+        calls.append(args[1]) or plain(*args, **kwargs)))
     text = (GOLDEN / "certificate_p2.json").read_text()
     doc = json.loads(text)
     doc["steps"][0].pop("label")
     for loaded in (certificate_from_json(text), certificate_from_dict(doc)):
         assert loaded.steps[1] == certify_triplet_p2().steps[1]
     assert calls == []
-    # a refusal is still worded by the helpers
-    doc["steps"][0]["id"] = "1"
-    with pytest.raises(CertificateError, match="^step id must be a JSON integer, got '1'$"):
+    # an object with a key it does not allow is refused by keyed
+    doc["steps"][0]["bogus"] = 1
+    with pytest.raises(CertificateError, match=r"^unknown key\(s\) \['bogus'\] in a step$"):
         certificate_from_dict(doc)
-    assert calls == ["typed"]
+    assert calls == ["a step"]
 
 
 def test_the_edits_the_benchmark_worker_makes_still_work(spec):
@@ -601,6 +622,17 @@ def test_rules_refuse_assignment(rule):
     _refuses_assignment(rule)
 
 
+@pytest.mark.parametrize("record", [ManifestMemberRule(2), SingularTable(c1=1),
+                                    SAMPLE_RULES[-1]], ids=lambda r: type(r).__name__)
+def test_copy_and_pickle_rebuild_a_record(record):
+    if type(record) is SingularTable:
+        assert record.key  # kept in the table's instance dict, copied too
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+        assert twin._astuple() == record._astuple()
+
+
 def _refuses_assignment(record):
     for name in record._fields:
         value = getattr(record, name)
@@ -618,11 +650,12 @@ def _subclasses(kind):
 
 
 def test_every_record_refuses_assignment(cert, spec):
-    # the rules above, the spec in test_algebra, the table and certificate here
+    # the rules above, the table and certificate here, and the spec, which
+    # is not a Record because a tuple cannot be weakly referenced
     kinds = {kind for kind in _subclasses(algebra.Record)
              if kind.__module__.startswith("walgebra.") and kind.__name__ != "_Rule"}
-    assert kinds == {AlgebraSpec, SingularTable, Certificate, *c2._RULES.values()}
-    for record in (cert.table, cert):
+    assert kinds == {SingularTable, Certificate, *c2._RULES.values()}
+    for record in (cert.table, cert, spec):
         _refuses_assignment(record)
 
 

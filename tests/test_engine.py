@@ -485,9 +485,9 @@ def test_memoized_normal_order_matches_fold(words, factor):
                       min_size=1, max_size=3),
        mode=st.sampled_from(_WORD_MODES),
        factor=st.sampled_from([2, Fraction(-1, 3), Poly.sym("I"), Poly.sym("uT") + 1]))
-def test_one_word_application_matches_the_gathered_sum(words, mode, factor):
-    # a mode on a one-word state scales the word's memo row; on a state of
-    # more words it gathers each output word's pairs and sums them once
+def test_mode_application_is_linear(words, mode, factor):
+    # a mode applied to a state of several words equals the sum of its
+    # applications to each word alone
     engine = _TRIPLET.engine
     terms = {w: c for word in words for w, c in engine.normal_order(word)._t.items()}
     state = State(terms).scale(factor) + State.vacuum() + engine.normal_order((T(-2),))
