@@ -3,39 +3,26 @@
 Index conventions
 -----------------
 All mode indices are physics-convention: a field of weight h expands as
-phi(x) = sum_n phi_n x^(-n-h).  The mathematics convention is reachable
-through :func:`convert_index` with n_math = n_phys + h - 1.
+phi(x) = sum_n phi_n x^(-n-h); its mathematics index is n + h - 1
+(`c2.math_index`).
 
 A mode phi_n annihilates the vacuum exactly when n >= -h + 1.
 
 Records
 -------
-No record type but one is a dataclass, whose generated methods used to be
-most of the cost of a cold import.  Modes, field expressions, declarations
-and bracket results, like the derivation, solve and step reports
-elsewhere, are subclasses of ``collections.namedtuple`` types that add their
-methods and docstrings and declare ``__slots__ = ()``: immutable, hashable,
-and with no instance dict.  (``typing.NamedTuple`` would compile every
-field's annotation into a ``ForwardRef`` when the module is imported.)  They
-compare as tuples, so a record equals any tuple, or record of another type,
-with the same contents, and ``Identity()`` equals ``()`` and is false.
-Code that handles field expressions dispatches on ``isinstance`` and never
-takes their truth value.
-
-The types for which tuple equality would be wrong, or which normalise their
-fields, are classes written out by hand on :class:`Record`, a ``tuple``
-subclass whose instances are the tuple ``(type, *values)``, so they build,
-hash and compare in C, with one constructor taking each field by position
-or name (with per-class ``_defaults``), comparison by (type, fields) and
-refusal of assignment and deletion: ``singular.SingularTable`` (exact
-normalisation, ``replace``, and its null vectors and int key kept in its
-instance dict once built), the six ``c2`` rules (a JSON codec keyed by their
-fields; the type in the tuple tells rule kinds apart) and ``c2.Certificate``.
-``AlgebraSpec`` (validation, read-only mappings, a cached engine that refers
-back to it weakly) is a plain class with the same refusal of assignment,
-since a tuple cannot be weakly referenced.  ``c2.MembershipClaim`` stays a
-dataclass only because ``bench/worker.py`` calls ``dataclasses.replace`` on
-a step.
+A record whose kind is part of its equality is a class written out on
+:class:`Record`, a ``tuple`` subclass whose instances are the tuple
+``(type, *values)``, so records of two kinds never compare equal and each
+builds, hashes and compares in C: the six field-expression kinds, the six
+``c2`` rules, ``singular.SingularTable`` and ``c2.Certificate``.  Inside a
+field expression a declared field is its symbol string.  Modes,
+declarations and bracket results, like the derivation, solve and step
+reports elsewhere, are subclasses of ``collections.namedtuple`` types with
+``__slots__ = ()``, which compare as tuples.  ``AlgebraSpec`` is a plain
+class that refuses assignment, since its engine refers back to it weakly
+and a tuple cannot be weakly referenced.  ``c2.MembershipClaim`` stays a
+dataclass only because ``bench/worker.py`` calls ``dataclasses.replace``
+on a step.
 """
 
 from __future__ import annotations
@@ -50,7 +37,8 @@ from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
 
-from .scalar import IMAG, Poly, binom_int, exact, parse_poly, parse_rational, render_poly
+from .scalar import (IMAG, Poly, binom_int, exact, parse_poly, parse_rational, quoted,
+                     render_poly)
 
 TYPE_CHECKING = False  # true for a type checker only; `typing` is never imported
 if TYPE_CHECKING:
@@ -68,88 +56,6 @@ class Mode(namedtuple("Mode", "field n")):
 
     def render(self) -> str:
         return f"{self.field}({self.n})"
-
-
-def convert_index(n: int, weight: int, direction: str) -> int:
-    """Convert between physics and mathematics mode indices.
-
-    direction 'phys_to_math' maps n to n + weight - 1, 'math_to_phys'
-    inverts it.
-    """
-    if direction == "phys_to_math":
-        return n + weight - 1
-    if direction == "math_to_phys":
-        return n - weight + 1
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# --- field expressions -------------------------------------------------------
-
-
-class FieldRef(namedtuple("FieldRef", "symbol")):
-    """A declared field: generator or registered composite."""
-
-    __slots__ = ()
-
-
-class Identity(namedtuple("Identity", ())):
-    """The identity field (weight 0, only mode 0 acts, as the identity)."""
-
-    __slots__ = ()
-
-
-class Derivative(namedtuple("Derivative", "base order")):  # FieldExpr, int
-    __slots__ = ()
-
-
-class Nprod(namedtuple("Nprod", "m left right")):
-    """Ordered bilinear normal product N^(m)(left, right).
-
-    Modes: N^(m)(phi,psi)_n = sum_{k<m} phi_{n+k} psi_{-k}
-                            + sum_{k>=m} psi_{-k} phi_{n+k}.
-    """
-
-    __slots__ = ()
-
-
-class QPNop(namedtuple("QPNop", "j i n")):
-    """Quasi-primary normal-ordered product of declared fields j, i with
-    n derivatives on the second slot; expanded by the engine."""
-
-    __slots__ = ()
-
-
-class LinComb(namedtuple("LinComb", "parts")):  # ((Poly, FieldExpr), ...)
-    __slots__ = ()
-
-
-class TopPower(namedtuple("TopPower", "base count")):
-    """The `count`-fold normal-ordered power of the generator `base`, kept
-    only at top length: its vacuum modes give the words of exactly `count`
-    modes.
-
-    Modulo shorter words the creation modes of one generator commute (the
-    associated graded of Li's filtration is commutative), so mode n on the
-    vacuum is the sum over the partitions of -n into `count` parts
-    >= weight(base), each word weighted by its number of distinct orderings.
-    The engine evaluates it on the vacuum only.
-    """
-
-    __slots__ = ()
-
-
-FieldExpr = FieldRef | Identity | Derivative | Nprod | QPNop | LinComb | TopPower
-
-
-# --- algebra specification ---------------------------------------------------
-
-
-class GeneratorDecl(namedtuple("GeneratorDecl", "symbol weight")):
-    __slots__ = ()
-
-
-class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
-    __slots__ = ()  # definition is a FieldExpr
 
 
 _NO_ENTRIES: Mapping = MappingProxyType({})
@@ -230,6 +136,75 @@ class Record(tuple):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# --- field expressions -------------------------------------------------------
+
+
+class Identity(Record):
+    """The identity field (weight 0, only mode 0 acts, as the identity)."""
+
+    __slots__ = ()
+
+
+class Derivative(Record):
+    __slots__ = ()
+    _fields = ("base", "order")  # FieldExpr, int
+
+
+class Nprod(Record):
+    """Ordered bilinear normal product N^(m)(left, right).
+
+    Modes: N^(m)(phi,psi)_n = sum_{k<m} phi_{n+k} psi_{-k}
+                            + sum_{k>=m} psi_{-k} phi_{n+k}.
+    """
+
+    __slots__ = ()
+    _fields = ("m", "left", "right")
+
+
+class QPNop(Record):
+    """Quasi-primary normal-ordered product of declared fields j, i with
+    n derivatives on the second slot; expanded by the engine."""
+
+    __slots__ = ()
+    _fields = ("j", "i", "n")
+
+
+class LinComb(Record):
+    __slots__ = ()
+    _fields = ("parts",)  # ((Poly, FieldExpr), ...)
+
+
+class TopPower(Record):
+    """The `count`-fold normal-ordered power of the generator `base`, kept
+    only at top length: its vacuum modes give the words of exactly `count`
+    modes.
+
+    Modulo shorter words the creation modes of one generator commute (the
+    associated graded of Li's filtration is commutative), so mode n on the
+    vacuum is the sum over the partitions of -n into `count` parts
+    >= weight(base), each word weighted by its number of distinct orderings.
+    The engine evaluates it on the vacuum only.
+    """
+
+    __slots__ = ()
+    _fields = ("base", "count")
+
+
+# a declared field, generator or composite, is its symbol
+FieldExpr = str | Identity | Derivative | Nprod | QPNop | LinComb | TopPower
+
+
+# --- algebra specification ---------------------------------------------------
+
+
+class GeneratorDecl(namedtuple("GeneratorDecl", "symbol weight")):
+    __slots__ = ()
+
+
+class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
+    __slots__ = ()  # definition is a FieldExpr
+
+
 class AlgebraSpec:
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
@@ -306,7 +281,7 @@ class AlgebraSpec:
         try:
             return self._weights[symbol]
         except KeyError:
-            raise SpecError(f"undeclared field {symbol!r}") from None
+            raise SpecError(f"undeclared field {quoted(symbol)}") from None
 
     def pairing(self, i: str, j: str) -> Poly:
         return self.d.get((i, j) if i <= j else (j, i), Poly.zero())
@@ -318,7 +293,7 @@ class AlgebraSpec:
         try:
             return self.composites[symbol].definition
         except KeyError:
-            raise SpecError(f"undeclared field {symbol!r}") from None
+            raise SpecError(f"undeclared field {quoted(symbol)}") from None
 
     # --- validation ---
 
@@ -333,7 +308,9 @@ class AlgebraSpec:
             if g.symbol in seen:
                 raise SpecError(f"duplicate generator {g.symbol!r}")
             seen.add(g.symbol)
-        for c in self.composites.values():
+        for symbol, c in self.composites.items():
+            if symbol != c.symbol:
+                raise SpecError(f"composite {symbol!r} declares the symbol {c.symbol!r}")
             if c.symbol in seen:
                 raise SpecError(f"composite {c.symbol!r} shadows another field")
             if c.weight <= 0:
@@ -508,8 +485,8 @@ def bracket(a: Mode, b: Mode, spec: AlgebraSpec) -> OperatorSum:
 
 
 def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
-    if isinstance(expr, FieldRef):
-        return spec.weight_of(expr.symbol)
+    if isinstance(expr, str):
+        return spec.weight_of(expr)
     if isinstance(expr, Identity):
         return 0
     if isinstance(expr, Derivative):
@@ -530,8 +507,8 @@ def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
 
 def expr_symbols(expr: FieldExpr) -> Iterator[str]:
     """Every field symbol a field expression names."""
-    if isinstance(expr, FieldRef):
-        yield expr.symbol
+    if isinstance(expr, str):
+        yield expr
     elif isinstance(expr, Derivative):
         yield from expr_symbols(expr.base)
     elif isinstance(expr, Nprod):
@@ -558,7 +535,7 @@ def typed(value, kind: type, what: str, error=SpecError):
     `kind` (int, str or list); otherwise raises `error`.  An integer field is
     a JSON integer, not a float, a string or a boolean."""
     if type(value) is not kind:
-        raise error(f"{what} must be {_JSON_KINDS[kind]}, got {value!r}")
+        raise error(f"{what} must be {_JSON_KINDS[kind]}, got {quoted(value)}")
     return value
 
 
@@ -566,7 +543,7 @@ def _json_count(value, what: str) -> int:
     """A derivative order of a spec document: a JSON integer >= 0."""
     value = typed(value, int, what)
     if value < 0:
-        raise SpecError(f"{what} must be >= 0, got {value}")
+        raise SpecError(f"{what} must be >= 0, got {quoted(value)}")
     return value
 
 
@@ -581,15 +558,36 @@ def parsed(parse, value, what: str, error=SpecError):
         raise error(f"{what}: {exc}") from None
 
 
+class _LongInteger(str):
+    """A JSON integer with more digits than `int` converts, kept as its
+    digits; no reader takes it, since each tests a value's exact type, so
+    its refusal names the key that holds it."""
+
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _integer(text: str) -> int | _LongInteger:
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's int-conversion digit limit
+        return _LongInteger(text)
+
+
 def decoded(text: str, error=SpecError):
     """The JSON value of a document's text; text that is not JSON raises
-    `error`."""
+    `error`.  An integer with more digits than `int` converts is decoded as
+    a `_LongInteger`."""
     try:
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # such an integer, refused without key or position
+            return json.loads(text, parse_int=_integer)
     except (ValueError, RecursionError) as exc:
-        # besides JSONDecodeError, the decoder raises ValueError for an
-        # integer with more digits than `int` converts, and RecursionError
-        # for a document nested deeper than the interpreter's recursion limit
+        # RecursionError for a document nested deeper than the interpreter's
+        # recursion limit
         raise error(f"not valid JSON: {exc}") from exc
 
 
@@ -605,11 +603,11 @@ def keyed(doc, what: str, required: set, optional: set = frozenset(),
     `required` key, any `optional` one and no other; otherwise raises
     `error`."""
     if not isinstance(doc, dict):
-        raise error(f"{what} must be a JSON object, got {doc!r}")
+        raise error(f"{what} must be a JSON object, got {quoted(doc)}")
     if doc.keys() - optional != required:
         unknown = doc.keys() - required - optional
         if unknown:
-            raise error(f"unknown key(s) {sorted(map(str, unknown))} in {what}")
+            raise error(f"unknown key(s) {quoted(sorted(map(str, unknown)))} in {what}")
         raise error(f"{what} lacks key(s) {sorted(required - doc.keys())}")
     return doc
 
@@ -635,16 +633,16 @@ def _entries(document: dict, key: str) -> list[dict]:
 
 def _put(table: dict, key, value, what: str) -> None:
     if key in table:
-        raise SpecError(f"duplicate {what} {key!r}")
+        raise SpecError(f"duplicate {what} {quoted(key)}")
     table[key] = value
 
 
 def _parse_field_expr(doc) -> FieldExpr:
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise SpecError(f"bad field expression {doc!r}")
+        raise SpecError(f"bad field expression {quoted(doc)}")
     (kind, body), = doc.items()
     if kind == "gen":
-        return FieldRef(typed(body, str, "gen symbol"))
+        return typed(body, str, "gen symbol")
     if kind == "deriv":
         body = keyed(body, "a deriv body", {"base", "order"})
         return Derivative(_parse_field_expr(body["base"]),
@@ -665,11 +663,11 @@ def _parse_field_expr(doc) -> FieldExpr:
         for term in typed(body, list, "a lincomb body"):
             if not isinstance(term, list) or len(term) != 2:
                 raise SpecError("a lincomb term must be a [coefficient, "
-                                f"expression] pair, got {term!r}")
+                                f"expression] pair, got {quoted(term)}")
             terms.append((parsed(parse_poly, term[0], "lincomb coefficient"),
                           _parse_field_expr(term[1])))
         return LinComb(tuple(terms))
-    raise SpecError(f"unknown field expression kind {kind!r}")
+    raise SpecError(f"unknown field expression kind {quoted(kind)}")
 
 
 def load_spec(text: str) -> AlgebraSpec:

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (AlgebraSpec, Mode, Record, convert_index, decoded, keyed, parsed,
-                      typed)
+from .algebra import AlgebraSpec, Mode, Record, decoded, keyed, parsed, typed
 from .engine import State, render_terms
-from .scalar import (PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, render_poly,
-                     sum_products)
+from .scalar import (PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, quoted,
+                     render_poly, sum_products)
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
 
 Expression = tuple[tuple[Poly, tuple[Mode, ...]], ...]
@@ -74,7 +73,8 @@ def expr_prefix(prefix: tuple[Mode, ...], a: Expression) -> Expression:
 
 
 def math_index(mode: Mode, spec: AlgebraSpec) -> int:
-    return convert_index(mode.n, spec.weight_of(mode.field), "phys_to_math")
+    """The mathematics index of a mode, n + h - 1 for a field of weight h."""
+    return mode.n + spec.weight_of(mode.field) - 1
 
 
 def manifest_member(word: tuple[Mode, ...], n: int, spec: AlgebraSpec) -> bool:
@@ -567,11 +567,11 @@ def parse_expression(text: str) -> Expression:
         # each term starts where the previous " + " ended; nothing is skipped
         m = term_re.match(text, pos)
         if m is None:
-            raise CertificateError(f"cannot parse expression {text!r} at {pos}")
+            raise CertificateError(f"cannot parse expression {quoted(text)} at {pos}")
         try:
             coeff = parse_poly(m.group(1))
         except ValueError as exc:
-            raise CertificateError(f"bad coefficient in expression {text!r}: "
+            raise CertificateError(f"bad coefficient in expression {quoted(text)}: "
                                    f"{exc}") from exc
         out.append(
             (coeff, tuple(Mode(f, int(n)) for f, n in mode_re.findall(m.group(2))))
@@ -581,7 +581,7 @@ def parse_expression(text: str) -> Expression:
             return expression(*out)
         sep = sep_re.match(text, pos)
         if sep is None:
-            raise CertificateError(f"cannot parse expression {text!r} at {pos}")
+            raise CertificateError(f"cannot parse expression {quoted(text)} at {pos}")
         pos = sep.end()
 
 
@@ -647,7 +647,7 @@ def _expression(value, what: str) -> Expression:
 def _mode(value, what: str) -> Mode:
     mode = _mode_from_text(typed(value, str, what, CertificateError))
     if mode is None:
-        raise CertificateError(f"{what}: bad mode {value!r}")
+        raise CertificateError(f"{what}: bad mode {quoted(value)}")
     return mode
 
 
@@ -660,7 +660,7 @@ def _null_index(value, what: str) -> int:
     """An index a or b of a null N^ab: 1, 2 or 3, the indices the table's
     vectors have."""
     if typed(value, int, what, CertificateError) not in (1, 2, 3):
-        raise CertificateError(f"{what} must be 1, 2 or 3, got {value}")
+        raise CertificateError(f"{what} must be 1, 2 or 3, got {quoted(value)}")
     return value
 
 
@@ -705,7 +705,7 @@ def _rule_to_dict(rule: _Rule) -> dict:
 def _rule_from_dict(name, params) -> _Rule:
     kind = _RULES.get(typed(name, str, "rule", CertificateError))
     if kind is None:
-        raise CertificateError(f"unknown rule name {name!r}")
+        raise CertificateError(f"unknown rule name {quoted(name)}")
     params = _keyed(params, f"{name} params")
     return kind(*[_PARAMS[key](params[key], key) for key in kind._fields])
 
@@ -747,7 +747,7 @@ def certificate_from_dict(doc: dict) -> Certificate:
             s = _keyed(s, "a step")
             claim = _keyed(s["claim"], "a claim")
             if claim["space"] != "C2":
-                raise CertificateError(f"claim space {claim['space']!r} is not C2")
+                raise CertificateError(f"claim space {quoted(claim['space'])} is not C2")
             steps.append(MembershipClaim(
                 typed(s["id"], int, "step id", CertificateError),
                 _expression(claim["vector"], "claim vector"),

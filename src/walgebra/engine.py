@@ -22,7 +22,6 @@ from .algebra import (
     AlgebraSpec,
     Derivative,
     FieldExpr,
-    FieldRef,
     Identity,
     LinComb,
     Mode,
@@ -188,10 +187,8 @@ class Engine:
         # read on every mode action, so kept here rather than behind the spec
         self._generators = frozenset(g.symbol for g in self.spec.generators)
         # (generator symbol or field expression, n, word) -> {word: coeff},
-        # each coeff an int, a Fraction, or a Poly only when it has a symbol;
-        # field expressions are tuples, but no two kinds that reach the memo
-        # can have equal contents, so each kind keeps entries of its own
-        self._memo: dict[tuple[str | FieldExpr, int, Word], dict] = {}
+        # each coeff an int, a Fraction, or a Poly only when it has a symbol
+        self._memo: dict[tuple[FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
         # (mode, mode) -> their commutator
         self._bracket_memo: dict[tuple[Mode, Mode], OperatorSum] = {}
@@ -268,32 +265,27 @@ class Engine:
                     out.setdefault(word, []).append((c, coeff))
         return _summed(out)
 
-    def _apply(self, field: str | FieldExpr, n: int, state: State) -> State:
+    def _apply(self, field: FieldExpr, n: int, state: State) -> State:
         out: dict[Word, list] = {}
         for word, coeff in state._t.items():
             for w, c in self._act(field, n, word).items():
                 out.setdefault(w, []).append((coeff, c))
         return _summed(out)
 
-    def _act(self, field: str | FieldExpr, n: int, word: Word) -> dict:
+    def _act(self, field: FieldExpr, n: int, word: Word) -> dict:
         """The mode field_n on one canonical word, as {word: coeff}.
 
-        A field reference is unwrapped, a composite symbol replaced by its
-        definition (an alias, defined as a bare field reference, by the field
-        it names) and a quasi-primary product by its expansion before the
-        lookup, so a generator mode has one memo entry, keyed by its symbol,
-        whichever entry point reached it.  Coefficients are exact numbers
-        until a symbol enters (see `scalar.exact`), so the rewriting of
-        constant coefficients never builds a Poly.
+        A composite symbol is replaced by its definition (an alias by the
+        symbol it names) and a quasi-primary product by its expansion before
+        the lookup, so a generator mode has one memo entry, keyed by its
+        symbol, whichever entry point reached it.  Coefficients are exact
+        numbers until a symbol enters (see `scalar.exact`), so the rewriting
+        of constant coefficients never builds a Poly.
         """
-        if isinstance(field, FieldRef):
-            field = field.symbol
         # a composite names only generators and earlier composites, so an
         # alias chain ends
         while isinstance(field, str) and field not in self._generators:
             field = self.spec.composite_expr(field)
-            if isinstance(field, FieldRef):
-                field = field.symbol
         if isinstance(field, QPNop):
             field = self.qp_nop(field.j, field.i, field.n)
         key = (field, n, word)
@@ -400,11 +392,7 @@ class Engine:
             ))
             if not coeff:
                 continue
-            core: FieldExpr = Nprod(
-                hi + n + r,
-                FieldRef(j),
-                Derivative(FieldRef(i), n - r) if n - r else FieldRef(i),
-            )
+            core: FieldExpr = Nprod(hi + n + r, j, Derivative(i, n - r) if n - r else i)
             if r:
                 core = Derivative(core, r)
             parts.append((Poly.const(coeff), core))
@@ -435,6 +423,6 @@ class Engine:
             ))
             if not coeff:
                 continue
-            parts.append((value * coeff, Derivative(FieldRef(k), h + n)))
+            parts.append((value * coeff, Derivative(k, h + n)))
         return LinComb(tuple(parts))
 

@@ -476,6 +476,16 @@ def render_poly(p: Poly) -> str:
 
 PARSE_CACHE_SIZE = 1024
 
+# the longest repr of a document value that a refusal quotes whole
+QUOTED = 60
+
+
+def quoted(value) -> str:
+    """The repr of a document value, as a refusal echoes it: whole up to
+    `QUOTED` characters, else its first `QUOTED` characters and its length."""
+    text = repr(value)
+    return text if len(text) <= QUOTED else f"{text[:QUOTED]}... ({len(text)} characters)"
+
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rational(text: str) -> Fraction:
@@ -488,7 +498,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {quoted(text)}") from None
+    except ValueError as exc:  # Fraction's own refusal repeats the whole text
+        raise ValueError(str(exc).replace(repr(text), quoted(text))) from None
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\d+|[\^*/+-])")
 
@@ -511,7 +523,8 @@ def parse_poly(text: str) -> Poly:
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial {text!r} at {text[pos:]!r}")
+                raise ValueError(f"cannot parse polynomial {quoted(text)} "
+                                 f"at {quoted(text[pos:])}")
             break
         tokens.append(m.group(1))
         pos = m.end()
@@ -531,27 +544,27 @@ def parse_poly(text: str) -> Poly:
         mono = _ONE_MONO
         while True:
             if i >= n:
-                raise ValueError(f"dangling operator in {text!r}")
+                raise ValueError(f"dangling operator in {quoted(text)}")
             tok = tokens[i]
             i += 1
             if tok.isdigit():
                 if i < n and tokens[i] == "/":
                     den = tokens[i + 1] if i + 1 < n else ""
                     if not den.isdigit():
-                        raise ValueError(f"bad rational in {text!r}")
+                        raise ValueError(f"bad rational in {quoted(text)}")
                     if not int(den):
-                        raise ValueError(f"zero denominator in {text!r}")
+                        raise ValueError(f"zero denominator in {quoted(text)}")
                     coeff *= Fraction(int(tok), int(den))
                     i += 2
                 else:
                     coeff *= int(tok)
             elif tok in "^*/+-":
-                raise ValueError(f"unexpected token {tok!r} in {text!r}")
+                raise ValueError(f"unexpected token {quoted(tok)} in {quoted(text)}")
             else:
                 power = 1
                 if i < n and tokens[i] == "^":
                     if i + 1 >= n or not tokens[i + 1].isdigit():
-                        raise ValueError(f"bad power in {text!r}")
+                        raise ValueError(f"bad power in {quoted(text)}")
                     power = int(tokens[i + 1])
                     i += 2
                 if tok == IMAG:
@@ -565,7 +578,7 @@ def parse_poly(text: str) -> Poly:
                 continue
             break
         if i < n and tokens[i] not in "+-":
-            raise ValueError(f"missing operator before {tokens[i]!r} in {text!r}")
+            raise ValueError(f"missing operator before {quoted(tokens[i])} in {quoted(text)}")
         terms[mono] = terms.get(mono, 0) + coeff
     return Poly(terms)
 

@@ -7,7 +7,6 @@ from math import floor
 from walgebra.algebra import (
     Derivative,
     FieldExpr,
-    FieldRef,
     Identity,
     LinComb,
     Mode,
@@ -80,13 +79,13 @@ def omega_mode_field(math_m):
     if math_m == 3:
         return LinComb(((c * Fraction(1, 2), Identity()),))
     if math_m == 1:
-        return LinComb(((Poly.const(2), FieldRef("T")),))
+        return LinComb(((Poly.const(2), "T"),))
     if math_m == 0:
-        return Derivative(FieldRef("T"), 1)
+        return Derivative("T", 1)
     j = -math_m - 1
-    inner = Derivative(FieldRef("T"), j) if j else FieldRef("T")
+    inner = Derivative("T", j) if j else "T"
     return LinComb(
-        ((Poly.const(Fraction(1, _fact(j))), Nprod(j + 2, FieldRef("T"), inner)),)
+        ((Poly.const(Fraction(1, _fact(j))), Nprod(j + 2, "T", inner)),)
     )
 
 
@@ -97,9 +96,9 @@ def nprod_tower(height: int) -> FieldExpr:
     every word of length >= height, since the quasi-primary corrections that
     the tower leaves out only produce strictly shorter words.
     """
-    expr: FieldExpr = FieldRef("T")
+    expr: FieldExpr = "T"
     weight = 2
     for _ in range(height - 1):
-        expr = Nprod(weight, FieldRef("T"), expr)
+        expr = Nprod(weight, "T", expr)
         weight += 2
     return expr

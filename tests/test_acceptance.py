@@ -62,8 +62,6 @@ def test_criterion_1_virasoro_oracle():
 def test_criterion_2_mode_identities():
     from identity_helpers import basis_states, from_word, math_apply, omega_mode_field
 
-    from walgebra.algebra import FieldRef
-
     eng = Engine(make_virasoro_spec("c"))
     states = [w for w in basis_states(6)]
     for w in states:
@@ -72,10 +70,10 @@ def test_criterion_2_mode_identities():
         for m in range(-3, 4):
             # commutation identity, u = v = omega, math indices
             for n in range(1, 4):
-                lhs = math_apply(eng, FieldRef("T"), m,
-                                 math_apply(eng, FieldRef("T"), -n, state))
-                rhs = math_apply(eng, FieldRef("T"), -n,
-                                 math_apply(eng, FieldRef("T"), m, state))
+                lhs = math_apply(eng, "T", m,
+                                 math_apply(eng, "T", -n, state))
+                rhs = math_apply(eng, "T", -n,
+                                 math_apply(eng, "T", m, state))
                 for i in range(0, 4):
                     coeff = binom_int(m, i)
                     expr = omega_mode_field(i)
@@ -93,10 +91,10 @@ def test_criterion_2_mode_identities():
                     coeff = binom_int(m, i) * (-1) ** i
                     if not coeff:
                         continue
-                    first = math_apply(eng, FieldRef("T"), m - i,
-                                       math_apply(eng, FieldRef("T"), n + i, state))
-                    second = math_apply(eng, FieldRef("T"), m + n - i,
-                                        math_apply(eng, FieldRef("T"), i, state))
+                    first = math_apply(eng, "T", m - i,
+                                       math_apply(eng, "T", n + i, state))
+                    second = math_apply(eng, "T", m + n - i,
+                                        math_apply(eng, "T", i, state))
                     rhs = rhs + first.scale(coeff) - second.scale(coeff * sign_m)
                 assert lhs == rhs
     _report(2, "commutation and iteration identities on weight <= 6, |m|,|n| <= 3")

@@ -12,21 +12,23 @@ import pytest
 from walgebra.algebra import (
     AlgebraSpec,
     CompositeDecl,
-    FieldRef,
+    Derivative,
     GeneratorDecl,
+    Identity,
     Mode,
     QPNop,
     Record,
     SpecError,
+    TopPower,
     bracket,
     central_charge_p1,
     channel_poly,
-    convert_index,
     load_spec,
     make_derivation_spec,
     make_virasoro_spec,
     p_poly,
 )
+from walgebra.c2 import math_index
 from walgebra.engine import State
 from walgebra.scalar import Poly
 from walgebra.singular import load_triplet_p2_spec, substitute_constants
@@ -36,14 +38,15 @@ def T(n):
     return Mode("T", n)
 
 
-def test_convert_index():
-    assert convert_index(-2, 2, "phys_to_math") == -1
-    assert convert_index(-3, 3, "phys_to_math") == -1
-    assert convert_index(-2, 2, "math_to_phys") == -3
+def test_math_index():
+    # n_math = n_phys + h - 1: the lowest creation mode of a weight-h field
+    # has math index -1
+    spec = make_derivation_spec(3)
+    assert math_index(T(-2), spec) == -1
+    assert math_index(Mode("W", -5), spec) == -1
     for n in range(-9, 10):
-        for h in (2, 3, 5):
-            m = convert_index(n, h, "phys_to_math")
-            assert convert_index(m, h, "math_to_phys") == n
+        for field, h in (("T", 2), ("W", 5)):
+            assert math_index(Mode(field, n), spec) == n + h - 1
 
 
 def test_p_poly_anchors():
@@ -354,6 +357,15 @@ def test_spec_built_in_python_checks_composite_weights():
                     composites={"L4": CompositeDecl("L4", 5, QPNop("T", "T", 0))})
 
 
+def test_spec_refuses_a_composite_filed_under_another_symbol():
+    # filed under X, Y would have a weight but no modes, and X modes but no
+    # weight
+    base = make_virasoro_spec(-2)
+    with pytest.raises(SpecError, match="composite 'X' declares the symbol 'Y'"):
+        AlgebraSpec(base.central_charge, base.generators, base.d, base.constants,
+                    composites={"X": CompositeDecl("Y", 4, QPNop("T", "T", 0))})
+
+
 class Pair(Record):
     __slots__ = ()
     _fields = ("left", "right")
@@ -408,6 +420,15 @@ def test_load_spec_refuses_a_composite_not_yet_defined(definitions, message):
         load_spec(_virasoro_with_composites(*definitions))
 
 
+def test_field_expressions_compare_by_kind():
+    assert Derivative("T", 1) != TopPower("T", 1)
+    assert Derivative("T", 1) != ("T", 1) and Identity() != ()
+    assert Identity() and Identity() == Identity()
+    assert hash(Derivative("T", 1)) == hash(Derivative("T", 1))
+    spec = load_spec(_virasoro_with_composites(("Z", {"gen": "T"})))
+    assert spec.composite_expr("Z") == "T"
+
+
 def test_composite_alias_chain_evaluates_as_the_generator():
     spec = load_spec(_virasoro_with_composites(("Z", {"gen": "T"}),
                                                ("Y", {"gen": "Z"})))
@@ -415,7 +436,7 @@ def test_composite_alias_chain_evaluates_as_the_generator():
     for state in (State.vacuum(), engine.normal_order([T(-2), T(-3)])):
         for n in range(-4, 5):
             want = engine.apply_mode(T(n), state)
-            assert engine.field_mode_apply(FieldRef("Y"), n, state) == want
+            assert engine.field_mode_apply("Y", n, state) == want
             assert engine.apply_mode(Mode("Y", n), state) == want
 
 

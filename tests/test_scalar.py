@@ -15,10 +15,24 @@ from walgebra.scalar import (
     exact,
     parse_poly,
     parse_rational,
+    quoted,
     render_poly,
     solve_linear,
     sum_products,
 )
+
+
+def test_quoted_keeps_a_short_repr_and_cuts_a_long_one():
+    assert quoted("x" * 58) == repr("x" * 58)
+    assert quoted("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+    assert quoted([1, 2]) == "[1, 2]"
+    with pytest.raises(ValueError) as refusal:
+        parse_poly("x" * 5000 + " ?")
+    assert str(refusal.value) == ("cannot parse polynomial '" + "x" * 59
+                                  + "... (5004 characters) at ' ?'")
+    with pytest.raises(ValueError) as refusal:
+        parse_rational("x" * 5000)
+    assert str(refusal.value) == "Invalid literal for Fraction: '" + "x" * 59 + "... (5002 characters)"
 
 
 def test_binom_examples():
