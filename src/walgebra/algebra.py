@@ -37,7 +37,7 @@ from math import gcd
 from operator import itemgetter
 from types import MappingProxyType
 
-from .scalar import (IMAG, Poly, binom_int, exact, parse_poly, parse_rational, quoted,
+from .scalar import (IMAG, Poly, binom_int, clipped, exact, parse_poly, parse_rational, quoted,
                      render_poly)
 
 TYPE_CHECKING = False  # true for a type checker only; `typing` is never imported
@@ -304,17 +304,20 @@ class AlgebraSpec:
         seen = set()
         for g in self.generators:
             if g.weight <= 0:
-                raise SpecError(f"generator {g.symbol!r} has weight {g.weight} <= 0")
+                raise SpecError(f"generator {quoted(g.symbol)} has weight "
+                                f"{quoted(g.weight)} <= 0")
             if g.symbol in seen:
-                raise SpecError(f"duplicate generator {g.symbol!r}")
+                raise SpecError(f"duplicate generator {quoted(g.symbol)}")
             seen.add(g.symbol)
         for symbol, c in self.composites.items():
             if symbol != c.symbol:
-                raise SpecError(f"composite {symbol!r} declares the symbol {c.symbol!r}")
+                raise SpecError(f"composite {quoted(symbol)} declares the symbol "
+                                f"{quoted(c.symbol)}")
             if c.symbol in seen:
-                raise SpecError(f"composite {c.symbol!r} shadows another field")
+                raise SpecError(f"composite {quoted(c.symbol)} shadows another field")
             if c.weight <= 0:
-                raise SpecError(f"composite {c.symbol!r} has weight {c.weight} <= 0")
+                raise SpecError(f"composite {quoted(c.symbol)} has weight "
+                                f"{quoted(c.weight)} <= 0")
         # a composite names only generators and the composites listed before
         # it, so evaluating its modes never comes back to it, and its
         # declared weight is its definition's
@@ -323,24 +326,26 @@ class AlgebraSpec:
             for symbol in expr_symbols(c.definition):
                 if symbol in self.composites and symbol not in earlier:
                     named = ("itself" if symbol == c.symbol
-                             else f"composite {symbol!r}, which is listed after it")
-                    raise SpecError(f"composite {c.symbol!r} names {named}")
+                             else f"composite {quoted(symbol)}, which is listed after it")
+                    raise SpecError(f"composite {quoted(c.symbol)} names {named}")
             earlier.add(c.symbol)
             got = expr_weight(c.definition, self)
             if got != c.weight:
-                raise SpecError(f"composite {c.symbol!r} declared weight {c.weight}, "
-                                f"definition has weight {got}")
+                raise SpecError(f"composite {quoted(c.symbol)} declared weight "
+                                f"{quoted(c.weight)}, definition has weight {quoted(got)}")
         for (i, j) in self.d:
             if j < i:
-                raise SpecError(f"pairing key ({i},{j}) not sorted")
+                raise SpecError(f"pairing key ({clipped(i)},{clipped(j)}) not sorted")
             wi, wj = self.weight_of(i), self.weight_of(j)
             if wi != wj and self.d[(i, j)]:
-                raise SpecError(f"nonzero pairing between weights {wi} and {wj}")
+                raise SpecError(f"nonzero pairing between weights {quoted(wi)} "
+                                f"and {quoted(wj)}")
         for (i, j, k) in self.constants:
             h = self.weight_of(i) + self.weight_of(j) - self.weight_of(k)
             if h < 1:
                 raise SpecError(
-                    f"structure constant ({i},{j},{k}) has h(ijk)={h} < 1"
+                    f"structure constant ({clipped(i)},{clipped(j)},{clipped(k)}) "
+                    f"has h(ijk)={quoted(h)} < 1"
                 )
         # every generator must come with its conformal channels, and a
         # generator is primary: C_{T,phi}^phi = C_{phi,T}^phi = weight(phi)
@@ -350,18 +355,19 @@ class AlgebraSpec:
         # the conformal field pairs with itself to c/2, unless d_TT is symbolic
         d_tt = self.pairing(t, t)
         if d_tt.is_const() and d_tt != Poly.const(self.central_charge / 2):
-            raise SpecError(f"d_{t}{t} = {render_poly(d_tt)} is not half the "
-                            f"central charge {self.central_charge}")
+            raise SpecError(f"d_{clipped(t)}{clipped(t)} = {clipped(render_poly(d_tt))} "
+                            f"is not half the central charge "
+                            f"{clipped(str(self.central_charge))}")
         for g in self.generators:
             want = Poly.const(g.weight)
             for key in ((t, g.symbol, g.symbol), (g.symbol, t, g.symbol)):
                 got = self.constants.get(key)
                 if got is None:
-                    raise SpecError(f"missing conformal channel {key}")
+                    raise SpecError(f"missing conformal channel {quoted(key)}")
                 if got != want:
                     raise SpecError(
-                        f"channel {key} must equal the field weight {g.weight}, "
-                        f"got {got}"
+                        f"channel {quoted(key)} must equal the field weight "
+                        f"{quoted(g.weight)}, got {clipped(str(got))}"
                     )
         # cross-check optional lowered constants: sum_l C_ij^l d_lk = C_ijk
         for (i, j, k), want in self.c_lower.items():
@@ -370,8 +376,8 @@ class AlgebraSpec:
                 acc = acc + value * self.pairing(l, k)
             if acc != want:
                 raise SpecError(
-                    f"C_ijk consistency failed for ({i},{j},{k}): "
-                    f"sum C_ij^l d_lk = {acc}, declared {want}"
+                    f"C_ijk consistency failed for ({clipped(i)},{clipped(j)},{clipped(k)}): "
+                    f"sum C_ij^l d_lk = {clipped(str(acc))}, declared {clipped(str(want))}"
                 )
 
 

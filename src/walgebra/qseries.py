@@ -9,10 +9,13 @@ Euler's pentagonal theorem.  Division by a series with constant term +-1 is
 one exact recurrence, `_divide`, whose sum over the divisor's terms is
 gathered per distinct coefficient value at C speed; an inverse is division
 of 1.  The triplet character divides its theta bracket by phi.  The Verma
-and quotient characters are built from 1/phi_k = (1/phi) prod_{n<k} (1 - q^n):
-one division by phi per factor, and each (1 - q^n) one running difference
-done in place, so no character multiplies two series.  A product runs one
-C-level row per nonzero term of its sparser factor.  Cutoff bookkeeping is
+and quotient characters are numer / prod_k phi_k, with phi_k = 1 through
+the cutoff for a weight k above it and 1/phi_k = (1/phi) prod_{n<k} (1 - q^n)
+otherwise: each (1 - q^n) is one running difference on the short numerator,
+and the result is divided once by phi^3 per three weights and by phi per
+weight left over.  phi^3 comes from Jacobi's identity and is as sparse as
+phi, so no character multiplies two series.  A product runs one C-level row
+per nonzero term of its sparser factor.  Cutoff bookkeeping is
 conservative.
 """
 
@@ -25,11 +28,13 @@ from operator import add, itemgetter, mul, sub
 from .algebra import central_charge_p1
 
 
-# The largest cutoff taken from untrusted input.  A character divides by phi,
-# which has about 1.6 sqrt(cutoff) nonzero terms, so its cost grows about 3x
-# per doubling of the cutoff.  At 20000 the p = 2 Verma and quotient
-# characters took 0.6-1.3 s each, at 21-25 MB peak RSS, in-process (Python
-# 3.11.7, 2 vCPU).
+# The largest cutoff taken from untrusted input.  A character divides by phi
+# or phi^3, each with O(sqrt(cutoff)) nonzero terms, so its cost grows about
+# 3x per doubling of the cutoff.  At 20000 the p = 2 Verma and quotient
+# characters took 0.5-0.6 s each in-process (Python 3.11.7, 2 vCPU), and a
+# weight above the cutoff costs nothing.  A weight k at or below the cutoff
+# still costs k - 1 running differences over up to cutoff + 1 terms, so
+# O(k x cutoff): verma-character --p 10000 --cutoff 20000 takes about 24 s.
 MAX_CUTOFF = 20000
 
 
@@ -222,17 +227,42 @@ def phi_trunc(k: int, cutoff: int) -> QSeries:
     return QSeries(Fraction(0), coeffs)
 
 
+def _phi_cubed(cutoff: int) -> list[int]:
+    """The coefficients of phi^3 through q^cutoff, by Jacobi's identity
+    phi^3 = sum_{j>=0} (-1)^j (2j+1) q^(j(j+1)/2): as sparse as phi."""
+    coeffs = [0] * (cutoff + 1)
+    j = 0
+    while j * (j + 1) // 2 <= cutoff:
+        coeffs[j * (j + 1) // 2] = -(2 * j + 1) if j % 2 else 2 * j + 1
+        j += 1
+    return coeffs
+
+
 def _over_phi_truncs(numer: list[int], ks: list[int], cutoff: int) -> QSeries:
-    """numer / prod_{k in ks} phi_k, exactly through q^cutoff; `ks` is not
-    empty.  Each 1/phi_k = (1/phi) prod_{n<k} (1 - q^n) is one division by
-    phi and, for each n < k, one running difference done in place."""
-    den = phi(cutoff).coeffs
-    out = numer
+    """numer / prod_{k in ks} phi_k, exactly through q^cutoff.
+
+    A weight k above the cutoff is dropped, as phi_k = 1 through q^cutoff.
+    Each other 1/phi_k = (1/phi) prod_{n<k} (1 - q^n): the finite products
+    go into the short numerator first, one running difference per n over
+    its own length, and the result is divided once by phi^3 per three
+    weights and by phi per weight left over."""
+    ks = [k for k in ks if k <= cutoff]
+    length = min(cutoff + 1, len(numer) + sum(k * (k - 1) // 2 for k in ks))
+    out = numer[:length] + [0] * (length - len(numer))
     for k in ks:
-        out = _divide(out, den)
-        for n in range(1, min(k, cutoff + 1)):
-            out[n:] = map(sub, out[n:], out[:cutoff + 1 - n])
-    return QSeries(Fraction(0), out)
+        for n in range(1, k):
+            out[n:] = map(sub, out[n:], out[:length - n])
+    cubes, rest = divmod(len(ks), 3)
+    if cubes:
+        den = _phi_cubed(cutoff)
+        for _ in range(cubes):
+            out = _divide(out, den)
+    if rest:
+        den = phi(cutoff).coeffs
+        for _ in range(rest):
+            out = _divide(out, den)
+    # with no weight at or below the cutoff, the numerator is not yet padded
+    return QSeries(Fraction(0), out + [0] * (cutoff + 1 - len(out)))
 
 
 # --- characters ----------------------------------------------------------------------

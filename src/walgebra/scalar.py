@@ -480,11 +480,15 @@ PARSE_CACHE_SIZE = 1024
 QUOTED = 60
 
 
-def quoted(value) -> str:
-    """The repr of a document value, as a refusal echoes it: whole up to
-    `QUOTED` characters, else its first `QUOTED` characters and its length."""
-    text = repr(value)
+def clipped(text: str) -> str:
+    """`text` as a refusal echoes it: whole up to `QUOTED` characters, else
+    its first `QUOTED` characters and its length."""
     return text if len(text) <= QUOTED else f"{text[:QUOTED]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """The repr of a document value, clipped as a refusal echoes it."""
+    return clipped(repr(value))
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)

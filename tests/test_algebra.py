@@ -260,6 +260,27 @@ def test_load_spec_rejects_missing_conformal_channel():
         load_spec(json.dumps(doc))
 
 
+@pytest.mark.parametrize("symbol", ["W", "x" * 5000])
+def test_validate_clips_long_symbols_and_values(symbol):
+    # a symbol or value whose text passes 60 characters is echoed as its
+    # first 60 and its length; a shorter one is echoed whole, as before
+    def clip(text):
+        return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+    value, duplicate, extra = (_valid_virasoro_doc() for _ in range(3))
+    value["structure_constants"][0]["value"] = symbol
+    duplicate["generators"] += [{"symbol": symbol, "weight": 3}] * 2
+    extra["generators"].append({"symbol": symbol, "weight": 3})
+    for doc, message in [
+            (value, "channel ('T', 'T', 'T') must equal the field weight 2, got "
+                    + clip(symbol)),
+            (duplicate, "duplicate generator " + clip(repr(symbol))),
+            (extra, "missing conformal channel " + clip(repr(("T", symbol, symbol))))]:
+        with pytest.raises(SpecError) as refusal:
+            load_spec(json.dumps(doc))
+        assert str(refusal.value) == message
+
+
 def test_load_spec_rejects_malformed_json():
     with pytest.raises(SpecError):
         load_spec("{not json")

@@ -368,17 +368,13 @@ def test_every_leaf_swap_loads_or_is_refused_in_one_line():
 def test_a_long_value_is_quoted_in_a_short_refusal():
     # each leaf of both documents set to a 5,000-character text, a list or
     # an object holding one, or an expression of 1,000 modes: a refusal
-    # quotes the first characters and the length, not the whole value.
-    # A spec's structure constant is left out: `AlgebraSpec.validate` words
-    # a channel that is not the field weight with the whole value.
+    # quotes the first characters and the length, not the whole value
     spec_text = resources.files("walgebra.specs").joinpath("triplet_p2.json").read_text()
     cert_text = (GOLDEN / "certificate_p2.json").read_text()
     values = ["x" * 5000, ["x" * 5000], {"x" * 5000: 1}, "(1) " + "T(-2) " * 1000 + "|0> x"]
     for text, load, error in [(spec_text, load_spec, SpecError),
                               (cert_text, certificate_from_json, CertificateError)]:
         for path in _leaves(json.loads(text)):
-            if path[0] == "structure_constants" and path[-1] == "value":
-                continue
             for value in values:
                 doc = json.loads(text)
                 _at(doc, path[:-1])[path[-1]] = value

@@ -255,7 +255,7 @@ def test_characters_agree_under_truncation(p):
             assert all(type(c) is int for c in ch.coeffs)
 
 
-def test_verma_character_inverts_each_weight_once(monkeypatch):
+def test_characters_divide_by_phi_cubed_per_three_weights(monkeypatch):
     c = central_charge_p1(5)
     inverse = {k: phi_trunc(k, 80).inverse() for k in (1, 2, 9)}
     verma = (inverse[2] * inverse[9] * inverse[9] * inverse[9]).shift(-c / 24)
@@ -263,6 +263,8 @@ def test_verma_character_inverts_each_weight_once(monkeypatch):
     numer = series(Fraction(0), {0: 1, 3: -1}, 80)
     chi = (inverse[2] + (numer * inverse[1] * inverse[9] * inverse[9]
                          ).scale(3).shift(9)).shift(-c / 24)
+    above = (inverse[2] * inverse[9] * inverse[9]).shift(-c / 24)
+    cube, once = qseries._phi_cubed(80), phi(80).coeffs
     divisions = []
     plain = qseries._divide
 
@@ -276,13 +278,46 @@ def test_verma_character_inverts_each_weight_once(monkeypatch):
     monkeypatch.setattr(qseries, "_divide", counted)
     monkeypatch.setattr(QSeries, "__mul__", refused)
     monkeypatch.setattr(QSeries, "inverse", refused)
-    got_verma = verma_character([2, 9, 9, 9], c, 80)
-    # one division by phi per weight, and no product or inverse
-    assert divisions == [phi(80).coeffs] * 4
-    for got, want in ((got_verma, verma), (triplet_character(5, 80), triplet),
-                      (chi_tilde(5, 80), chi)):
+    # phi^3 once for three weights, phi for the one left over, and no
+    # product or inverse; a weight above the cutoff divides by nothing
+    for character, want, plan in (
+            (lambda: verma_character([2, 9, 9, 9], c, 80), verma, [cube, once]),
+            (lambda: triplet_character(5, 80), triplet, [once]),
+            (lambda: chi_tilde(5, 80), chi, [once, cube]),
+            (lambda: verma_character([2, 9, 9, 81], c, 80), above, [cube]),
+            (lambda: verma_character([2, 81, 90, 90], c, 80), inverse[2].shift(-c / 24),
+             [once]),
+            (lambda: qseries._over_phi_truncs([1, -1], [81, 90], 80),
+             series(Fraction(0), {0: 1, 1: -1}, 80), [])):
+        divisions.clear()
+        got = character()
+        assert divisions == plan
         assert got.offset == want.offset and got.coeffs == want.coeffs
         assert got.render_lines() == want.render_lines()
+
+
+def test_phi_cubed_is_jacobis_identity():
+    for n in (0, 1, 2, 600):
+        assert qseries._phi_cubed(n) == (phi(n) * phi(n) * phi(n)).coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=7),
+       st.integers(min_value=0, max_value=20))
+@example([1], [1, 2, 3], 0)
+@example([2, 0, 0, -1, 3], [2, 9, 9, 9], 2)
+@example([1, -1], [1, 5, 5, 21, 30, 2, 7], 20)
+@example([-3, 1], [4, 4, 4, 4, 4, 4], 13)
+def test_over_phi_truncs_is_numer_times_inverses(numer, ks, cutoff):
+    # every remainder of len(ks) mod 3, weights on both sides of the cutoff,
+    # and cutoffs below the numerator's degree
+    want = QSeries(Fraction(0), (numer + [0] * cutoff)[:cutoff + 1])
+    for k in ks:
+        want = want * phi_trunc(k, cutoff).inverse()
+    got = qseries._over_phi_truncs(list(numer), ks, cutoff)
+    assert got.offset == 0 and got.coeffs == want.coeffs
+    assert all(type(x) is int for x in got.coeffs)
 
 
 @settings(max_examples=80, deadline=None)
@@ -410,7 +445,8 @@ def test_verma_character_to_600_is_a_partition_convolution():
 
 
 def test_inverse_phi_truncs_count_restricted_partitions():
-    # 1/phi_k is one division by phi and a running difference per n < k
+    # 1/phi_k is one division by phi and a running difference per n < k;
+    # k = 500 lies above the cutoff, so 1/phi_k = 1 there
     for k in (9, 1, 2, 500):
         inv = qseries._over_phi_truncs([1], [k], 400)
         assert inv.offset == 0 and len(inv.coeffs) == 400 + 1
