@@ -205,6 +205,16 @@ class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
     __slots__ = ()  # definition is a FieldExpr
 
 
+class SpecTables(namedtuple("SpecTables", "weights ranks channels pairings")):
+    """What a mode commutator reads of a spec: the weight of every declared
+    field, the declaration rank of every generator, the channels
+    ``((k, C_ij^k), ...)`` of each generator pair (i, j) sorted by k, and
+    d_ij under each sorted pair; every C_ij^k and d_ij is exact
+    (`scalar.exact`), a Poly only while a symbol remains."""
+
+    __slots__ = ()
+
+
 class AlgebraSpec:
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
@@ -271,6 +281,15 @@ class AlgebraSpec:
         from .engine import Engine
 
         return Engine(weakref.ref(self))
+
+    @cached_property
+    def tables(self) -> SpecTables:
+        """The lookups :func:`commutator` reads, built on first use."""
+        return SpecTables(
+            self._weights, self._rank,
+            {key: tuple([(k, exact(value)) for k, value in chans])
+             for key, chans in self._channels.items()},
+            {key: exact(value) for key, value in self.d.items()})
 
     # --- lookups ---
 
@@ -459,32 +478,50 @@ class OperatorSum(namedtuple("OperatorSum", "terms central")):
         return " + ".join(bits) if bits else "0"
 
 
-def bracket(a: Mode, b: Mode, spec: AlgebraSpec) -> OperatorSum:
-    """Mode commutator [a, b] from the declared channels:
-    d_ij delta_{m+n,0} C(h_i+m-1, 2h_i-1) + sum_k C_ij^k p(m,n) (phi_k)_{m+n}.
+def _poly(c) -> Poly:
+    return c if isinstance(c, Poly) else Poly.const(c)
 
-    Channels are declared for generators only, so a mode of a composite
-    field is refused rather than given a bracket of 0."""
-    for mode in (a, b):
-        if mode.field in spec.composites:
-            raise SpecError(f"{mode.render()} is a mode of the composite field "
-                            f"{mode.field!r}; brackets are declared between "
-                            "generator modes only")
-    hi = spec.weight_of(a.field)
-    hj = spec.weight_of(b.field)
-    m, n = a.n, b.n
+
+def commutator(i: str, m: int, j: str, n: int, tables: SpecTables) -> tuple[tuple, object]:
+    """The mode commutator [i_m, j_n] from the declared channels,
+    d_ij delta_{m+n,0} C(h_i+m-1, 2h_i-1) + sum_k C_ij^k p(m,n) (phi_k)_{m+n},
+    as its terms ``((coefficient, k, m + n), ...)`` and its central term,
+    each coefficient exact (`scalar.exact`).
+
+    The one computation behind both views of a commutator: the public
+    :func:`bracket` and the rewriting engine's commutator rows.  Channels
+    are declared for generators only, so a mode of a composite field is
+    refused rather than given a bracket of 0, and so is an undeclared
+    field."""
+    weights = tables.weights
+    for field, index in ((i, m), (j, n)):
+        if field in weights and field not in tables.ranks:
+            raise SpecError(f"{clipped(f'{field}({index})')} is a mode of the "
+                            f"composite field {quoted(field)}; brackets are "
+                            "declared between generator modes only")
+    try:
+        hi, hj = weights[i], weights[j]
+    except KeyError as exc:
+        raise SpecError(f"undeclared field {quoted(exc.args[0])}") from None
     terms = []
-    for k, value in spec.channels(a.field, b.field):
-        hk = spec.weight_of(k)
-        pv = channel_poly(hi, hj, hk, m, n)
+    for k, value in tables.channels.get((i, j), ()):
+        pv = channel_poly(hi, hj, weights[k], m, n)
         if pv and value:
-            terms.append((value * pv, Mode(k, m + n)))
-    central = Poly.zero()
+            terms.append((exact(value * pv), k, m + n))
+    central = 0
     if m + n == 0:
-        dij = spec.pairing(a.field, b.field)
+        dij = tables.pairings.get((i, j) if i <= j else (j, i))
         if dij:
-            central = dij * binom_int(hi + m - 1, 2 * hi - 1)
-    return OperatorSum(tuple(terms), central)
+            central = exact(dij * binom_int(hi + m - 1, 2 * hi - 1))
+    return tuple(terms), central
+
+
+def bracket(a: Mode, b: Mode, spec: AlgebraSpec) -> OperatorSum:
+    """Mode commutator [a, b] under the spec (see :func:`commutator`), with
+    Poly coefficients."""
+    terms, central = commutator(a.field, a.n, b.field, b.n, spec.tables)
+    return OperatorSum(tuple([(_poly(c), Mode(k, index)) for c, k, index in terms]),
+                       _poly(central))
 
 
 # --- expression weights ------------------------------------------------------
@@ -728,21 +765,18 @@ def load_spec(text: str) -> AlgebraSpec:
 
 def make_virasoro_spec(c: Fraction | str | Poly = "c") -> AlgebraSpec:
     """Virasoro-only algebra: one weight-2 generator T with C_TT^T = 2 and
-    d_TT = c/2.  A non-numeric string keeps the central charge symbolic
-    (it then enters computations only through d_TT) and must be an
-    identifier other than the imaginary unit I."""
+    d_TT = c/2.  A string that is an identifier keeps the central charge
+    symbolic (it then enters computations only through d_TT) and must not be
+    the imaginary unit I; any other string is read by `parse_rational`."""
     if isinstance(c, str):
-        try:
-            c = Fraction(c)
-        except ZeroDivisionError:
-            raise SpecError(f"central charge {c!r} has a zero denominator") from None
-        except ValueError:
-            if not (c.isascii() and c.isidentifier()):
-                raise SpecError(f"central charge {c!r} is neither a rational "
-                                "nor an identifier") from None
-            if c == IMAG:
-                raise SpecError(f"central charge {c!r} is the reserved "
-                                "imaginary unit") from None
+        if not (c.isascii() and c.isidentifier()):
+            try:
+                c = parse_rational(c)
+            except ValueError as exc:
+                raise SpecError("central charge is neither an identifier nor a "
+                                f"rational: {exc}") from None
+        elif c == IMAG:
+            raise SpecError(f"central charge {c!r} is the reserved imaginary unit")
     if isinstance(c, str):
         cc = Fraction(0)
         d = {("T", "T"): Poly.sym(c) / 2}

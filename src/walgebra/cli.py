@@ -32,7 +32,7 @@ from .qseries import (
     triplet_character,
     verma_character,
 )
-from .scalar import SolveError, render_poly
+from .scalar import SolveError, clipped, parse_rational, quoted, render_poly
 from .singular import load_triplet_p2_spec, solve_structure_constants, verify_singular_p2
 
 # compiled on the first `bracket` call, the only command that reads a mode
@@ -90,6 +90,32 @@ def _positive_p(args) -> int:
     return args.p
 
 
+def _character_p(args, cutoff: int) -> int:
+    """--p for a character command, if the exponents of its characters
+    through `cutoff` can be written out: q^(-c/24 + n) is written
+    (a + n b)/b, and `str` converts an int of at most
+    `sys.get_int_max_str_digits()` digits (no limit when 0)."""
+    p = _positive_p(args)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    offset = -central_charge_p1(p) / 24
+    top = abs(offset.numerator) + cutoff * offset.denominator
+    # 2**(3 limit) < 10**limit, so a top of at most 3 limit bits is short
+    # enough without building 10**limit
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise InputError(f"--p is too large: the exponents of its characters "
+                         f"would have more than {limit} digits")
+    return p
+
+
+def _number_text(x: Fraction) -> str:
+    """x as a refusal echoes it: clipped, and not written out at all when it
+    has more digits than `str` converts."""
+    try:
+        return clipped(str(x))
+    except ValueError:
+        return "(too long to write out)"
+
+
 def _checked_cutoff(cutoff: int) -> int:
     if cutoff < 0:
         raise InputError("--cutoff must be an integer >= 0")
@@ -143,8 +169,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_character(args) -> int:
-    p = _positive_p(args)
-    series = _character_series(args.kind, p, _checked_cutoff(args.cutoff))
+    cutoff = _checked_cutoff(args.cutoff)
+    series = _character_series(args.kind, _character_p(args, cutoff), cutoff)
     _emit(
         _series_json(series) if args.format == "json" else _series_text(series),
         args.out,
@@ -153,21 +179,22 @@ def cmd_character(args) -> int:
 
 
 def cmd_char_diff(args) -> int:
-    p = _positive_p(args)
+    cutoff = _checked_cutoff(args.cutoff)
+    p = _character_p(args, cutoff)
     try:
-        level = Fraction(args.level)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad level {args.level!r}") from exc
+        level = parse_rational(args.level)
+    except ValueError as exc:
+        raise InputError(f"bad level: {exc}") from exc
     # Every character leads at q^(-c/24) with coefficient 1 and is exact
     # through its cutoff, so a level off the integers or above the cutoff is
     # refused before either series is computed, and the coefficient at an
     # integer level n needs each series only through q^n.
-    cutoff = _checked_cutoff(args.cutoff)
     if level.denominator != 1 or level > cutoff:
         exponent = -central_charge_p1(p) / 24 + level
         why = ("is off-lattice" if level.denominator != 1
                else f"beyond validity (cutoff index {cutoff})")
-        raise InputError(f"bad level {args.level!r}: exponent {exponent} {why}")
+        raise InputError(f"bad level {quoted(args.level)}: exponent "
+                         f"{_number_text(exponent)} {why}")
     through = max(int(level), 0)
     a = _character_series(args.left, p, through)
     b = _character_series(args.right, p, through)

@@ -51,48 +51,26 @@ def _lword(parts: list[int]) -> tuple[Mode, ...]:
     return tuple(_T(-k) for k in sorted(parts, reverse=True))
 
 
-class Monomials(namedtuple("Monomials", "delta")):
-    """The canonical words the pipeline tracks at length Delta-1."""
+class Monomials:
+    """The canonical words the pipeline tracks at length Delta-1, each built
+    once, when the Monomials is constructed; `l333_l2` is None when
+    delta < 5."""
 
-    __slots__ = ()
+    __slots__ = ("delta", "ww", "ww_down", "l2_pow", "l4_l2", "l33_l2", "l3_l2",
+                 "l5_l2", "l4_l3_l2", "l333_l2")
 
-    @property
-    def ww(self):  # W_{-d} W_{-d}
-        return (_W(-self.delta), _W(-self.delta))
-
-    @property
-    def ww_down(self):  # W_{-d-1} W_{-d}
-        return (_W(-self.delta - 1), _W(-self.delta))
-
-    @property
-    def l2_pow(self):  # L_{-2}^{d-1}
-        return _lword([2] * (self.delta - 1))
-
-    @property
-    def l4_l2(self):  # L_{-4} L_{-2}^{d-2}
-        return _lword([4] + [2] * (self.delta - 2))
-
-    @property
-    def l33_l2(self):  # L_{-3}^2 L_{-2}^{d-3}
-        return _lword([3, 3] + [2] * (self.delta - 3))
-
-    @property
-    def l3_l2(self):  # L_{-3} L_{-2}^{d-2}
-        return _lword([3] + [2] * (self.delta - 2))
-
-    @property
-    def l5_l2(self):  # L_{-5} L_{-2}^{d-2}
-        return _lword([5] + [2] * (self.delta - 2))
-
-    @property
-    def l4_l3_l2(self):  # L_{-4} L_{-3} L_{-2}^{d-3}
-        return _lword([4, 3] + [2] * (self.delta - 3))
-
-    @property
-    def l333_l2(self):  # L_{-3}^3 L_{-2}^{d-4}; absent when delta < 5
-        if self.delta < 5:
-            return None
-        return _lword([3, 3, 3] + [2] * (self.delta - 4))
+    def __init__(self, delta: int):
+        self.delta = delta
+        self.ww = (_W(-delta), _W(-delta))  # W_{-d} W_{-d}
+        self.ww_down = (_W(-delta - 1), _W(-delta))  # W_{-d-1} W_{-d}
+        self.l2_pow = _lword([2] * (delta - 1))  # L_{-2}^{d-1}
+        self.l4_l2 = _lword([4] + [2] * (delta - 2))  # L_{-4} L_{-2}^{d-2}
+        self.l33_l2 = _lword([3, 3] + [2] * (delta - 3))  # L_{-3}^2 L_{-2}^{d-3}
+        self.l3_l2 = _lword([3] + [2] * (delta - 2))  # L_{-3} L_{-2}^{d-2}
+        self.l5_l2 = _lword([5] + [2] * (delta - 2))  # L_{-5} L_{-2}^{d-2}
+        self.l4_l3_l2 = _lword([4, 3] + [2] * (delta - 3))  # L_{-4} L_{-3} L_{-2}^{d-3}
+        self.l333_l2 = (_lword([3, 3, 3] + [2] * (delta - 4))  # L_{-3}^3 L_{-2}^{d-4}
+                        if delta >= 5 else None)
 
 
 class DerivationReport(namedtuple("DerivationReport", (

@@ -31,6 +31,7 @@ from .algebra import (
     SpecError,
     TopPower,
     bracket,
+    commutator,
     expr_weight,
 )
 from .scalar import Poly, binom_int, exact, render_poly, sum_products
@@ -169,7 +170,7 @@ class Engine:
     """Rewriting engine bound to one algebra spec.
 
     Pure operations over immutable values; the internal memo tables (mode
-    actions, brackets, normal orders, quasi-primary products, and the
+    actions, commutator rows, normal orders, quasi-primary products, and the
     verdicts of replayed `c2` certificate steps) are invisible caches.  The
     library uses the engine owned by the spec (`AlgebraSpec.engine`), so its
     memos live as long as the spec does and are shared by every computation
@@ -178,20 +179,33 @@ class Engine:
     once the spec is freed it raises ReferenceError saying so.  Constructing
     an `Engine` from a spec gives fresh, empty memos and a strong reference
     to the spec.
+
+    A commutator row is the commutator of a generator mode with the lead
+    mode of a word, computed once per engine by `algebra.commutator` from
+    the spec's exact tables (`AlgebraSpec.tables`).  It holds the terms
+    (coefficient, output field, output index) and the central term, each
+    coefficient an int or a Fraction, or a Poly only while a symbol remains,
+    so the evaluator reads a row as it is: it normalizes no coefficient
+    again and builds no Poly, Mode or OperatorSum for it.  `Engine.bracket`
+    serves `algebra.bracket`'s OperatorSum of the same commutator from that
+    row, built on its first request and kept in the row.
     """
 
     def __init__(self, spec: AlgebraSpec | weakref.ref):
         # a callable that returns the spec, or None once a weakly held spec
-        # is freed; called once per memo miss
+        # is freed; called once per mode application and per memo miss that
+        # reads the spec
         self._spec = spec if isinstance(spec, weakref.ref) else (lambda: spec)
         # read on every mode action, so kept here rather than behind the spec
-        self._generators = frozenset(g.symbol for g in self.spec.generators)
+        tables = self.spec.tables
+        self._weights, self._ranks = tables.weights, tables.ranks
         # (generator symbol or field expression, n, word) -> {word: coeff},
         # each coeff an int, a Fraction, or a Poly only when it has a symbol
         self._memo: dict[tuple[FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
-        # (mode, mode) -> their commutator
-        self._bracket_memo: dict[tuple[Mode, Mode], OperatorSum] = {}
+        # (generator symbol, n, lead mode) -> the commutator row
+        # [terms, central, OperatorSum or None] of [generator_n, lead]
+        self._rows: dict[tuple[str, int, Mode], list] = {}
         # mode sequence -> its normal order on the vacuum; every suffix of a
         # sequence normal-ordered so far has its entry
         self._normal_memo: dict[Word, State] = {(): State.vacuum()}
@@ -227,13 +241,22 @@ class Engine:
         return self._apply(expr, n, state)
 
     def bracket(self, a: Mode, b: Mode) -> OperatorSum:
-        """The commutator [a, b] under the spec, computed once per ordered
-        pair of modes."""
-        key = (a, b)
-        hit = self._bracket_memo.get(key)
-        if hit is None:
-            hit = self._bracket_memo[key] = bracket(a, b, self.spec)
-        return hit
+        """The commutator [a, b] under the spec: `algebra.bracket`, the
+        OperatorSum view of the commutator row of (a, b), computed on the
+        first request and kept in that row."""
+        row = self._row(a.field, a.n, b)
+        if row[2] is None:
+            row[2] = bracket(a, b, self.spec)
+        return row[2]
+
+    def _row(self, field: str, n: int, lead: Mode) -> list:
+        """The commutator row of [field_n, lead], computed once."""
+        key = (field, n, lead)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [*commutator(field, n, lead.field, lead.n,
+                                                 self.spec.tables), None]
+        return row
 
     def normal_order(self, word: Iterable[Mode]) -> State:
         """Apply a mode sequence right-to-left to the vacuum.
@@ -266,6 +289,7 @@ class Engine:
         return _summed(out)
 
     def _apply(self, field: FieldExpr, n: int, state: State) -> State:
+        self.spec  # raises once the spec is freed, though its tables live on
         out: dict[Word, list] = {}
         for word, coeff in state._t.items():
             for w, c in self._act(field, n, word).items():
@@ -284,7 +308,7 @@ class Engine:
         """
         # a composite names only generators and earlier composites, so an
         # alias chain ends
-        while isinstance(field, str) and field not in self._generators:
+        while isinstance(field, str) and field not in self._ranks:
             field = self.spec.composite_expr(field)
         if isinstance(field, QPNop):
             field = self.qp_nop(field.j, field.i, field.n)
@@ -292,31 +316,28 @@ class Engine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        spec = self.spec
         result: dict = {}
         if isinstance(field, str):
-            mode = Mode(field, n)
-            creation = n <= -spec.weight_of(field)
+            creation = n <= -self._weights[field]
             if not word:
                 if creation:
-                    result[(mode,)] = 1
-            elif creation and (n, spec.rank(field)) <= (
-                word[0].n, spec.rank(word[0].field)
+                    result[(Mode(field, n),)] = 1
+            elif creation and (n, self._ranks[field]) <= (
+                word[0].n, self._ranks[word[0].field]
             ):
-                result[(mode,) + word] = 1
+                result[(Mode(field, n),) + word] = 1
             else:
                 lead, rest = word[0], word[1:]
                 # mode * lead = lead * mode + [mode, lead]
                 for w, c in self._act(field, n, rest).items():
                     for w2, c2 in self._act(lead.field, lead.n, w).items():
                         _acc(result, w2, c * c2)
-                ops = self.bracket(mode, lead)
-                for coeff, out_mode in ops.terms:
-                    coeff = exact(coeff)
-                    for w, c in self._act(out_mode.field, out_mode.n, rest).items():
+                terms, central, _ = self._row(field, n, lead)
+                for coeff, k, index in terms:
+                    for w, c in self._act(k, index, rest).items():
                         _acc(result, w, coeff * c)
-                if ops.central:
-                    _acc(result, rest, exact(ops.central))
+                if central:
+                    _acc(result, rest, central)
         elif isinstance(field, TopPower):
             if word:
                 rendered = "".join(m.render() + " " for m in word)
@@ -324,14 +345,14 @@ class Engine:
                     f"{field.base}^{field.count} is kept at top length and acts "
                     f"on the vacuum only, not on {rendered}|0>"
                 )
-            h = spec.weight_of(field.base)
+            h = self.spec.weight_of(field.base)
             for parts in _partitions(-n, field.count, h, -n):
                 result[tuple(Mode(field.base, -k) for k in parts)] = _orderings(parts)
         elif isinstance(field, Identity):
             if n == 0:
                 result[word] = 1
         elif isinstance(field, Derivative):
-            h = expr_weight(field.base, spec)
+            h = expr_weight(field.base, self.spec)
             factor = 1
             for u in range(field.order):
                 factor *= -(n + h + u)
@@ -358,8 +379,10 @@ class Engine:
         else:
             raise TypeError(f"not a field expression: {field!r}")
         # a Fraction product may be integral and a Poly sum may cancel its
-        # symbols; store each coefficient in its exact form
-        result = {w: exact(c) for w, c in result.items()}
+        # symbols; store each coefficient in its exact form, in place
+        for w, c in result.items():
+            if type(c) is not int:
+                result[w] = exact(c)
         self._memo[key] = result
         return result
 

@@ -491,14 +491,37 @@ def quoted(value) -> str:
     return clipped(repr(value))
 
 
+def _exponent_notation(text: str) -> bool:
+    """Whether `Fraction` reads `text` in exponent notation, such as "1e5"
+    or "2.5E-3": a rational mantissa, an "e" and a signed integer."""
+    mantissa, e, power = text.lower().partition("e")
+    power = power.rstrip()
+    if power[:1] in ("+", "-"):
+        power = power[1:]
+    if not (e and power.replace("_", "").isdecimal()):
+        return False
+    try:
+        Fraction(mantissa + "e0")
+    except ValueError:
+        return False
+    return True
+
+
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rational(text: str) -> Fraction:
     """`Fraction(text)`, with a zero denominator refused as the ValueError
     parse_poly raises for one, not as a ZeroDivisionError.
 
+    Exponent notation is refused with a ValueError too: Fraction builds 10
+    to the exponent outright, a billion digits for "1e999999999", and even
+    "1e5000" has more digits than `str` converts back to text.
+
     Like `parse_poly`, the last `PARSE_CACHE_SIZE` distinct texts parsed are
     cached, so a certificate loaded again parses each null coefficient once;
     a Fraction is immutable, and errors are not cached."""
+    if _exponent_notation(text):
+        raise ValueError(f"exponent notation in {quoted(text)}; write the rational "
+                         "as an integer, a decimal or p/q")
     try:
         return Fraction(text)
     except ZeroDivisionError:

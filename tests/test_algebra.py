@@ -226,6 +226,24 @@ def test_load_spec_virasoro_with_c_lower_check():
     assert spec.central_charge == -2
 
 
+@pytest.mark.parametrize("symbol", ["A", "Z" * 5000], ids=["short", "long"])
+def test_composite_mode_refusal_clips_its_symbol(symbol):
+    # a spec's symbols are untrusted input: the refusal quotes them by the
+    # `quoted` rule, and a short one reads as it always did
+    doc = _valid_virasoro_doc()
+    doc["composite_fields"] = [{"symbol": symbol, "weight": 2,
+                                "definition": {"gen": "T"}}]
+    spec = load_spec(json.dumps(doc))
+    with pytest.raises(SpecError) as info:
+        bracket(T(1), Mode(symbol, -5), spec)
+    if symbol == "A":
+        assert str(info.value) == ("A(-5) is a mode of the composite field 'A'; "
+                                   "brackets are declared between generator "
+                                   "modes only")
+    else:
+        assert len(str(info.value)) < 300
+
+
 def test_load_spec_rejects_bad_c_lower():
     doc = _valid_virasoro_doc()
     doc["c_lower"] = [{"i": "T", "j": "T", "k": "T", "value": "5"}]

@@ -140,6 +140,49 @@ def test_usage_errors_exit_2(tmp_path):
         assert len(proc.stderr.splitlines()) == 1
 
 
+_BIG_P = str(10 ** 4000)
+_CHARDIFF = ("char-diff", "--p", "3", "--left", "verma", "--right", "triplet")
+
+
+@pytest.mark.parametrize("argv", [
+    # Fraction reads exponent notation by building 10**exponent, which has
+    # more digits than str converts back, so each of these once ended in a
+    # ValueError traceback while its value was echoed or rendered
+    (*_CHARDIFF, "--level", "1e5000"),
+    ("bracket", "--virasoro", "--c", "1e5000", "--left", "T:2", "--right", "T:-2"),
+    ("verify-singular", "--spec", "{spec}"),
+    # a level with as many digits as int reads: its exponent has more
+    (*_CHARDIFF, "--level", "9" * 4299),
+    (*_CHARDIFF, "--level", "1/" + "9" * 4299),
+    # a p whose character exponents have more digits than str converts
+    ("character", "--p", _BIG_P, "--cutoff", "5"),
+    ("verma-character", "--p", _BIG_P, "--cutoff", "5"),
+    ("char-diff", "--p", _BIG_P, "--left", "verma", "--right", "triplet",
+     "--level", "1"),
+], ids=["level_exponent", "c_exponent", "spec_exponent",
+        "level_digits", "level_denominator_digits", "character_p", "verma_p",
+        "char_diff_p"])
+def test_oversized_numbers_exit_2(tmp_path, argv):
+    doc = _triplet_spec_doc()
+    doc["central_charge"] = "1e5000"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    proc = run_cli(*[arg.replace("{spec}", str(spec)) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error:") and len(line) <= 300
+
+
+def test_large_p_characters_still_render():
+    # the bound on p comes from rendering, far above any p in use
+    for p in (100000, 10 ** 1000):
+        for command in ("character", "verma-character"):
+            proc = run_cli(command, "--p", str(p), "--cutoff", "5")
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert len(proc.stdout.splitlines()) >= 1
+
+
 def _triplet_spec_doc():
     from importlib import resources
 

@@ -24,7 +24,7 @@ from walgebra.engine import (
     project_with_audit,
     word_weight,
 )
-from walgebra.scalar import Poly, binom_int
+from walgebra.scalar import Poly, binom_int, exact
 from walgebra.singular import load_triplet_p2_spec, null_vector_terms
 
 
@@ -421,6 +421,15 @@ def test_engine_bracket_matches_algebra_bracket(spec):
                     first = engine.bracket(x, y)
                     assert first == bracket(x, y, spec)
                     assert engine.bracket(x, y) is first
+                    # the row the evaluator reads holds the same commutator,
+                    # each coefficient already exact, and serves that OperatorSum
+                    terms, central, ops = engine._row(a, m, y)
+                    assert ops is first
+                    want = [(exact(c), mode.field, mode.n) for c, mode in first.terms]
+                    assert [(type(c), c, k, i) for c, k, i in terms] == [
+                        (type(c), c, k, i) for c, k, i in want]
+                    want = exact(first.central)
+                    assert (type(central), central) == (type(want), want)
 
 
 def _fold(engine, word):

@@ -382,6 +382,21 @@ def test_zero_denominator_is_a_value_error_that_names_the_text():
     assert parse_rational("-8/12") == Fraction(-2, 3)
 
 
+@pytest.mark.parametrize("text", ["1e5", "1E5", " 1e5 ", "2.5E-3", ".5e+2", "1.e2",
+                                  "1e1_0", "1e5000"])
+def test_parse_rational_refuses_exponent_notation(text):
+    # Fraction builds 10**exponent outright, whose digits can pass what str
+    # converts; the refusal names the text, clipped
+    with pytest.raises(ValueError, match=r"^exponent notation in "):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["e5", "1e", "1/2e3", "1 e5", "1e5x", "seven"])
+def test_parse_rational_keeps_fractions_refusal_of_other_texts(text):
+    with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: "):
+        parse_rational(text)
+
+
 def test_solve_single_equation():
     B, C = Poly.sym("B"), Poly.sym("C")
     sol = solve_linear([B * 2 + C], ["B"])
