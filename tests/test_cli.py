@@ -38,6 +38,10 @@ CASES = [
      "bracket_virasoro.txt"),
     (("bracket", "--left", "W1:-3", "--right", "W2:-3", "--format", "json"),
      "bracket_ww.json"),
+    (("bracket", "--virasoro", "--c", "1/3", "--left", "T:3", "--right", "T:-3"),
+     "bracket_virasoro_numeric.txt"),
+    (("bracket", "--virasoro", "--c", "1/3", "--left", "T:2", "--right", "T:-3",
+      "--format", "json"), "bracket_virasoro_numeric.json"),
     (("character", "--p", "2", "--cutoff", "8"), "character_p2.txt"),
     (("verma-character", "--p", "2", "--cutoff", "8"), "verma_p2.txt"),
     (("char-diff", "--p", "3", "--left", "verma", "--right", "triplet",
