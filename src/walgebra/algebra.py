@@ -14,21 +14,18 @@ A record whose kind is part of its equality is a class written out on
 :class:`Record`, a ``tuple`` subclass whose instances are the tuple
 ``(type, *values)``, so records of two kinds never compare equal and each
 builds, hashes and compares in C: the six field-expression kinds, the six
-``c2`` rules, ``singular.SingularTable`` and ``c2.Certificate``.  Inside a
-field expression a declared field is its symbol string.  Modes,
-declarations and bracket results, like the derivation, solve and step
-reports elsewhere, are subclasses of ``collections.namedtuple`` types with
-``__slots__ = ()``, which compare as tuples.  ``AlgebraSpec`` is a plain
-class that refuses assignment, since its engine refers back to it weakly
-and a tuple cannot be weakly referenced.  ``c2.MembershipClaim`` stays a
-dataclass only because ``bench/worker.py`` calls ``dataclasses.replace``
-on a step.
+``c2`` rules, ``singular.SingularTable``, ``c2.Certificate`` and
+``AlgebraSpec``.  Inside a field expression a declared field is its symbol
+string.  Modes, declarations, the spec's lookup tables and bracket
+results, like the derivation, solve and step reports elsewhere, are
+subclasses of ``collections.namedtuple`` types with ``__slots__ = ()``,
+which compare as tuples.  ``c2.MembershipClaim`` stays a dataclass only
+because ``bench/worker.py`` calls ``dataclasses.replace`` on a step.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from collections import namedtuple
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
@@ -171,7 +168,7 @@ class QPNop(Record):
 
 class LinComb(Record):
     __slots__ = ()
-    _fields = ("parts",)  # ((Poly, FieldExpr), ...)
+    _fields = ("parts",)  # ((coefficient, FieldExpr), ...), a Poly or an exact number
 
 
 class TopPower(Record):
@@ -205,114 +202,92 @@ class CompositeDecl(namedtuple("CompositeDecl", "symbol weight definition")):
     __slots__ = ()  # definition is a FieldExpr
 
 
-class SpecTables(namedtuple("SpecTables", "weights ranks channels pairings")):
-    """What a mode commutator reads of a spec: the weight of every declared
-    field, the declaration rank of every generator, the channels
-    ``((k, C_ij^k), ...)`` of each generator pair (i, j) sorted by k, and
-    d_ij under each sorted pair; every C_ij^k and d_ij is exact
-    (`scalar.exact`), a Poly only while a symbol remains."""
+class SpecTables(namedtuple("SpecTables", "weights ranks channels pairings composites")):
+    """The lookups of a spec, built once by its constructor: the weight of
+    every declared field, the declaration rank of every generator, the
+    channels ``((k, C_ij^k), ...)`` of each generator pair (i, j) sorted by
+    k, d_ij under each sorted pair, and the definition of every composite;
+    every C_ij^k and d_ij is exact (`scalar.exact`), a Poly only while a
+    symbol remains.  The tables refer to no spec, so the engine, which keeps
+    only them, keeps no spec alive."""
 
     __slots__ = ()
 
+    def weight_of(self, symbol: str) -> int:
+        try:
+            return self.weights[symbol]
+        except KeyError:
+            raise SpecError(f"undeclared field {quoted(symbol)}") from None
 
-class AlgebraSpec:
+    def composite_expr(self, symbol: str) -> FieldExpr:
+        try:
+            return self.composites[symbol]
+        except KeyError:
+            raise SpecError(f"undeclared field {quoted(symbol)}") from None
+
+
+class AlgebraSpec(Record):
     """Declared W-algebra: generators, pairings d, structure constants C_ij^k,
     and composite fields usable as commutator channels.
 
     A spec is immutable: its mappings are read-only copies of the ones it was
-    built from, so the rewriting engine it owns can never go stale, and it
-    refuses assignment and deletion.  It compares by its fields.  It is not
-    a `Record`, because its engine refers back to it weakly and a tuple
-    cannot be weakly referenced: its fields, its lookup tables and its
-    engine, cached on first use, live in its instance dict, so that
-    `spec.engine` is a plain attribute lookup after its first use.
+    built from, so the rewriting engine it owns can never go stale.  Its
+    constructor builds its lookup tables (`SpecTables`) once, which its
+    lookups read, and validates it.  The tables and its engine, cached on
+    first use, live in its instance dict, so that `spec.engine` is a plain
+    attribute lookup after its first use.  A spec copies, but neither
+    pickles nor hashes: its mappings are read-only proxies.
     """
 
     _fields = ("central_charge", "generators", "d", "constants", "composites",
                "c_lower")
 
-    def __init__(self, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
-                 d: Mapping[tuple[str, str], Poly],
-                 constants: Mapping[tuple[str, str, str], Poly],
-                 composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
-                 c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
-        fields = vars(self)
-        fields.update(zip(self._fields, (central_charge, generators, *[
-            MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)])))
-        weights = {g.symbol: g.weight for g in self.generators}
+    def __new__(cls, central_charge: Fraction, generators: tuple[GeneratorDecl, ...],
+                d: Mapping[tuple[str, str], Poly],
+                constants: Mapping[tuple[str, str, str], Poly],
+                composites: Mapping[str, CompositeDecl] = _NO_ENTRIES,
+                c_lower: Mapping[tuple[str, str, str], Poly] = _NO_ENTRIES):
+        self = tuple.__new__(cls, (cls, central_charge, generators, *[
+            MappingProxyType(dict(m)) for m in (d, constants, composites, c_lower)]))
+        weights = {g.symbol: g.weight for g in generators}
         for c in self.composites.values():
             weights[c.symbol] = c.weight
-        channels: dict[tuple[str, str], list[tuple[str, Poly]]] = {}
+        channels: dict[tuple[str, str], list] = {}
         for (i, j, k), value in self.constants.items():
-            channels.setdefault((i, j), []).append((k, value))
-        fields.update(
-            _rank={g.symbol: i for i, g in enumerate(self.generators)},
-            _weights=weights,
-            _channels={key: tuple(sorted(chans, key=lambda kv: kv[0]))
-                       for key, chans in channels.items()})
+            channels.setdefault((i, j), []).append((k, exact(value)))
+        vars(self)["tables"] = SpecTables(
+            weights, {g.symbol: i for i, g in enumerate(generators)},
+            {key: tuple(sorted(chans, key=itemgetter(0))) for key, chans in channels.items()},
+            {key: exact(value) for key, value in self.d.items()},
+            {symbol: c.definition for symbol, c in self.composites.items()})
         self.validate()
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self._astuple()))
-        return f"AlgebraSpec({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        return self
 
     @cached_property
     def engine(self) -> Engine:
-        """The rewriting engine bound to this spec, built on first use; its
-        memo lives as long as the spec does.  The engine refers back to the
-        spec weakly, so a spec and its engine form no reference cycle and are
-        freed together as soon as the spec is dropped; keep the spec alive
-        while its engine is in use."""
+        """The rewriting engine of this spec, built on first use; its memo
+        lives as long as the spec does.  The engine keeps only the spec's
+        tables, so the two form no reference cycle."""
         from .engine import Engine
 
-        return Engine(weakref.ref(self))
-
-    @cached_property
-    def tables(self) -> SpecTables:
-        """The lookups :func:`commutator` reads, built on first use."""
-        return SpecTables(
-            self._weights, self._rank,
-            {key: tuple([(k, exact(value)) for k, value in chans])
-             for key, chans in self._channels.items()},
-            {key: exact(value) for key, value in self.d.items()})
+        return Engine(self)
 
     # --- lookups ---
 
     def rank(self, symbol: str) -> int:
-        return self._rank[symbol]
+        return self.tables.ranks[symbol]
 
     def weight_of(self, symbol: str) -> int:
-        try:
-            return self._weights[symbol]
-        except KeyError:
-            raise SpecError(f"undeclared field {quoted(symbol)}") from None
+        return self.tables.weight_of(symbol)
 
-    def pairing(self, i: str, j: str) -> Poly:
-        return self.d.get((i, j) if i <= j else (j, i), Poly.zero())
+    def pairing(self, i: str, j: str) -> int | Fraction | Poly:
+        return self.tables.pairings.get((i, j) if i <= j else (j, i), 0)
 
-    def channels(self, i: str, j: str) -> tuple[tuple[str, Poly], ...]:
-        return self._channels.get((i, j), ())
+    def channels(self, i: str, j: str) -> tuple[tuple[str, int | Fraction | Poly], ...]:
+        return self.tables.channels.get((i, j), ())
 
     def composite_expr(self, symbol: str) -> FieldExpr:
-        try:
-            return self.composites[symbol].definition
-        except KeyError:
-            raise SpecError(f"undeclared field {quoted(symbol)}") from None
+        return self.tables.composite_expr(symbol)
 
     # --- validation ---
 
@@ -373,7 +348,7 @@ class AlgebraSpec:
             raise SpecError("first generator must be the weight-2 conformal field")
         # the conformal field pairs with itself to c/2, unless d_TT is symbolic
         d_tt = self.pairing(t, t)
-        if d_tt.is_const() and d_tt != Poly.const(self.central_charge / 2):
+        if not isinstance(d_tt, Poly) and d_tt != self.central_charge / 2:
             raise SpecError(f"d_{clipped(t)}{clipped(t)} = {clipped(render_poly(d_tt))} "
                             f"is not half the central charge "
                             f"{clipped(str(self.central_charge))}")
@@ -466,8 +441,9 @@ def channel_poly(hi: int, hj: int, hk: int, m: int, n: int) -> int | Fraction:
 
 
 class OperatorSum(namedtuple("OperatorSum", "terms central")):
-    """Result of a mode bracket: channel modes with coefficients, as
-    (Poly, Mode) pairs, plus a central Poly."""
+    """Result of a mode bracket: channel modes with exact coefficients
+    (`scalar.exact`), as (coefficient, Mode) pairs, plus an exact central
+    term."""
 
     __slots__ = ()
 
@@ -478,26 +454,23 @@ class OperatorSum(namedtuple("OperatorSum", "terms central")):
         return " + ".join(bits) if bits else "0"
 
 
-def _poly(c) -> Poly:
-    return c if isinstance(c, Poly) else Poly.const(c)
-
-
-def commutator(i: str, m: int, j: str, n: int, tables: SpecTables) -> tuple[tuple, object]:
-    """The mode commutator [i_m, j_n] from the declared channels,
+def commutator(a: Mode, b: Mode, tables: SpecTables) -> OperatorSum:
+    """The mode commutator [i_m, j_n] of a = i_m and b = j_n from the
+    declared channels,
     d_ij delta_{m+n,0} C(h_i+m-1, 2h_i-1) + sum_k C_ij^k p(m,n) (phi_k)_{m+n},
-    as its terms ``((coefficient, k, m + n), ...)`` and its central term,
     each coefficient exact (`scalar.exact`).
 
-    The one computation behind both views of a commutator: the public
-    :func:`bracket` and the rewriting engine's commutator rows.  Channels
-    are declared for generators only, so a mode of a composite field is
-    refused rather than given a bracket of 0, and so is an undeclared
-    field."""
+    The one computation of a commutator: the rewriting engine keeps it as a
+    commutator row, which :func:`bracket` and `Engine.bracket` serve.
+    Channels are declared for generators only, so a mode of a composite
+    field is refused rather than given a bracket of 0, and so is an
+    undeclared field."""
+    (i, m), (j, n) = a, b
     weights = tables.weights
-    for field, index in ((i, m), (j, n)):
-        if field in weights and field not in tables.ranks:
-            raise SpecError(f"{clipped(f'{field}({index})')} is a mode of the "
-                            f"composite field {quoted(field)}; brackets are "
+    for mode in (a, b):
+        if mode.field in weights and mode.field not in tables.ranks:
+            raise SpecError(f"{clipped(mode.render())} is a mode of the "
+                            f"composite field {quoted(mode.field)}; brackets are "
                             "declared between generator modes only")
     try:
         hi, hj = weights[i], weights[j]
@@ -507,27 +480,26 @@ def commutator(i: str, m: int, j: str, n: int, tables: SpecTables) -> tuple[tupl
     for k, value in tables.channels.get((i, j), ()):
         pv = channel_poly(hi, hj, weights[k], m, n)
         if pv and value:
-            terms.append((exact(value * pv), k, m + n))
+            terms.append((exact(value * pv), Mode(k, m + n)))
     central = 0
     if m + n == 0:
         dij = tables.pairings.get((i, j) if i <= j else (j, i))
         if dij:
             central = exact(dij * binom_int(hi + m - 1, 2 * hi - 1))
-    return tuple(terms), central
+    return OperatorSum(tuple(terms), central)
 
 
 def bracket(a: Mode, b: Mode, spec: AlgebraSpec) -> OperatorSum:
-    """Mode commutator [a, b] under the spec (see :func:`commutator`), with
-    Poly coefficients."""
-    terms, central = commutator(a.field, a.n, b.field, b.n, spec.tables)
-    return OperatorSum(tuple([(_poly(c), Mode(k, index)) for c, k, index in terms]),
-                       _poly(central))
+    """Mode commutator [a, b] under the spec (see :func:`commutator`), served
+    from the commutator row of the spec's engine."""
+    return spec.engine.bracket(a, b)
 
 
 # --- expression weights ------------------------------------------------------
 
 
-def expr_weight(expr: FieldExpr, spec: AlgebraSpec) -> int:
+def expr_weight(expr: FieldExpr, spec: AlgebraSpec | SpecTables) -> int:
+    """The weight of a field expression under a spec or its tables."""
     if isinstance(expr, str):
         return spec.weight_of(expr)
     if isinstance(expr, Identity):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlgebraSpec, Mode, Record, decoded, keyed, parsed, typed
+from .algebra import AlgebraSpec, Mode, Record, bracket, decoded, keyed, parsed, typed
 from .engine import State, render_terms
 from .scalar import (PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, quoted,
                      render_poly, sum_products)
@@ -194,7 +194,7 @@ class WeightBoundedBracketRule(_Rule):
                 if math_index(Mode(k, msum), spec) > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
         engine = spec.engine
-        ops = engine.bracket(self.a, self.b)
+        ops = bracket(self.a, self.b, spec)
         if ops.central:
             return False, f"central term {render_poly(ops.central)} is not in C2"
         # replay the channel expansion exactly
@@ -304,7 +304,7 @@ def _walk_reorder(prefix: tuple[Mode, ...], block: tuple[Mode, ...],
             if x.field == "T" and y.field != "T":  # move every T right past every W
                 swapped = seq[:i] + (y, x) + seq[i + 2:]
                 work.append((coeff, swapped))
-                ops = spec.engine.bracket(x, y)
+                ops = bracket(x, y, spec)
                 if ops.central:
                     return (f"[{x.render()}, {y.render()}] has central term "
                             f"{render_poly(ops.central)}, which is not in C2")

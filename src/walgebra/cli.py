@@ -46,8 +46,11 @@ class InputError(ValueError):
 def _parse_mode(text: str) -> Mode:
     m = re.fullmatch(_MODE_ARG, text.strip())
     if not m:
-        raise InputError(f"mode must look like FIELD:INDEX, got {text!r}")
-    return Mode(m.group(1), int(m.group(2)))
+        raise InputError(f"mode must look like FIELD:INDEX, got {quoted(text)}")
+    try:
+        return Mode(m.group(1), int(m.group(2)))
+    except ValueError:  # more digits than int converts
+        raise InputError(f"mode index has too many digits, got {quoted(text)}") from None
 
 
 def _load_spec_arg(path: str | None):
@@ -148,10 +151,7 @@ def cmd_bracket(args) -> int:
         spec = load_triplet_p2_spec()
     left = _parse_mode(args.left)
     right = _parse_mode(args.right)
-    try:
-        ops = bracket(left, right, spec)
-    except SpecError as exc:
-        raise InputError(str(exc)) from exc
+    ops = bracket(left, right, spec)
     if args.format == "json":
         doc = {
             "left": left.render(),

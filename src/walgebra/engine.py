@@ -12,7 +12,6 @@ pairs that reach each output word and sum them once, in integers, with
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from itertools import groupby
@@ -30,7 +29,6 @@ from .algebra import (
     QPNop,
     SpecError,
     TopPower,
-    bracket,
     commutator,
     expr_weight,
 )
@@ -167,45 +165,37 @@ def project_with_audit(state: State, min_length: int) -> tuple[State, State]:
 
 
 class Engine:
-    """Rewriting engine bound to one algebra spec.
+    """Rewriting engine of one algebra spec.
 
     Pure operations over immutable values; the internal memo tables (mode
     actions, commutator rows, normal orders, quasi-primary products, and the
     verdicts of replayed `c2` certificate steps) are invisible caches.  The
     library uses the engine owned by the spec (`AlgebraSpec.engine`), so its
     memos live as long as the spec does and are shared by every computation
-    on that spec.  That engine is given a `weakref.ref` to its spec, so the
-    two form no reference cycle; it works only while the spec is alive, and
-    once the spec is freed it raises ReferenceError saying so.  Constructing
-    an `Engine` from a spec gives fresh, empty memos and a strong reference
-    to the spec.
+    on that spec.  An engine keeps only the spec's lookup tables
+    (`AlgebraSpec.tables`), which refer to no spec: a spec and its engine
+    form no reference cycle, and an engine kept after its spec is dropped
+    still computes.  Constructing an `Engine` from a spec gives fresh, empty
+    memos.
 
     A commutator row is the commutator of a generator mode with the lead
-    mode of a word, computed once per engine by `algebra.commutator` from
-    the spec's exact tables (`AlgebraSpec.tables`).  It holds the terms
-    (coefficient, output field, output index) and the central term, each
-    coefficient an int or a Fraction, or a Poly only while a symbol remains,
-    so the evaluator reads a row as it is: it normalizes no coefficient
-    again and builds no Poly, Mode or OperatorSum for it.  `Engine.bracket`
-    serves `algebra.bracket`'s OperatorSum of the same commutator from that
-    row, built on its first request and kept in the row.
+    mode of a word: the `OperatorSum` that `algebra.commutator` computes
+    from the tables, once per engine, each coefficient an int or a Fraction,
+    or a Poly only while a symbol remains.  The evaluator reads a row as it
+    is, normalizing no coefficient again, and `Engine.bracket` returns it.
     """
 
-    def __init__(self, spec: AlgebraSpec | weakref.ref):
-        # a callable that returns the spec, or None once a weakly held spec
-        # is freed; called once per mode application and per memo miss that
-        # reads the spec
-        self._spec = spec if isinstance(spec, weakref.ref) else (lambda: spec)
-        # read on every mode action, so kept here rather than behind the spec
-        tables = self.spec.tables
+    def __init__(self, spec: AlgebraSpec):
+        self.tables = tables = spec.tables
+        # read on every mode action, so kept here rather than behind the tables
         self._weights, self._ranks = tables.weights, tables.ranks
         # (generator symbol or field expression, n, word) -> {word: coeff},
         # each coeff an int, a Fraction, or a Poly only when it has a symbol
         self._memo: dict[tuple[FieldExpr, int, Word], dict] = {}
         self._qpnop_memo: dict[tuple[str, str, int], LinComb] = {}
-        # (generator symbol, n, lead mode) -> the commutator row
-        # [terms, central, OperatorSum or None] of [generator_n, lead]
-        self._rows: dict[tuple[str, int, Mode], list] = {}
+        # (generator symbol, n, lead mode) -> the commutator row of
+        # [generator_n, lead]
+        self._rows: dict[tuple[str, int, Mode], OperatorSum] = {}
         # mode sequence -> its normal order on the vacuum; every suffix of a
         # sequence normal-ordered so far has its entry
         self._normal_memo: dict[Word, State] = {(): State.vacuum()}
@@ -215,16 +205,6 @@ class Engine:
         # besides the spec, so a replay on this spec re-checks only the steps
         # that changed
         self.verdict_memo: dict[tuple, tuple[bool, str]] = {}
-
-    @property
-    def spec(self) -> AlgebraSpec:
-        spec = self._spec()
-        if spec is None:
-            raise ReferenceError(
-                "the AlgebraSpec of this engine was freed; keep the spec alive "
-                "while spec.engine is in use"
-            )
-        return spec
 
     # --- mode application ----------------------------------------------------
 
@@ -241,21 +221,16 @@ class Engine:
         return self._apply(expr, n, state)
 
     def bracket(self, a: Mode, b: Mode) -> OperatorSum:
-        """The commutator [a, b] under the spec: `algebra.bracket`, the
-        OperatorSum view of the commutator row of (a, b), computed on the
-        first request and kept in that row."""
-        row = self._row(a.field, a.n, b)
-        if row[2] is None:
-            row[2] = bracket(a, b, self.spec)
-        return row[2]
+        """The commutator [a, b] under the spec: the commutator row of
+        (a, b)."""
+        return self._row(a.field, a.n, b)
 
-    def _row(self, field: str, n: int, lead: Mode) -> list:
+    def _row(self, field: str, n: int, lead: Mode) -> OperatorSum:
         """The commutator row of [field_n, lead], computed once."""
         key = (field, n, lead)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = [*commutator(field, n, lead.field, lead.n,
-                                                 self.spec.tables), None]
+            row = self._rows[key] = commutator(Mode(field, n), lead, self.tables)
         return row
 
     def normal_order(self, word: Iterable[Mode]) -> State:
@@ -289,7 +264,6 @@ class Engine:
         return _summed(out)
 
     def _apply(self, field: FieldExpr, n: int, state: State) -> State:
-        self.spec  # raises once the spec is freed, though its tables live on
         out: dict[Word, list] = {}
         for word, coeff in state._t.items():
             for w, c in self._act(field, n, word).items():
@@ -309,7 +283,7 @@ class Engine:
         # a composite names only generators and earlier composites, so an
         # alias chain ends
         while isinstance(field, str) and field not in self._ranks:
-            field = self.spec.composite_expr(field)
+            field = self.tables.composite_expr(field)
         if isinstance(field, QPNop):
             field = self.qp_nop(field.j, field.i, field.n)
         key = (field, n, word)
@@ -332,8 +306,8 @@ class Engine:
                 for w, c in self._act(field, n, rest).items():
                     for w2, c2 in self._act(lead.field, lead.n, w).items():
                         _acc(result, w2, c * c2)
-                terms, central, _ = self._row(field, n, lead)
-                for coeff, k, index in terms:
+                terms, central = self._row(field, n, lead)
+                for coeff, (k, index) in terms:
                     for w, c in self._act(k, index, rest).items():
                         _acc(result, w, coeff * c)
                 if central:
@@ -345,14 +319,14 @@ class Engine:
                     f"{field.base}^{field.count} is kept at top length and acts "
                     f"on the vacuum only, not on {rendered}|0>"
                 )
-            h = self.spec.weight_of(field.base)
+            h = self.tables.weight_of(field.base)
             for parts in _partitions(-n, field.count, h, -n):
                 result[tuple(Mode(field.base, -k) for k in parts)] = _orderings(parts)
         elif isinstance(field, Identity):
             if n == 0:
                 result[word] = 1
         elif isinstance(field, Derivative):
-            h = expr_weight(field.base, self.spec)
+            h = expr_weight(field.base, self.tables)
             factor = 1
             for u in range(field.order):
                 factor *= -(n + h + u)
@@ -404,9 +378,9 @@ class Engine:
 
     def qp_nop_plain(self, j: str, i: str, n: int = 0) -> LinComb:
         """The derivative-corrected bilinear part (no channel corrections)."""
-        spec = self.spec
-        hi = spec.weight_of(i)
-        hj = spec.weight_of(j)
+        tables = self.tables
+        hi = tables.weight_of(i)
+        hj = tables.weight_of(j)
         parts = []
         for r in range(n + 1):
             coeff = exact(Fraction(
@@ -418,17 +392,17 @@ class Engine:
             core: FieldExpr = Nprod(hi + n + r, j, Derivative(i, n - r) if n - r else i)
             if r:
                 core = Derivative(core, r)
-            parts.append((Poly.const(coeff), core))
+            parts.append((coeff, core))
         return LinComb(tuple(parts))
 
     def qp_nop_corrections(self, j: str, i: str, n: int = 0) -> LinComb:
         """The declared-channel corrections that restore quasi-primarity."""
-        spec = self.spec
-        hi = spec.weight_of(i)
-        hj = spec.weight_of(j)
+        tables = self.tables
+        hi = tables.weight_of(i)
+        hj = tables.weight_of(j)
         parts = []
-        for k, value in spec.channels(i, j):
-            hk = spec.weight_of(k)
+        for k, value in tables.channels.get((i, j), ()):
+            hk = tables.weights[k]
             h = hi + hj - hk
             sigma = hi + hj + hk - 1
             if h == 1:

@@ -305,7 +305,9 @@ class Poly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._d, frozenset(self._n.items())))
+            # a constant equals its number, so it hashes as that number
+            self._hash = hash(self.const_value() if self.is_const()
+                              else (self._d, frozenset(self._n.items())))
         return self._hash
 
     # --- structure --------------------------------------------------------
@@ -451,7 +453,9 @@ def _render_mono(mono: Mono) -> str:
     return "*".join(parts)
 
 
-def render_poly(p: Poly) -> str:
+def render_poly(p: Poly | int | Fraction) -> str:
+    if not isinstance(p, Poly):
+        return str(p)
     if not p:
         return "0"
     n, d = p._n, p._d

@@ -59,7 +59,7 @@ def basis_states(max_weight):
 
 def math_apply(engine, expr, math_n, state):
     """Apply the math-index-n mode of a field expression."""
-    h = expr_weight(expr, engine.spec)
+    h = expr_weight(expr, engine.tables)
     return engine.field_mode_apply(expr, math_n - h + 1, state)
 
 

@@ -662,15 +662,14 @@ def _subclasses(kind):
 
 
 def test_every_record_refuses_assignment(cert, spec):
-    # the rules above, the six field-expression kinds, the table and
-    # certificate here, and the spec, which is not a Record because a tuple
-    # cannot be weakly referenced
+    # the rules above, the six field-expression kinds, the table,
+    # certificate and spec here
     expressions = [algebra.Identity(), algebra.Derivative("T", 1),
                    algebra.Nprod(0, "T", "T"), algebra.QPNop("T", "T", 0),
                    algebra.LinComb(((Poly.const(1), "T"),)), algebra.TopPower("T", 2)]
     kinds = {kind for kind in _subclasses(algebra.Record)
              if kind.__module__.startswith("walgebra.") and kind.__name__ != "_Rule"}
-    assert kinds == {SingularTable, Certificate, *c2._RULES.values(),
+    assert kinds == {SingularTable, Certificate, algebra.AlgebraSpec, *c2._RULES.values(),
                      *map(type, expressions)}
     for record in (cert.table, cert, spec, *expressions):
         _refuses_assignment(record)
@@ -1215,17 +1214,19 @@ def test_parse_errors_are_not_cached():
 
 
 def test_two_replays_bracket_each_pair_once(monkeypatch):
+    # every commutator is computed once per engine: an `Engine.bracket`
+    # request, first ones included, reads the row the evaluator computed
     calls = {}
-    plain = algebra.bracket
+    plain = algebra.commutator
 
-    def counted(a, b, spec):
+    def counted(a, b, tables):
         calls[(a, b)] = calls.get((a, b), 0) + 1
-        return plain(a, b, spec)
+        return plain(a, b, tables)
 
-    # count the calls wherever walgebra imported the bracket by name
+    # count the calls wherever walgebra imported the commutator by name
     for name, module in list(sys.modules.items()):
-        if name.startswith("walgebra") and getattr(module, "bracket", None) is plain:
-            monkeypatch.setattr(module, "bracket", counted)
+        if name.startswith("walgebra") and getattr(module, "commutator", None) is plain:
+            monkeypatch.setattr(module, "commutator", counted)
     spec = load_triplet_p2_spec()  # a fresh spec owns a fresh engine
     cert = certificate_from_json((GOLDEN / "certificate_p2.json").read_text())
     for _ in range(2):

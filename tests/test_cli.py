@@ -88,10 +88,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_cli("derive").returncode == 2
     assert run_cli("bracket", "--left", "junk", "--right", "T:2").returncode == 2
     # a composite has no declared channels: its bracket is refused, not 0
-    proc = run_cli("bracket", "--left", "T:2", "--right", "X1:-5")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: X1(-5) is a mode of the composite field")
-    assert len(proc.stderr.splitlines()) == 1
+    # and so is an undeclared field; `main` prints each SpecError as one line
+    for left, right, message in (
+            ("T:2", "X1:-5", "X1(-5) is a mode of the composite field 'X1'; brackets "
+                             "are declared between generator modes only"),
+            ("Q:1", "T:-5", "undeclared field 'Q'")):
+        proc = run_cli("bracket", "--left", left, "--right", right)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert run_cli("nonsense").returncode == 2
     assert run_cli("char-diff", "--p", "2", "--left", "verma", "--right",
                    "triplet", "--level", "x").returncode == 2
@@ -163,9 +166,13 @@ _CHARDIFF = ("char-diff", "--p", "3", "--left", "verma", "--right", "triplet")
     ("verma-character", "--p", _BIG_P, "--cutoff", "5"),
     ("char-diff", "--p", _BIG_P, "--left", "verma", "--right", "triplet",
      "--level", "1"),
+    # a mode index with more digits than int converts, and a mode that is
+    # echoed in its refusal
+    ("bracket", "--left", "T:" + "9" * 5000, "--right", "T:-2"),
+    ("bracket", "--left", "x" * 5000, "--right", "T:-2"),
 ], ids=["level_exponent", "c_exponent", "spec_exponent",
         "level_digits", "level_denominator_digits", "character_p", "verma_p",
-        "char_diff_p"])
+        "char_diff_p", "mode_digits", "mode_text"])
 def test_oversized_numbers_exit_2(tmp_path, argv):
     doc = _triplet_spec_doc()
     doc["central_charge"] = "1e5000"

@@ -119,7 +119,7 @@ def test_lowering_consistency(p, derivation):
     indirect = State()
     for word, coeff in ansatz.terms().items():
         for pos, mode in enumerate(word):
-            h = eng.spec.weight_of(mode.field)
+            h = der.spec.weight_of(mode.field)
             factor = (h - 1) * (-1) - mode.n
             lowered = word[:pos] + (Mode(mode.field, mode.n - 1),) + word[pos + 1:]
             indirect = indirect + eng.normal_order(lowered).scale(coeff * factor)

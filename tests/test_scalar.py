@@ -302,6 +302,26 @@ def test_equal_values_are_equal_and_hash_alike():
     assert (C / 6 + C / 3)._d == 2
 
 
+@pytest.mark.parametrize("value", [2, -7, 0, Fraction(1, 2), Fraction(-5, 3)])
+def test_constant_poly_hashes_as_its_number(value):
+    p = Poly.const(value)
+    assert p == value and hash(p) == hash(value) == hash(p)
+    assert len({p, value}) == 1
+    # a symbolic poly hashes as before, and a constant's hash is cached
+    C = Poly.sym("C")
+    assert hash(C + value) == hash(((C + value)._d, frozenset((C + value)._n.items())))
+    assert p._hash == hash(value)
+
+
+def test_lincomb_of_a_constant_poly_hashes_as_of_its_number():
+    from walgebra.algebra import LinComb
+
+    for value in (2, Fraction(2, 3)):
+        poly, number = LinComb(((Poly.const(value), "T"),)), LinComb(((value, "T"),))
+        assert poly == number and hash(poly) == hash(number)
+        assert len({poly, number}) == 1
+
+
 @pytest.mark.parametrize("make", [
     lambda: Poly.const(0.1),
     lambda: Poly({(): 0.5}),
@@ -326,7 +346,8 @@ def test_bracket_constants_are_exact():
         for (j, i), n in product(product("TW", repeat=2), range(11)):
             for lincomb in (eng.qp_nop_plain(j, i, n), eng.qp_nop_corrections(j, i, n)):
                 for coeff, _ in lincomb.parts:
-                    assert all(_is_exact(c) for c in coeff.terms().values())
+                    values = coeff.terms().values() if isinstance(coeff, Poly) else [coeff]
+                    assert all(_is_exact(c) for c in values)
 
 
 @settings(max_examples=60, deadline=None)
