@@ -274,9 +274,6 @@ class AlgebraSpec(Record):
 
     # --- lookups ---
 
-    def rank(self, symbol: str) -> int:
-        return self.tables.ranks[symbol]
-
     def weight_of(self, symbol: str) -> int:
         return self.tables.weight_of(symbol)
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import AlgebraSpec, Mode, Record, bracket, decoded, keyed, parsed, typed
-from .engine import State, render_terms
+from .engine import render_terms
 from .scalar import (PARSE_CACHE_SIZE, Poly, parse_poly, parse_rational, quoted,
                      render_poly, sum_products)
 from .singular import DEFAULT_TABLE, SingularTable, null_vector_terms
@@ -193,17 +193,12 @@ class WeightBoundedBracketRule(_Rule):
             for k, _ in spec.channels(i, j):
                 if math_index(Mode(k, msum), spec) > -2:
                     return False, f"channel mode {k}({msum}) is not manifest"
-        engine = spec.engine
         ops = bracket(self.a, self.b, spec)
         if ops.central:
             return False, f"central term {render_poly(ops.central)} is not in C2"
         # replay the channel expansion exactly
-        lhs = engine.evaluate(vector)
-        rhs = State()
-        right_state = engine.normal_order(self.right)
-        for coeff, mode in ops.terms:
-            rhs = rhs + engine.apply_mode(mode, right_state).scale(coeff)
-        residual = lhs - rhs
+        residual = spec.engine.evaluate(
+            list(vector) + [(-coeff, (mode,) + self.right) for coeff, mode in ops.terms])
         if residual:
             return False, f"bracket replay residual: {residual.render()}"
         return True, ""

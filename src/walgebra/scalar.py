@@ -4,8 +4,11 @@ Exact rationals (an ``int`` when integral, else a ``fractions.Fraction``,
 never a float; see :func:`exact`), multivariate polynomials over the
 Gaussian rationals in named symbols, generalized binomial coefficients, and
 a small linear solver.  A polynomial stores integer numerators over one
-positive denominator and does integer arithmetic; its coefficients become
-exact rationals only when read.  The reserved symbol
+positive denominator, and its coefficients become exact rationals only when
+read.  One loop, `_accumulate`, sums products of polynomials in integers: it
+runs every `+` and `-`, every product of two polynomials with a symbol and
+every `sum_products`; a constant operand of `*` takes `Poly._scaled`, which
+scales the other operand's numerators.  The reserved symbol
 ``I`` is the formal imaginary unit and satisfies I*I = -1; it is reduced
 eagerly so a polynomial never stores a power of I above 1.
 """
@@ -106,9 +109,11 @@ class Poly:
 
     Stored as nonzero integer numerators, one per monomial, over one
     positive denominator that shares no factor with all of them; zero is
-    no numerators over 1.  Ring operations do integer arithmetic only and
-    reduce once at the end, and a coefficient becomes an ``int`` or a
-    ``Fraction`` only when it is read (see :func:`exact`).  Immutable by
+    no numerators over 1.  `+`, `-` and the product of two polys with a
+    symbol are each one run of `_accumulate`, and a constant operand of `*`
+    takes `_scaled`; both do integer arithmetic only and reduce once at the
+    end.  A coefficient becomes an ``int`` or a ``Fraction`` only when it is
+    read (see :func:`exact`).  Immutable by
     convention: no method mutates ``self``.
     """
 
@@ -135,7 +140,7 @@ class Poly:
 
     @classmethod
     def zero(cls) -> "Poly":
-        return cls()
+        return _ZERO
 
     @classmethod
     def const(cls, value) -> "Poly":
@@ -188,33 +193,7 @@ class Poly:
     # --- ring operations --------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        b = other._n
-        if not b:
-            return self
-        a = self._n
-        if not a:
-            return other
-        da, db = self._d, other._d
-        if da == db:
-            n = dict(a)
-            fb = 1
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            n = {m: c * fa for m, c in a.items()}
-            da *= fa
-        for mono, c in b.items():
-            if fb != 1:
-                c *= fb
-            acc = n.get(mono)
-            if acc is not None:
-                c += acc
-                if not c:
-                    del n[mono]
-                    continue
-            n[mono] = c
-        return _reduced(n, da)
+        return _accumulate(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -222,10 +201,10 @@ class Poly:
         return _make({m: -c for m, c in self._n.items()}, self._d)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_coerce(other))
+        return _accumulate(((self, 1), (other, -1)))
 
     def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
+        return _accumulate(((other, 1), (self, -1)))
 
     def _scaled(self, num: int, den: int) -> "Poly":
         """self * num / den for a nonzero num over den > 0, coprime; no
@@ -252,26 +231,13 @@ class Poly:
                 return self._scaled(b[_ONE_MONO], other._d)
             if len(a) == 1 and _ONE_MONO in a:
                 return other._scaled(a[_ONE_MONO], self._d)
-        else:
-            c = _number(other)
-            if not c:
-                return _ZERO
-            if isinstance(c, int):
-                return self._scaled(c, 1)
-            return self._scaled(c.numerator, c.denominator)
-        n: dict[Mono, int] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                sign, m = _mono_mul(m1, m2)
-                c = c1 * c2 if sign == 1 else -(c1 * c2)
-                acc = n.get(m)
-                if acc is not None:
-                    c += acc
-                    if not c:
-                        del n[m]
-                        continue
-                n[m] = c
-        return _reduced(n, self._d * other._d)
+            return _accumulate(((self, other),))
+        c = _number(other)
+        if not c:
+            return _ZERO
+        if isinstance(c, int):
+            return self._scaled(c, 1)
+        return self._scaled(c.numerator, c.denominator)
 
     __rmul__ = __mul__
 
@@ -381,16 +347,23 @@ def _factor(x) -> tuple[int, int, dict[Mono, int] | None]:
 
 def sum_products(pairs: list[tuple]) -> Poly:
     """The sum of a * b over the (a, b) pairs, each side a Poly or an exact
-    number, as one Poly.
-
-    The products are summed as integer numerators over one running
-    denominator, the lcm of the pairs' denominators, and reduced once at the
-    end with one gcd, where one `+` per pair would build a Poly and take a
-    gcd for each.  A constant side scales the other side's numerators
-    directly, and I*I reduces to -1 as in `*`.  A single pair is one `*`."""
+    number, as one Poly.  A single pair is one `*`, so a constant side takes
+    `Poly._scaled`; more pairs are summed by `_accumulate`."""
     if len(pairs) == 1:
         (a, b), = pairs
         return _coerce(a) * b
+    return _accumulate(pairs)
+
+
+def _accumulate(pairs) -> Poly:
+    """The sum of a * b over the (a, b) pairs, each side a Poly or an exact
+    number: the one loop that sums and multiplies Polys, run once by each
+    `+`, `-` and product of two symbolic Polys, and by `sum_products`.
+
+    The products are summed as integer numerators over one running
+    denominator, the lcm of the pairs' denominators, and reduced once at the
+    end with one gcd.  A constant side scales the other side's numerators
+    directly, and I*I reduces to -1."""
     n: dict[Mono, int] = {}
     den = 1
     for a, b in pairs:

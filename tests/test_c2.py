@@ -75,7 +75,7 @@ def all_canonical_words(spec, max_weight):
     modes = []
     for g in spec.generators:
         for n in range(-max_weight, -g.weight + 1):
-            modes.append((Mode(g.symbol, n), spec.rank(g.symbol)))
+            modes.append((Mode(g.symbol, n), spec.tables.ranks[g.symbol]))
     words = []
 
     def rec(start_key, remaining, word):
@@ -786,6 +786,18 @@ def test_manifest_member_below_depth_two_fails(cert, spec, n):
     assert not ok
     assert [r.id for r in reports] == [1] and not reports[0].ok
     assert "n >= 2" in reports[0].detail and "\n" not in reports[0].detail
+
+
+def test_bracket_replay_names_its_residual(spec):
+    # one term beyond the commutator: the replay's residual is that term,
+    # normal ordered, with its symbolic coefficients
+    rule = WeightBoundedBracketRule(W(1, -3), W(2, -3), (W(2, -3),))
+    vector = expression(*rule.implied({}), (2, (T(-3), W(2, -3), W(1, -3))))
+    assert rule.check(vector, {}, SingularTable(), spec) == (False, (
+        "bracket replay residual: (4*uX) W3(-7) T(-2) |0> "
+        "+ (-5/7*uW + 18/7*uX) W3(-6) T(-3) |0> + (-2*uX) T(-3) T(-3) W3(-3) |0> "
+        "+ (2) T(-3) W1(-3) W2(-3) |0> + (-2*uX) W3(-4) T(-3) T(-2) |0>"))
+    assert rule.check(rule.implied({}), {}, SingularTable(), spec) == (True, "")
 
 
 def test_bracket_with_central_term_fails():

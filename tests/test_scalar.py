@@ -244,6 +244,12 @@ def test_poly_matches_fraction_reference(ta, tb, r, n):
     assert_matches(r * a, ref_mul(ta, rt))
     assert_matches(a + r, ref_add(ta, rt))
     assert_matches(r - a, ref_add(rt, ref_mul(ta, {(): Fraction(-1)})))
+    # a zero operand, and a difference that cancels
+    assert_matches(a + Poly.zero(), ta)
+    assert_matches(Poly.zero() + a, ta)
+    assert_matches(a + 0, ta)
+    assert_matches(a - a, {})
+    assert_matches(0 - a, ref_mul(ta, {(): Fraction(-1)}))
     assert_matches(a * Poly.const(r), ref_mul(ta, rt))
     assert_matches(a**n, ref_pow(ta, n))
     assert_matches(a.substitute({"C": b}), ref_substitute(ta, {"C": tb}))
