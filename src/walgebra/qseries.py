@@ -6,10 +6,11 @@ the offset; the list's length is the validity range.  The characters are
 integer series, so all arithmetic is plain `int` arithmetic; only the
 offset, q^(-c/24), is a `Fraction`.  phi = prod_{n>=1} (1 - q^n) comes from
 Euler's pentagonal theorem.  Division by a series with constant term +-1 is
-one exact recurrence, `_divide`, whose sum over the divisor's terms is
-gathered per distinct coefficient value at C speed; an inverse is division
-of 1.  The triplet character divides its theta bracket by phi.  The Verma
-and quotient characters are numer / prod_k phi_k, with phi_k = 1 through
+one exact recurrence, `_divide`, whose sum over the divisor's terms is three
+C-level gathers per coefficient: the terms with coefficient +1 summed, those
+with -1 summed, and every other one in one dot product; an inverse is
+division of 1.  The triplet character divides its theta bracket by phi.  The
+Verma and quotient characters are numer / prod_k phi_k, with phi_k = 1 through
 the cutoff for a weight k above it and 1/phi_k = (1/phi) prod_{n<k} (1 - q^n)
 otherwise: each (1 - q^n) is one running difference on the short numerator,
 and the result is divided once by phi^3 per three weights and by phi per
@@ -142,6 +143,10 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
+        if (self.offset - other.offset).denominator != 1:
+            # off-lattice series share no exponent: equal only when both are
+            # zero through their validity
+            return not any(self.coeffs) and not any(other.coeffs)
         _, xs, ys = QSeries._aligned(self, other)
         return xs == ys
 
@@ -170,34 +175,58 @@ def _divide(numer: list[int], den: list[int]) -> list[int]:
     """The integers X_0 .. X_{len(den) - 1} with den * X = numer through
     q^(len(den) - 1); den_0 must be +-1.
 
-    X_n = d_0 (numer_n - sum_{k>=1} den_k X_{n-k}), as 1/d_0 = d_0.  The sum
-    is gathered per distinct nonzero value v of den_k: one itemgetter picks
-    every X_{n-k} with den_k = v from the output so far as out[-k], since
-    len(out) == n, so a step is a few C-level gathers and sums.  A value's
-    getter is rebuilt only when n reaches a new nonzero exponent of den."""
+    With den_0 = -1 both sides are negated first, so that den_0 = 1 and
+    X_n = numer_n - sum_{k>=1} den_k X_{n-k}.  The sum is three C-level
+    gathers: an itemgetter picks each X_{n-k} from the output so far as
+    out[-k], since len(out) == n, once for the exponents k with den_k = 1,
+    whose values are summed and subtracted, once for den_k = -1, summed and
+    added, and once for every other nonzero den_k, taken against those
+    values as one dot product.  A group's getter is rebuilt only when n
+    reaches a new nonzero exponent of den."""
     count = len(den)
     numer = numer[:count] + [0] * (count - len(numer))
-    negate = den[0] == -1
-    exponents = [k for k in range(1, count) if den[k]]
-    indices: dict[int, list[int]] = {}
-    # value -> (getter, whether it gathers more than one index): itemgetter
-    # with one index returns the item itself, not a 1-tuple
-    gathers: dict[int, tuple] = {}
+    if den[0] == -1:
+        numer = [-c for c in numer]
+        den = [-d for d in den]
+    plus: list[int] = []
+    minus: list[int] = []
+    others: list[int] = []
+    values: list[int] = []
     out: list[int] = []
     start = 0
-    for stop in exponents + [count]:
-        for n in range(start, stop):
-            acc = numer[n]
-            for v, (get, several) in gathers.items():
-                acc -= v * (sum(get(out)) if several else get(out))
-            out.append(-acc if negate else acc)
+    for stop in [k for k in range(1, count) if den[k]] + [count]:
+        for acc in numer[start:stop]:
+            if plus:
+                acc -= sum(get_plus(out))
+            if minus:
+                acc += sum(get_minus(out))
+            if others:
+                acc -= sum(map(mul, values, get_others(out)))
+            out.append(acc)
         if stop < count:
             v = den[stop]
-            ks = indices.setdefault(v, [])
-            ks.append(-stop)
-            gathers[v] = (itemgetter(*ks), len(ks) > 1)
+            if v == 1:
+                plus.append(-stop)
+                get_plus = _gather(plus)
+            elif v == -1:
+                minus.append(-stop)
+                get_minus = _gather(minus)
+            else:
+                others.append(-stop)
+                values.append(v)
+                get_others = _gather(others)
             start = stop
     return out
+
+
+def _gather(indices: list[int]):
+    """A getter of the items at the nonempty `indices` as a sequence.  An
+    itemgetter over one index returns the item itself, not a 1-tuple, so one
+    index k is the slice k .. k + 1 instead."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    k = indices[0]
+    return itemgetter(slice(k, k + 1 or None))
 
 
 # --- phi products ------------------------------------------------------------------

@@ -211,6 +211,20 @@ def test_lattice_alignment():
         a + series(Fraction(0), {0: 1}, 8)
 
 
+def test_off_lattice_equality_answers():
+    # offsets that differ off the integers share no exponent, so two series
+    # there are equal exactly when both are zero through their validity;
+    # arithmetic and lookups across the lattices are still refused
+    one, half = series(Fraction(0), {0: 1}, 4), series(Fraction(1, 2), {0: 1}, 4)
+    assert not one == half and one != half
+    assert series(Fraction(0), {}, 4) == series(Fraction(1, 3), {}, 7)
+    assert series(Fraction(0), {}, 4) != series(Fraction(1, 3), {5: 2}, 7)
+    for refused in (lambda: one + half, lambda: one * half,
+                    lambda: one.coeff_at_exponent(Fraction(1, 2))):
+        with pytest.raises(QSeriesError, match="off-lattice"):
+            refused()
+
+
 def test_agreement_range_rounds_down():
     # exponents of a run from 0; a `through` below the offset compares nothing
     a = series_from_terms([(0, 1), (1, 1)], 5)
@@ -496,13 +510,27 @@ def long_division(numer, den):
 @example(-1, [0, -2, 0, 0, 0], [3])
 @example(1, [], [])
 @example(-1, [], [4, 5])
+@example(-1, [1], [2, -1, 3])
+@example(-1, [-1], [2, -1, 3])
+@example(-1, [5], [2, -1, 3])
+@example(1, [-3, 0, 7, -3], [1, 2, 3, 4, 5, 6])
 def test_divide_is_long_division(d0, tail, numer):
-    # a value that occurs at one exponent is gathered by an itemgetter with
-    # one index, which returns the item itself rather than a 1-tuple
+    # the +1, -1 and other-value gathers each start with one index, where an
+    # itemgetter returns the item itself rather than a 1-tuple; a value may
+    # recur at a later exponent
     den = [d0] + tail
     got = qseries._divide(numer, den)
     assert got == long_division(numer, den)
     assert all(type(x) is int for x in got)
+
+
+def test_divide_is_long_division_at_2000():
+    # the big-integer dot product against phi^3's Jacobi coefficients, and
+    # a constant term of -1 under the theta bracket, at a realistic size
+    theta = triplet_theta_bracket(3, 2000).coeffs
+    for numer, den in (([1], qseries._phi_cubed(2000)),
+                       (theta, [-c for c in phi(2000).coeffs])):
+        assert qseries._divide(numer, den) == long_division(numer, den)
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 600, 2000])
