@@ -32,10 +32,11 @@ from .algebra import central_charge_p1
 # The largest cutoff taken from untrusted input.  A character divides by phi
 # or phi^3, each with O(sqrt(cutoff)) nonzero terms, so its cost grows about
 # 3x per doubling of the cutoff.  At 20000 the p = 2 Verma and quotient
-# characters took 0.5-0.6 s each in-process (Python 3.11.7, 2 vCPU), and a
-# weight above the cutoff costs nothing.  A weight k at or below the cutoff
-# still costs k - 1 running differences over up to cutoff + 1 terms, so
-# O(k x cutoff): verma-character --p 10000 --cutoff 20000 takes about 24 s.
+# characters took about 0.6 s each in-process (best of 5, Python 3.11.7 on
+# a shared 2-vCPU Intel Xeon VM), and a weight above the cutoff costs
+# nothing.  A weight k at or below the cutoff still costs k - 1 running
+# differences over up to cutoff + 1 terms, so O(k x cutoff): a cold
+# verma-character --p 10000 --cutoff 20000 takes about 27 s on that host.
 MAX_CUTOFF = 20000
 
 
@@ -188,10 +189,8 @@ def _divide(numer: list[int], den: list[int]) -> list[int]:
     if den[0] == -1:
         numer = [-c for c in numer]
         den = [-d for d in den]
-    plus: list[int] = []
-    minus: list[int] = []
-    others: list[int] = []
-    values: list[int] = []
+    # each group's exponents k, stored as -k, and the other group's den_k
+    plus, minus, others, values = [], [], [], []
     out: list[int] = []
     start = 0
     for stop in [k for k in range(1, count) if den[k]] + [count]:
